@@ -16,6 +16,7 @@ import threading
 import time
 
 from repro.harness.federation import run_agent
+from repro.harness.queue import LOCAL_HOLDER
 from repro.harness.service import SweepService
 
 WORKER = "benchmarks.bench_federation:paced_point"
@@ -95,18 +96,22 @@ def test_agent_scaling_splits_wall_clock(tmp_path):
 
 def test_single_daemon_pays_nothing_for_federation(tmp_path):
     """Zero-cost contract: a daemon with local workers and no agents
-    journals no lease/duplicate events, emits no agent/lease spans or
-    counters, and reports empty federation gauges."""
+    journals only its local slots' leases (each ended "done") and no
+    duplicate events, emits no agent/lease spans or counters, and
+    reports empty federation gauges."""
     svc = SweepService(tmp_path / "solo", jobs=1, point_timeout_s=60.0)
     svc.start()
     try:
         job = svc.submit("paced", _specs()[:2], {"worker": WORKER})
         out = svc.wait(job["job"], timeout_s=60)
         assert out["errors"] == 0
-        events = {json.loads(line)["event"]
-                  for line in
-                  svc.queue.journal_path.read_text().splitlines()}
-        assert not events & {"lease", "lease_end", "duplicate"}
+        records = [json.loads(line) for line in
+                   svc.queue.journal_path.read_text().splitlines()]
+        assert {r["agent"] for r in records
+                if r["event"] == "lease"} == {LOCAL_HOLDER}
+        assert {r["why"] for r in records
+                if r["event"] == "lease_end"} == {"done"}
+        assert "duplicate" not in {r["event"] for r in records}
         counters = svc.telemetry.snapshot()["counters"]
         assert not [name for name in counters
                     if name.startswith(("svc.agents.", "svc.leases.",

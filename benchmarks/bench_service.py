@@ -47,7 +47,8 @@ def test_journal_replay_1k_points(once, tmp_path):
     job = q.submit("bw", "repro.apps.pingpong:bandwidth_point",
                    [{"i": i} for i in range(1000)])
     for i in range(1000):
-        q.record_point(job.job_id, i, {"r": i}, error=False, attempts=1)
+        q.complete_leased(None, job.job_id, i, {"r": i}, error=False,
+                          attempts=1)
     replayed = once(JobQueue, tmp_path / "q")
     assert replayed.get(job.job_id).status == "done"
 

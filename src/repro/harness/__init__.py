@@ -17,7 +17,7 @@ measurements from the simulated cluster) and returns structured results
 for the benchmark suite and EXPERIMENTS.md.
 """
 
-from repro.harness.cache import ResultCache, SharedStore, code_version
+from repro.harness.cache import ResultCache, code_version
 from repro.harness.fig10 import run_fig10
 from repro.harness.fig8 import run_fig8
 from repro.harness.fig9 import run_fig9
@@ -27,5 +27,5 @@ from repro.harness.table1 import run_table1
 from repro.harness.timeline import run_fig4
 
 __all__ = ["Table", "format_table", "run_table1", "run_fig8", "run_fig9",
-           "run_fig10", "run_fig4", "ResultCache", "SharedStore",
-           "code_version", "sweep"]
+           "run_fig10", "run_fig4", "ResultCache", "code_version",
+           "sweep"]

@@ -1,8 +1,8 @@
-"""Content-addressed cache for simulation sweep results.
+"""Content-addressed store for simulation sweep results.
 
 Every sweep point the harness runs is a pure function of (experiment
 kind, spec dict, code version): the DES engine is deterministic, so the
-result of a configuration never changes until the code does.  The cache
+result of a configuration never changes until the code does.  The store
 exploits that — each result is stored as JSON under ``.repro_cache/``,
 keyed by a SHA-256 over the canonical JSON of the three components.
 
@@ -14,24 +14,22 @@ again and the files become dead weight that ``clear()`` can drop.
 Layout::
 
     .repro_cache/
-        stats.json            # persistent {"hits", "misses", ...}
-        <kind>/<hash>.json    # {"spec": ..., "result": ...}
+        stats.json                # persistent {"hits", "misses", ...}
+        stats.lock                # serializes stats.json updates
+        <kind>/<hh>/<hash>.json   # {"spec": ..., "result": ...}
+        <kind>/<hh>/<hash>.lock   # the entry's advisory write lock
 
-Two access regimes share this module:
-
-* :class:`ResultCache` — the classic single-writer cache.  Reads and
-  writes happen only in the parent process of a sweep (see
-  :mod:`repro.harness.parallel`), never in pool workers.
-* :class:`SharedStore` — the sweep *service*'s store (see
-  :mod:`repro.harness.service`): sharded directories
-  (``<kind>/<hh>/<hash>.json``), per-entry advisory locking, and LRU
-  eviction under a byte budget, safe for many concurrent writer
-  processes.
-
-Either way writes are atomic (unique temp file + rename-into-place), so
-a reader can never observe a torn entry, and two writers racing on the
-same content address both land a complete — and, because entries are
-content-addressed, byte-identical — file.
+One :class:`ResultCache` serves the CLI sweeps and the sweep service
+(:mod:`repro.harness.service`) alike, safe for concurrent threads and
+processes.  The first two hex digits of the content address shard the
+entries, so no directory ever holds millions.  Every write holds an
+exclusive ``flock`` on the entry's ``.lock`` sibling and lands via a
+unique temp file + rename-into-place, so a reader never observes a torn
+entry, and writers racing on one content address all land a complete —
+and, being content-addressed, byte-identical — file
+(:meth:`ResultCache.put_if_absent` is the first-write-wins form).  An
+optional ``max_bytes`` budget evicts least-recently-used entries (hits
+refresh recency), never one that is mid-write.
 """
 
 from __future__ import annotations
@@ -39,23 +37,27 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Optional
 
-try:  # advisory file locking (POSIX); SharedStore degrades without it
+try:  # advisory file locking (POSIX); writes degrade to unlocked without
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["ResultCache", "SharedStore", "code_version",
-           "default_cache_dir"]
+__all__ = ["ResultCache", "code_version", "default_cache_dir"]
 
 #: cached digest of the repro sources (computed once per process)
 _CODE_VERSION: Optional[str] = None
 
 #: sentinel: a corrupt entry was deleted, the read stays a miss
 _MISS = object()
+
+#: the persistent counters ``stats.json`` carries
+_STAT_FIELDS = ("hits", "misses", "corrupt_deleted", "corrupt_replaced",
+                "evicted")
 
 
 def default_cache_dir() -> Path:
@@ -88,24 +90,42 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _tmp_name(path: Path) -> Path:
+    """A temp sibling of ``path`` no other thread or process shares."""
+    return path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+
+
 class ResultCache:
     """JSON result store addressed by (kind, spec, code version).
 
     ``spec`` must be a JSON-able dict — it doubles as the human-readable
     record of what produced the entry.  Pass an explicit ``version`` to
     pin or test invalidation behaviour; the default tracks the sources.
+    ``max_bytes`` (None = unbounded) is the LRU byte budget, enforced
+    every ``evict_every`` writes.
     """
 
     def __init__(self, root: Optional[Path] = None,
-                 version: Optional[str] = None):
+                 version: Optional[str] = None,
+                 max_bytes: Optional[int] = None,
+                 evict_every: int = 64):
         from repro.obs import MetricsRegistry
 
+        if max_bytes is not None and max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+        if evict_every < 1:
+            raise ValueError(
+                f"evict_every must be >= 1, got {evict_every}")
         self.root = Path(root) if root is not None else default_cache_dir()
         self.version = version if version is not None else code_version()
+        self.max_bytes = max_bytes
+        self.evict_every = evict_every
+        self._writes = 0
         #: per-instance metrics (``cache.hits`` / ``cache.misses`` /
-        #: ``cache.corrupt_deleted`` / ``cache.corrupt_replaced``) — the
-        #: source of truth for the :attr:`hits` / :attr:`misses` views
-        #: and ``--cache-stats``
+        #: ``cache.corrupt_deleted`` / ``cache.corrupt_replaced`` /
+        #: ``cache.evicted``) — the source of truth for the
+        #: :attr:`hits` / :attr:`misses` views and ``--cache-stats``
         self.metrics = MetricsRegistry()
 
     @property
@@ -136,12 +156,38 @@ class ResultCache:
         return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
     def _path(self, kind: str, spec: dict) -> Path:
-        return self.root / kind / f"{self.key(kind, spec)}.json"
+        key = self.key(kind, spec)
+        return self.root / kind / key[:2] / f"{key}.json"
+
+    @staticmethod
+    def _lock_path(path: Path) -> Path:
+        return path.with_suffix(".lock")
+
+    @contextmanager
+    def _locked(self, path: Path, blocking: bool = True):
+        """Exclusive advisory lock on ``path``'s ``.lock`` sibling;
+        yields False if the lock could not be taken (non-blocking mode).
+        Without ``fcntl`` it yields True unlocked."""
+        if fcntl is None:  # pragma: no cover - non-POSIX platforms
+            yield True
+            return
+        fd = os.open(self._lock_path(path), os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            flags = fcntl.LOCK_EX | (0 if blocking else fcntl.LOCK_NB)
+            try:
+                fcntl.flock(fd, flags)
+            except OSError:
+                yield False
+                return
+            yield True
+        finally:
+            os.close(fd)  # closing drops the lock
 
     # -- access -------------------------------------------------------------
     def get(self, kind: str, spec: dict) -> Optional[Any]:
         """The cached result for ``spec``, or None (counts hit/miss).
 
+        A hit refreshes the entry's mtime, its recency for LRU eviction.
         A file that exists but cannot be parsed — truncated by a crash
         or power loss, bit-rotted, hand-edited — is removed and treated
         as a plain miss, so the point is recomputed and the bad entry
@@ -156,25 +202,27 @@ class ResultCache:
             stamp = os.stat(path)
             text = path.read_text()
         except OSError:
-            self.metrics.inc("cache.misses")
-            self._bump_stats(hit=False)
-            return None
+            return self._count(None, misses=1)
         try:
             entry = json.loads(text)
             result = entry["result"]
         except (ValueError, KeyError, TypeError):
             result = self._recover_corrupt(path, stamp)
             if result is _MISS:
-                self.metrics.inc("cache.corrupt_deleted")
-                self.metrics.inc("cache.misses")
-                self._bump_stats(hit=False, corrupt=True)
-                return None
-            self.metrics.inc("cache.corrupt_replaced")
-            self.metrics.inc("cache.hits")
-            self._bump_stats(hit=True, replaced=True)
-            return result
-        self.metrics.inc("cache.hits")
-        self._bump_stats(hit=True)
+                return self._count(None, misses=1, corrupt_deleted=1)
+            return self._count(result, hits=1, corrupt_replaced=1)
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+        return self._count(result, hits=1)
+
+    def _count(self, result: Any, **deltas: int) -> Any:
+        """Bump the instance metrics and ``stats.json``; returns
+        ``result`` so :meth:`get` can answer in one line."""
+        for name, n in deltas.items():
+            self.metrics.inc(f"cache.{name}", n)
+        self._bump_stats(**deltas)
         return result
 
     def _recover_corrupt(self, path: Path, stamp: os.stat_result):
@@ -193,7 +241,8 @@ class ResultCache:
         simply deleted.
         """
         quarantine = path.with_name(
-            f".{path.name}.{os.getpid()}.quarantine")
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}"
+            ".quarantine")
         try:
             os.replace(path, quarantine)
         except OSError:
@@ -225,209 +274,41 @@ class ResultCache:
             return _MISS
 
     def put(self, kind: str, spec: dict, result: Any) -> None:
-        """Store ``result``; atomic so an interrupted run never leaves a
-        truncated entry behind, and unique-per-process temp names keep
-        concurrent writers off each other's feet."""
-        path = self._path(kind, spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(_canonical({"spec": spec, "result": result}))
-        tmp.replace(path)
-
-    def clear(self) -> int:
-        """Delete every entry (and the stats); returns entries removed."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.rglob("*.json"):
-                path.unlink()
-                removed += 1
-            for path in self.root.rglob("*.lock"):
-                path.unlink()
-            # bottom-up so shard dirs empty out before their parents
-            for sub in sorted((p for p in self.root.rglob("*")
-                               if p.is_dir()), reverse=True):
-                if not any(sub.iterdir()):
-                    sub.rmdir()
-        self.metrics.counters.clear()
-        return removed
-
-    # -- stats --------------------------------------------------------------
-    @property
-    def _stats_path(self) -> Path:
-        return self.root / "stats.json"
-
-    def _bump_stats(self, hit: bool, corrupt: bool = False,
-                    replaced: bool = False, evicted: int = 0) -> None:
-        stats = self.read_stats()
-        stats["hits" if hit else "misses"] += 1
-        if corrupt:
-            stats["corrupt_deleted"] += 1
-        if replaced:
-            stats["corrupt_replaced"] += 1
-        if evicted:
-            stats["evicted"] += evicted
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self._stats_path.with_name(
-                f".stats.json.{os.getpid()}.tmp")
-            tmp.write_text(_canonical(stats))
-            tmp.replace(self._stats_path)
-        except OSError:  # stats are best-effort; never fail a sweep
-            pass
-
-    def read_stats(self) -> dict:
-        """Persistent lifetime hit/miss counters for this cache dir."""
-        try:
-            stats = json.loads(self._stats_path.read_text())
-            return {"hits": int(stats["hits"]),
-                    "misses": int(stats["misses"]),
-                    "corrupt_deleted": int(stats.get("corrupt_deleted", 0)),
-                    "corrupt_replaced": int(
-                        stats.get("corrupt_replaced", 0)),
-                    "evicted": int(stats.get("evicted", 0))}
-        except (OSError, ValueError, KeyError, TypeError):
-            return {"hits": 0, "misses": 0, "corrupt_deleted": 0,
-                    "corrupt_replaced": 0, "evicted": 0}
-
-    def entry_count(self) -> int:
-        """Number of stored results."""
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for p in self.root.rglob("*.json")
-                   if p.name != "stats.json")
-
-    def engine_breakdown(self) -> dict[str, int]:
-        """Stored entries per simulation engine (``--cache-stats``).
-
-        Specs carry an ``"engine"`` key only when it differs from the
-        default, so entries written before the mesoscale engine existed
-        (and all coroutine points since) count under ``"coroutine"``.
-        Unparseable files are skipped — reads delete them lazily.
-        """
-        counts: dict[str, int] = {}
-        if not self.root.is_dir():
-            return counts
-        for path in self.root.rglob("*.json"):
-            if path.name == "stats.json":
-                continue
-            try:
-                spec = json.loads(path.read_text()).get("spec") or {}
-            except (OSError, ValueError, AttributeError):
-                continue
-            engine = spec.get("engine", "coroutine") \
-                if isinstance(spec, dict) else "coroutine"
-            counts[engine] = counts.get(engine, 0) + 1
-        return counts
-
-
-class SharedStore(ResultCache):
-    """Concurrent-writer result store backing the sweep service.
-
-    Differences from the plain :class:`ResultCache`:
-
-    * **Sharded layout** — entries live at ``<kind>/<hh>/<hash>.json``
-      (first two hex digits of the content address), so a store holding
-      millions of entries never puts them all in one directory.
-    * **Advisory locking** — each write holds an exclusive ``flock`` on
-      the entry's ``.lock`` sibling; eviction probes the same lock
-      non-blockingly and *never* removes an entry that is mid-write.
-    * **LRU eviction** — ``max_bytes`` caps the store; hits refresh an
-      entry's mtime (its recency), and :meth:`evict` drops the
-      least-recently-used entries until the store fits.  Eviction runs
-      automatically every ``evict_every`` writes.
-
-    Reads inherit the corrupt-entry recovery of the base class, which
-    is already concurrent-writer safe.
-    """
-
-    def __init__(self, root: Optional[Path] = None,
-                 version: Optional[str] = None,
-                 max_bytes: Optional[int] = None,
-                 evict_every: int = 64):
-        super().__init__(root=root, version=version)
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        if evict_every < 1:
-            raise ValueError(
-                f"evict_every must be >= 1, got {evict_every}")
-        self.max_bytes = max_bytes
-        self.evict_every = evict_every
-        self._writes = 0
-
-    def _path(self, kind: str, spec: dict) -> Path:
-        key = self.key(kind, spec)
-        return self.root / kind / key[:2] / f"{key}.json"
-
-    @staticmethod
-    def _lock_path(path: Path) -> Path:
-        return path.with_suffix(".lock")
-
-    @contextmanager
-    def _locked(self, path: Path, blocking: bool = True):
-        """Exclusive advisory lock on ``path``'s entry; yields False if
-        the lock could not be taken (non-blocking mode) or locking is
-        unavailable on this platform."""
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield True
-            return
-        lock = self._lock_path(path)
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
-        try:
-            flags = fcntl.LOCK_EX | (0 if blocking else fcntl.LOCK_NB)
-            try:
-                fcntl.flock(fd, flags)
-            except OSError:
-                yield False
-                return
-            yield True
-        finally:
-            os.close(fd)  # closing drops the lock
-
-    def put(self, kind: str, spec: dict, result: Any) -> None:
-        path = self._path(kind, spec)
-        with self._locked(path):
-            super().put(kind, spec, result)
-        self._writes += 1
-        if self.max_bytes is not None \
-                and self._writes % self.evict_every == 0:
-            self.evict()
+        """Store ``result`` (last write wins — every write at one
+        address is byte-identical)."""
+        self._write(kind, spec, result, if_absent=False)
 
     def put_if_absent(self, kind: str, spec: dict, result: Any) -> bool:
         """Store ``result`` unless an entry already exists; returns True
         when this call created the entry.
 
-        This is the duplicate-completion arbiter for federated sweeps:
-        two agents that raced on a re-queued point both deliver, the
+        This is the duplicate-completion arbiter for the sweep service:
+        two holders that raced on a re-queued point both deliver, the
         first atomic rename-into-place wins, and the loser learns it was
-        a duplicate (the caller records ``duplicate_result`` instead of
-        writing anything).  Entries are content-addressed, so the losing
+        a duplicate.  Entries are content-addressed, so the losing
         payload is byte-identical and nothing is lost by dropping it.
         The existence check and the write happen under the entry's
         advisory lock, so no interleaving can corrupt the entry.
         """
+        return self._write(kind, spec, result, if_absent=True)
+
+    def _write(self, kind: str, spec: dict, result: Any,
+               if_absent: bool) -> bool:
+        """Atomic, locked write: a unique temp file renamed into place,
+        so an interrupted run never leaves a truncated entry behind."""
         path = self._path(kind, spec)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with self._locked(path):
-            try:
-                if path.exists():
-                    return False
-            except OSError:  # pragma: no cover - unreadable shard dir
-                pass
-            super().put(kind, spec, result)
+            if if_absent and path.exists():
+                return False
+            tmp = _tmp_name(path)
+            tmp.write_text(_canonical({"spec": spec, "result": result}))
+            tmp.replace(path)
         self._writes += 1
         if self.max_bytes is not None \
                 and self._writes % self.evict_every == 0:
             self.evict()
         return True
-
-    def get(self, kind: str, spec: dict) -> Optional[Any]:
-        result = super().get(kind, spec)
-        if result is not None:
-            try:  # refresh recency for LRU eviction; best-effort
-                os.utime(self._path(kind, spec))
-            except OSError:
-                pass
-        return result
 
     def evict(self, max_bytes: Optional[int] = None) -> int:
         """Drop least-recently-used entries until the store fits the
@@ -443,9 +324,7 @@ class SharedStore(ResultCache):
             return 0
         entries = []
         total = 0
-        for path in self.root.rglob("*.json"):
-            if path.name == "stats.json":
-                continue
+        for path in self._entries():
             try:
                 st = path.stat()
             except OSError:
@@ -473,13 +352,84 @@ class SharedStore(ResultCache):
                 pass
         if removed:
             self.metrics.inc("cache.evicted", removed)
-            stats_only = self.read_stats()
-            stats_only["evicted"] += removed
-            try:
-                tmp = self._stats_path.with_name(
-                    f".stats.json.{os.getpid()}.tmp")
-                tmp.write_text(_canonical(stats_only))
-                tmp.replace(self._stats_path)
-            except OSError:
-                pass
+            self._bump_stats(evicted=removed)
         return removed
+
+    def clear(self) -> int:
+        """Delete every entry (and the stats); returns entries removed."""
+        removed = 0
+        if self.root.is_dir():
+            for path in self.root.rglob("*.json"):
+                path.unlink()
+                removed += 1
+            for path in self.root.rglob("*.lock"):
+                path.unlink()
+            # bottom-up so shard dirs empty out before their parents
+            for sub in sorted((p for p in self.root.rglob("*")
+                               if p.is_dir()), reverse=True):
+                if not any(sub.iterdir()):
+                    sub.rmdir()
+        self.metrics.counters.clear()
+        return removed
+
+    # -- stats --------------------------------------------------------------
+    @property
+    def _stats_path(self) -> Path:
+        return self.root / "stats.json"
+
+    def _bump_stats(self, **deltas: int) -> None:
+        """Add ``deltas`` to the persistent counters.  The read-modify-
+        write holds ``stats.lock``, so concurrent threads and processes
+        never lose an update."""
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            with self._locked(self._stats_path):
+                stats = self.read_stats()
+                for name, n in deltas.items():
+                    stats[name] += n
+                tmp = _tmp_name(self._stats_path)
+                tmp.write_text(_canonical(stats))
+                tmp.replace(self._stats_path)
+        except OSError:  # stats are best-effort; never fail a sweep
+            pass
+
+    def read_stats(self) -> dict:
+        """Persistent lifetime hit/miss counters for this cache dir."""
+        try:
+            stats = json.loads(self._stats_path.read_text())
+            return {name: int(stats.get(name, 0))
+                    for name in _STAT_FIELDS}
+        except (OSError, ValueError, AttributeError, TypeError):
+            return dict.fromkeys(_STAT_FIELDS, 0)
+
+    def _entries(self):
+        """Every stored entry file."""
+        return (p for p in self.root.rglob("*.json")
+                if p.name != "stats.json")
+
+    def entry_count(self) -> int:
+        """Number of stored results."""
+        if not self.root.is_dir():
+            return 0
+        return sum(1 for _ in self._entries())
+
+    def engine_breakdown(self) -> dict[str, int]:
+        """Stored entries per simulation engine (``--cache-stats``).
+
+        Specs carry an ``"engine"`` key only when it differs from the
+        default, so entries written before the mesoscale engine existed
+        (and all coroutine points since) count under ``"coroutine"``.
+        Unparseable files are skipped — reads delete them lazily.
+        """
+        counts: dict[str, int] = {}
+        if not self.root.is_dir():
+            return counts
+        for path in self._entries():
+            try:
+                spec = json.loads(path.read_text()).get("spec") or {}
+            except (OSError, ValueError, AttributeError):
+                continue
+            engine = spec.get("engine", "coroutine") \
+                if isinstance(spec, dict) else "coroutine"
+            counts[engine] = counts.get(engine, 0) + 1
+        return counts

@@ -7,9 +7,9 @@ drain the coordinator's one journaled queue under **time-bounded
 leases**:
 
 * the agent registers (a stable, client-chosen id), then loops:
-  claim up to ``--slots`` leases → compute each point through the same
-  :func:`repro.harness.parallel.compute_point` the daemon's local
-  executor runs → report completions;
+  claim up to ``--slots`` leases → compute each point through
+  :func:`repro.harness.service.run_grant`, exactly as the daemon's
+  local slots do → report completions;
 * a heartbeat thread renews every held lease on an interval the
   coordinator suggests (ttl/3); if the agent dies or is partitioned
   away, the unrenewed leases expire and the coordinator re-queues the
@@ -40,8 +40,7 @@ import threading
 import time
 from typing import Any, Optional
 
-from repro.harness.parallel import RetryPolicy, compute_point
-from repro.harness.service import ServiceClient, resolve_worker
+from repro.harness.service import ServiceClient, run_grant
 
 __all__ = ["FederationAgent", "run_agent"]
 
@@ -143,25 +142,9 @@ class FederationAgent:
 
     # -- the work itself ----------------------------------------------------
     def _run_lease(self, grant: dict) -> None:
-        policy_dict = grant.get("policy") or {}
-        policy = RetryPolicy(
-            timeout_s=policy_dict.get("timeout_s"),
-            retries=int(policy_dict.get("retries", 0)),
-            backoff_s=float(policy_dict.get("backoff_s", 0.1)),
-            backoff_cap_s=float(policy_dict.get("backoff_cap_s", 5.0)))
-        try:
-            worker = resolve_worker(grant["worker"])
-            # store=None: agents are stateless — the coordinator
-            # arbitrates storage on completion (put_if_absent)
-            result, attempts = compute_point(
-                worker, grant["spec"], policy,
-                measure=grant.get("measure"), store=None,
-                kind=grant.get("kind", "sweep"))
-        except Exception as exc:  # defensive: never lose a lease
-            result = {"sweep_error": {"type": type(exc).__name__,
-                                      "message": str(exc),
-                                      "spec": grant["spec"]}}
-            attempts = 1
+        # agents are stateless: the coordinator arbitrates storage on
+        # completion (put_if_absent)
+        result, attempts = run_grant(grant)
         with self._lock:
             self._held.pop(grant["lease"], None)
         # Always report, even if our lease looks expired from here: the

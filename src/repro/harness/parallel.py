@@ -24,12 +24,12 @@ repaired run recomputes exactly the failed points.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.harness.cache import ResultCache
@@ -220,46 +220,50 @@ def measured_sweep(worker: Callable[[dict], Any],
     and a warm rerun replays the identical samples (determinism: the
     stats of a rerun are byte-identical).
     """
-    from repro.harness.stats import (MeasurePolicy, rep_spec, sample_of,
-                                     should_stop, summarize_samples)
+    from repro.harness.stats import MeasurePolicy, rep_spec
     policy = MeasurePolicy.from_dict(measure)
+    results = sweep(worker, specs, jobs=jobs, cache=cache, kind=kind,
+                    telemetry=telemetry)
     if policy.single_shot:
-        return sweep(worker, specs, jobs=jobs, cache=cache, kind=kind,
-                     telemetry=telemetry)
+        return results
+    # each repetition is a one-point inline sweep: cached individually
+    return [_measure_point(base, lambda rep, spec=spec: sweep(
+                worker, [rep_spec(spec, rep)], jobs=1, cache=cache,
+                kind=kind)[0], policy)
+            for spec, base in zip(specs, results)]
 
-    results: list[Any] = list(
-        sweep(worker, specs, jobs=jobs, cache=cache, kind=kind,
-              telemetry=telemetry))
-    for i, base in enumerate(results):
-        if is_error_record(base) or sample_of(base) is None:
-            continue  # nothing measurable: deliver the plain row
-        samples = [sample_of(base)]
-        rep = 1
-        while not should_stop(samples, policy):
-            salted = rep_spec(specs[i], rep)
-            result = None
-            if cache is not None:
-                result = cache.get(kind, salted)
-            if result is None:
-                result = _run_inline(worker, salted)
-                if cache is not None and not is_error_record(result):
-                    cache.put(kind, salted, result)
-            if is_error_record(result):
-                break
-            sample = sample_of(result)
-            if sample is None:
-                break
-            samples.append(sample)
-            rep += 1
-        stats = summarize_samples(samples, policy.confidence)
-        final = dict(base)
-        final["stats"] = stats
-        if isinstance(final.get("report"), dict):
-            report = dict(final["report"])
-            report["stats"] = stats
-            final["report"] = report
-        results[i] = final
-    return results
+
+def _measure_point(base: Any, run_rep: Callable[[int], Any],
+                  policy) -> Any:
+    """The Hunold & Carpen-Amarie adaptive-repetition loop of one point.
+
+    ``base`` is repetition 0's row (the bare spec); ``run_rep(rep)``
+    computes repetition ``rep`` >= 1.  Repetitions continue until the
+    :class:`~repro.harness.stats.MeasurePolicy` stopping rule is met,
+    or until one fails or carries no sample — the samples so far still
+    make the stats.  The returned row is ``base`` plus the ``stats``
+    record (mirrored into its embedded ``report``, when present); a
+    ``base`` that failed or carries nothing measurable comes back
+    unchanged.  Both :func:`measured_sweep` and :func:`compute_point`
+    run their repetitions here.
+    """
+    from repro.harness.stats import sample_of, should_stop, summarize_samples
+    first = None if is_error_record(base) else sample_of(base)
+    if first is None:
+        return base
+    samples = [first]
+    while not should_stop(samples, policy):
+        row = run_rep(len(samples))
+        sample = None if is_error_record(row) else sample_of(row)
+        if sample is None:
+            break
+        samples.append(sample)
+    stats = summarize_samples(samples, policy.confidence)
+    final = dict(base)
+    final["stats"] = stats
+    if isinstance(final.get("report"), dict):
+        final["report"] = {**final["report"], "stats": stats}
+    return final
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,7 @@ class WorkerDied(Exception):
     (killed from outside, or it crashed the interpreter)."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RetryPolicy:
     """Timeout/retry/backoff knobs for one point's execution.
 
@@ -302,6 +306,22 @@ class RetryPolicy:
 
     def delay(self, retry_index: int) -> float:
         return min(self.backoff_cap_s, self.backoff_s * (2 ** retry_index))
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict,
+                  base: Optional["RetryPolicy"] = None) -> "RetryPolicy":
+        """Inverse of :meth:`to_dict`; a key ``data`` lacks keeps
+        ``base``'s value (default: the class defaults), and other keys
+        — the rest of a job's options — are ignored."""
+        base = base or cls()
+        return cls(timeout_s=data.get("timeout_s", base.timeout_s),
+                   retries=int(data.get("retries", base.retries)),
+                   backoff_s=float(data.get("backoff_s", base.backoff_s)),
+                   backoff_cap_s=float(data.get("backoff_cap_s",
+                                                base.backoff_cap_s)))
 
 
 def _point_child(worker: Callable[[dict], Any], spec: dict, conn) -> None:
@@ -430,64 +450,32 @@ def compute_with_retry(worker: Callable[[dict], Any], spec: dict,
 def compute_point(worker: Callable[[dict], Any], spec: dict,
                   policy: RetryPolicy,
                   measure: Optional[dict] = None,
-                  store=None, kind: str = "sweep",
                   on_failure: Optional[Callable] = None
                   ) -> tuple[Any, int]:
-    """One sweep point end-to-end: store lookup, reaped execution with
-    retry/backoff, and — when ``measure`` asks for repetitions — the
-    Hunold & Carpen-Amarie adaptive-measurement loop.
+    """One sweep point end-to-end: reaped execution with retry/backoff
+    and — when ``measure`` asks for repetitions — the adaptive loop of
+    :func:`_measure_point`.
 
     Returns ``(result, attempts)`` where ``attempts`` is the worst
-    per-rep launch count (0 for a pure store hit).  This is the shared
-    unit of work behind both the sweep service's local executor and the
-    federation agents (:mod:`repro.harness.federation`): the daemon
-    passes its :class:`~repro.harness.cache.SharedStore`, an agent
-    passes ``store=None`` and lets the coordinator arbitrate storage —
-    either way the computed rows are byte-identical.
+    per-rep launch count.  Every sweep service lease holder — local
+    slot or federation agent — computes through here, so the rows are
+    byte-identical whoever computes them.
     """
-    from repro.harness.stats import (MeasurePolicy, rep_spec, sample_of,
-                                     should_stop, summarize_samples)
+    from repro.harness.stats import MeasurePolicy, rep_spec
 
-    def one(point_spec: dict) -> tuple[Any, int]:
-        if store is not None:
-            cached = store.get(kind, point_spec)
-            if cached is not None:
-                return cached, 0
+    worst = 0
+
+    def run(point_spec: dict) -> Any:
+        nonlocal worst
         result, meta = compute_with_retry(worker, point_spec, policy,
                                           on_failure=on_failure)
-        if store is not None and not is_error_record(result):
-            store.put(kind, point_spec, result)
-        return result, meta["attempts"]
+        worst = max(worst, meta["attempts"])
+        return result
 
+    base = run(spec)
     policy_m = MeasurePolicy.from_dict(measure)
     if policy_m.single_shot:
         # the zero-cost path: no sampling, no stats arithmetic
-        return one(spec)
-    samples: list[float] = []
-    base: Optional[dict] = None
-    attempts_total = 0
-    rep = 0
-    while True:
-        result, attempts = one(rep_spec(spec, rep))
-        attempts_total = max(attempts_total, attempts)
-        if is_error_record(result):
-            return result, attempts_total
-        sample = sample_of(result)
-        if sample is None:
-            # nothing measurable in this worker's rows: stats are
-            # impossible, deliver the plain result
-            return result, attempts_total
-        if rep == 0:
-            base = result
-        samples.append(sample)
-        rep += 1
-        if should_stop(samples, policy_m):
-            break
-    final = dict(base)
-    stats = summarize_samples(samples, policy_m.confidence)
-    final["stats"] = stats
-    if isinstance(final.get("report"), dict):
-        report = dict(final["report"])
-        report["stats"] = stats
-        final["report"] = report
-    return final, attempts_total
+        return base, worst
+    return _measure_point(base, lambda rep: run(rep_spec(spec, rep)),
+                          policy_m), worst

@@ -9,14 +9,14 @@ by replaying the file:
 
 * ``{"event": "submit", "job": ..., "kind": ..., "worker": ...,
   "specs": [...], "options": {...}, "token": ...}``
+* ``{"event": "lease", "job": ..., "index": i, "lease": ...,
+  "agent": ..., "deadline": wall}`` — a holder's time-bounded claim on
+  one point (grants and renewals both land here)
+* ``{"event": "lease_end", "lease": ..., "why": "done" | "expired" |
+  "abandoned" | "stale"}``
 * ``{"event": "point", "job": ..., "index": i, "status": "done" |
   "error", "result": ..., "attempts": n}``
 * ``{"event": "done", "job": ...}``
-* ``{"event": "lease", "job": ..., "index": i, "lease": ...,
-  "agent": ..., "deadline": wall}`` — a federation agent's
-  time-bounded claim (grants and renewals both land here)
-* ``{"event": "lease_end", "lease": ..., "why": "done" | "expired" |
-  "abandoned" | "stale"}``
 * ``{"event": "duplicate", "job": ..., "index": i, "agent": ...}`` —
   a completion that lost the first-write-wins race
 * ``{"event": "snapshot", ...}`` — a compaction checkpoint carrying the
@@ -24,21 +24,20 @@ by replaying the file:
 
 Completed points carry their full result inline, so a resumed job
 re-delivers byte-identical rows even if the shared store has since
-evicted the entry.  Appends are flushed and fsynced line-by-line; a
-torn final line (the write the crash interrupted) is detected and
-ignored on replay, losing at most the single transition it described —
-which the resumed daemon simply recomputes.
+evicted the entry.  Appends are flushed and fsynced; a torn final line
+(the write the crash interrupted) is detected and ignored on replay,
+losing at most the transitions it described — which the resumed daemon
+simply recomputes.
 
-Two claim idioms coexist:
-
-* **Local claims** (:meth:`JobQueue.claim`) are deliberately never
-  journaled — a point the daemon's own executor was running when it
-  died is simply pending again on replay.
-* **Leases** (:meth:`JobQueue.lease`) are journaled with a wall-clock
-  deadline: a federation agent on another process (or host) holds the
-  point, the coordinator re-queues it when the deadline passes without
-  renewal, and a restarted coordinator replays outstanding leases so a
-  surviving agent's completion is neither lost nor double-counted.
+A **lease** is the only claim: a journaled hold with a wall-clock
+deadline.  A federation agent renews its leases by heartbeat; the
+coordinator re-queues a point whose deadline passes unrenewed, and a
+restarted coordinator replays outstanding leases so a surviving agent's
+completion is neither lost nor double-counted.  The daemon's own worker
+slots lease under the reserved holder id :data:`LOCAL_HOLDER`; a local
+slot cannot be partitioned away, so its leases never expire at runtime,
+and a restarted daemon releases them on replay — those points are
+pending again at once.
 
 The journal is kept bounded by :meth:`JobQueue.compact`: the whole
 state collapses into a single ``snapshot`` line written to a temp file
@@ -47,8 +46,10 @@ leaves the previous journal fully intact.  Compaction runs at startup
 and whenever the journal crosses ``compact_bytes``.
 
 The queue is process-local (one daemon owns one journal) but
-thread-safe: the service's dispatcher, executor threads, and client
-handlers all mutate it under one lock.
+thread-safe: the service's worker slots, housekeeping thread, and
+client handlers all mutate it under one lock.  Open jobs are indexed
+apart from finished ones, so the pending-point walk and the queue-depth
+gauge cost O(open work), however many jobs the daemon has ever held.
 """
 
 from __future__ import annotations
@@ -62,19 +63,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-__all__ = ["Job", "JobQueue", "Lease", "JOURNAL_NAME"]
+__all__ = ["Job", "JobQueue", "Lease", "JOURNAL_NAME", "LOCAL_HOLDER"]
 
 JOURNAL_NAME = "journal.jsonl"
 
-#: point states, in lifecycle order (``leased`` sits beside ``running``:
-#: the point is held by a federation agent instead of a local slot)
-_PENDING, _LEASED, _RUNNING = "pending", "leased", "running"
+#: the lease holder id of the daemon's own worker slots (agents may not
+#: register under it)
+LOCAL_HOLDER = "local"
+
+#: point states, in lifecycle order
+_PENDING, _LEASED = "pending", "leased"
 _DONE, _ERROR = "done", "error"
+_TERMINAL = (_DONE, _ERROR)
 
 
 @dataclass
 class Lease:
-    """One agent's time-bounded hold on one point."""
+    """One holder's time-bounded hold on one point."""
 
     lease_id: str
     job_id: str
@@ -86,6 +91,12 @@ class Lease:
         return {"lease": self.lease_id, "job": self.job_id,
                 "index": self.index, "agent": self.agent,
                 "deadline": self.deadline}
+
+    @classmethod
+    def from_record(cls, record: dict) -> "Lease":
+        return cls(lease_id=record["lease"], job_id=record["job"],
+                   index=record["index"], agent=record.get("agent", ""),
+                   deadline=float(record["deadline"]))
 
 
 @dataclass
@@ -111,14 +122,25 @@ class Job:
             self.results = [None] * n
         if not self.attempts:
             self.attempts = [0] * n
+        #: points done or errored (kept current by :meth:`settle`)
+        self.completed = sum(1 for s in self.point_status
+                             if s in _TERMINAL)
+
+    @classmethod
+    def from_record(cls, r: dict) -> "Job":
+        """From a journal ``submit`` record or a snapshot entry."""
+        return cls(job_id=r["job"], kind=r["kind"], worker=r["worker"],
+                   specs=list(r["specs"]),
+                   options=dict(r.get("options") or {}),
+                   status=r.get("status", "queued"),
+                   point_status=list(r.get("point_status", [])),
+                   results=list(r.get("results", [])),
+                   attempts=list(r.get("attempts", [])),
+                   token=r.get("token"))
 
     @property
     def total(self) -> int:
         return len(self.specs)
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for s in self.point_status if s in (_DONE, _ERROR))
 
     @property
     def errors(self) -> int:
@@ -131,6 +153,18 @@ class Job:
     def pending_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.point_status)
                 if s == _PENDING]
+
+    def settle(self, index: int, status: str, result: Any,
+               attempts: int) -> bool:
+        """Record point ``index``'s terminal outcome; True when the
+        point was still open."""
+        was_open = self.point_status[index] not in _TERMINAL
+        self.point_status[index] = status
+        self.results[index] = result
+        self.attempts[index] = attempts
+        if was_open:
+            self.completed += 1
+        return was_open
 
     def describe(self) -> dict:
         """JSON-able status snapshot (what clients poll)."""
@@ -147,11 +181,9 @@ class JobQueue:
     """Journaled, crash-resumable queue of sweep jobs (see module doc).
 
     ``on_event(kind, payload)`` — when set — fires after every recorded
-    transition (``"submit"``, ``"claim"``, ``"point"``, ``"done"``,
-    ``"lease"``, ``"lease_end"``, ``"duplicate"``); the service uses it
-    to stream progress to watching clients and to feed the telemetry
-    span log.  ``"claim"`` is an in-memory event only — local claims
-    are deliberately never journaled.
+    transition (``"submit"``, ``"lease"``, ``"point"``, ``"done"``,
+    ``"lease_end"``, ``"duplicate"``); the service uses it to stream
+    progress to watching clients and to feed the telemetry span log.
     """
 
     def __init__(self, root: Path,
@@ -166,6 +198,9 @@ class JobQueue:
         self.jobs: dict[str, Job] = {}
         self.leases: dict[str, Lease] = {}
         self._order: list[str] = []          # submission order
+        #: unfinished jobs in submission order, and their open points
+        self._open: dict[str, Job] = {}
+        self._open_points = 0
         self._tokens: dict[str, str] = {}    # idempotency token -> job
         self._lock = threading.RLock()
         self._seq = 0
@@ -197,11 +232,15 @@ class JobQueue:
         return self.journal_path.with_name(
             self.journal_path.name + ".compact.tmp")
 
-    def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+    def _append(self, *records: dict) -> None:
+        """Journal ``records`` with one write and one fsync.  Callers
+        mutate memory first, so a compaction this append triggers
+        snapshots the new state."""
+        data = "".join(json.dumps(record, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+                       for record in records)
         with open(self.journal_path, "a") as fh:
-            fh.write(line)
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
             self._journal_bytes = fh.tell()
@@ -226,55 +265,51 @@ class JobQueue:
                     # hand-damage: drop it — at worst one transition is
                     # recomputed
                     self.recovered_drops += 1
-        # points that were mid-flight when the daemon died have no
-        # completion record: they are simply pending again
+        # Spent leases (the point line outlived the lease_end line) are
+        # dropped instead of re-expiring, and so are the local slots'
+        # leases: the slots died with the daemon that ran them.
+        for lease_id, lease in list(self.leases.items()):
+            job = self.jobs.get(lease.job_id)
+            if job is None or lease.agent == LOCAL_HOLDER or \
+                    job.point_status[lease.index] in _TERMINAL:
+                del self.leases[lease_id]
+        # a leased point with no live lease (released above, or its
+        # lease_end line was torn away) is simply pending again
         leased = {(lease.job_id, lease.index)
                   for lease in self.leases.values()}
         for job in self.jobs.values():
             for i, s in enumerate(job.point_status):
-                if s == _RUNNING:
-                    job.point_status[i] = _PENDING
-                elif s == _LEASED and (job.job_id, i) not in leased:
-                    # the lease_end line was torn away: re-queue
+                if s == _LEASED and (job.job_id, i) not in leased:
                     job.point_status[i] = _PENDING
             if not job.finished and job.status == "done":
                 job.status = "queued"  # journal said done prematurely
-        # leases on points that completed (the point line outlived the
-        # lease_end line) are spent; drop them instead of re-expiring
-        for lease_id, lease in list(self.leases.items()):
-            job = self.jobs.get(lease.job_id)
-            if job is None or \
-                    job.point_status[lease.index] in (_DONE, _ERROR):
-                del self.leases[lease_id]
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the open-job index and the open-point count."""
+        self._open = {job_id: self.jobs[job_id] for job_id in self._order
+                      if not self.jobs[job_id].finished}
+        self._open_points = sum(job.total - job.completed
+                                for job in self._open.values())
 
     def _apply(self, record: dict) -> None:
         event = record["event"]
         if event == "snapshot":
             self._apply_snapshot(record)
         elif event == "submit":
-            job = Job(job_id=record["job"], kind=record["kind"],
-                      worker=record["worker"],
-                      specs=list(record["specs"]),
-                      options=dict(record.get("options") or {}),
-                      token=record.get("token"))
-            self._register_job(job)
+            self._register_job(Job.from_record(record))
         elif event == "point":
-            job = self.jobs[record["job"]]
-            i = record["index"]
-            job.point_status[i] = record["status"]
-            job.results[i] = record.get("result")
-            job.attempts[i] = int(record.get("attempts", 1))
+            self.jobs[record["job"]].settle(
+                record["index"], record["status"], record.get("result"),
+                int(record.get("attempts", 1)))
         elif event == "done":
             self.jobs[record["job"]].status = "done"
         elif event == "lease":
             job = self.jobs[record["job"]]
-            i = record["index"]
-            self.leases[record["lease"]] = Lease(
-                lease_id=record["lease"], job_id=record["job"],
-                index=i, agent=record.get("agent", ""),
-                deadline=float(record["deadline"]))
-            if job.point_status[i] == _PENDING:
-                job.point_status[i] = _LEASED
+            lease = Lease.from_record(record)
+            self.leases[lease.lease_id] = lease
+            if job.point_status[lease.index] == _PENDING:
+                job.point_status[lease.index] = _LEASED
         elif event == "lease_end":
             lease = self.leases.pop(record["lease"], None)
             if record.get("why") == "expired":
@@ -323,21 +358,11 @@ class JobQueue:
         self.leases.clear()
         self._order.clear()
         self._tokens.clear()
-        for j in record["jobs"]:
-            job = Job(job_id=j["job"], kind=j["kind"],
-                      worker=j["worker"], specs=list(j["specs"]),
-                      options=dict(j.get("options") or {}),
-                      status=j.get("status", "queued"),
-                      point_status=list(j["point_status"]),
-                      results=list(j["results"]),
-                      attempts=list(j["attempts"]),
-                      token=j.get("token"))
-            self._register_job(job)
+        for entry in record["jobs"]:
+            self._register_job(Job.from_record(entry))
         for entry in record.get("leases", []):
-            self.leases[entry["lease"]] = Lease(
-                lease_id=entry["lease"], job_id=entry["job"],
-                index=entry["index"], agent=entry.get("agent", ""),
-                deadline=float(entry["deadline"]))
+            lease = Lease.from_record(entry)
+            self.leases[lease.lease_id] = lease
         self._seq = max(self._seq, int(record.get("seq", 0)))
         counters = record.get("counters") or {}
         self.lease_expirations += int(
@@ -368,6 +393,7 @@ class JobQueue:
             os.replace(tmp, self.journal_path)
             self._journal_bytes = len(line.encode())
             self.compactions += 1
+            self._reindex()
 
     # -- mutation (all journaled) -------------------------------------------
     def submit(self, kind: str, worker: str, specs: list[dict],
@@ -385,40 +411,25 @@ class JobQueue:
         with self._lock:
             if token is not None and token in self._tokens:
                 return self.jobs[self._tokens[token]]
-            self._seq += 1
-            job = Job(job_id=f"job-{self._seq:06d}", kind=kind,
+            job = Job(job_id=f"job-{self._seq + 1:06d}", kind=kind,
                       worker=worker, specs=[dict(s) for s in specs],
                       options=dict(options or {}), token=token)
+            self._register_job(job)
+            self._open[job.job_id] = job
+            self._open_points += job.total
             record = {"event": "submit", "job": job.job_id,
                       "kind": kind, "worker": worker,
                       "specs": job.specs, "options": job.options}
             if token is not None:
                 record["token"] = token
             self._append(record)
-            self.jobs[job.job_id] = job
-            self._order.append(job.job_id)
-            if token is not None:
-                self._tokens[token] = job.job_id
         self._emit("submit", job.describe())
         return job
 
-    def claim(self, job_id: str, index: int) -> None:
-        """Mark one point in-flight locally (not journaled: a crash
-        while running leaves the point pending on replay, exactly
-        right for the single-daemon executor)."""
-        with self._lock:
-            job = self.jobs[job_id]
-            job.point_status[index] = _RUNNING
-            if job.status == "queued":
-                job.status = "running"
-            kind = job.kind
-        self._emit("claim", {"job": job_id, "index": index,
-                             "kind": kind})
-
-    # -- leases (the federation claim idiom) --------------------------------
     def lease(self, job_id: str, index: int, agent: str,
               ttl_s: float, now: Optional[float] = None) -> Lease:
-        """Grant a journaled, time-bounded hold on one pending point."""
+        """Grant ``agent`` a journaled, time-bounded hold on one
+        pending point."""
         now = time.time() if now is None else now
         with self._lock:
             job = self.jobs[job_id]
@@ -429,16 +440,13 @@ class JobQueue:
             lease = Lease(lease_id=f"lease-{uuid.uuid4().hex[:12]}",
                           job_id=job_id, index=index, agent=agent,
                           deadline=now + ttl_s)
-            self._append({"event": "lease", "job": job_id,
-                          "index": index, "lease": lease.lease_id,
-                          "agent": agent, "deadline": lease.deadline})
             self.leases[lease.lease_id] = lease
             job.point_status[index] = _LEASED
             if job.status == "queued":
                 job.status = "running"
-            kind = job.kind
+            self._append({"event": "lease", **lease.describe()})
         self._emit("lease", {"job": job_id, "index": index,
-                             "kind": kind, "agent": agent,
+                             "kind": job.kind, "agent": agent,
                              "lease": lease.lease_id})
         return lease
 
@@ -458,9 +466,7 @@ class JobQueue:
                     f"lease {lease_id!r} is held by {lease.agent!r}, "
                     f"not {agent!r}")
             lease.deadline = now + ttl_s
-            self._append({"event": "lease", "job": lease.job_id,
-                          "index": lease.index, "lease": lease_id,
-                          "agent": agent, "deadline": lease.deadline})
+            self._append({"event": "lease", **lease.describe()})
             return lease
 
     def release_lease(self, lease_id: str, why: str) -> Optional[Lease]:
@@ -470,8 +476,6 @@ class JobQueue:
             lease = self.leases.pop(lease_id, None)
             if lease is None:
                 return None
-            self._append({"event": "lease_end", "lease": lease_id,
-                          "why": why})
             if why == "expired":
                 self.lease_expirations += 1
             job = self.jobs.get(lease.job_id)
@@ -480,6 +484,8 @@ class JobQueue:
                     job.point_status[lease.index] == _LEASED:
                 job.point_status[lease.index] = _PENDING
                 requeued = True
+            self._append({"event": "lease_end", "lease": lease_id,
+                          "why": why})
             kind = job.kind if job is not None else "?"
         self._emit("lease_end", {"job": lease.job_id,
                                  "index": lease.index, "kind": kind,
@@ -491,11 +497,13 @@ class JobQueue:
     def expire_due_leases(self,
                           now: Optional[float] = None) -> list[Lease]:
         """Re-queue every lease whose deadline has passed; returns the
-        expired leases (the coordinator's heartbeat-sweep tick)."""
+        expired leases (the coordinator's heartbeat-sweep tick).  The
+        local slots' leases never expire at runtime."""
         now = time.time() if now is None else now
         with self._lock:
             due = [lease_id for lease_id, lease in self.leases.items()
-                   if lease.deadline <= now]
+                   if lease.deadline <= now
+                   and lease.agent != LOCAL_HOLDER]
         expired = []
         for lease_id in due:
             lease = self.release_lease(lease_id, "expired")
@@ -512,22 +520,23 @@ class JobQueue:
         with self._lock:
             return len(self.leases)
 
-    def complete_leased(self, lease_id: str, job_id: str, index: int,
-                        result: Any, error: bool,
+    def complete_leased(self, lease_id: Optional[str], job_id: str,
+                        index: int, result: Any, error: bool,
                         attempts: int, agent: str = "") -> str:
-        """Record a (possibly stale) leased completion; returns the
+        """Record a (possibly stale) completion; returns the
         disposition:
 
         * ``"recorded"`` — the lease was live; the point completes.
-        * ``"adopted"`` — the lease had expired but the point is still
-          open (nobody recomputed it yet); the result is valid — the
-          workload is deterministic — so it completes the point within
-          the lease timeout instead of forcing a recompute.
+        * ``"adopted"`` — the lease had expired (or there was none) but
+          the point is still open (nobody recomputed it yet); the
+          result is valid — the workload is deterministic — so it
+          completes the point instead of forcing a recompute.
         * ``"duplicate_result"`` — the point was already completed by
           someone else; nothing is recorded beyond the duplicate
           counter.  First write wins, the loser is harmless.
         """
         emits: list[tuple[str, dict]] = []
+        records: list[dict] = []
         with self._lock:
             job = self.jobs.get(job_id)
             if job is None:
@@ -535,69 +544,45 @@ class JobQueue:
             lease = self.leases.get(lease_id)
             lease_live = (lease is not None and lease.job_id == job_id
                           and lease.index == index)
-            if job.point_status[index] in (_DONE, _ERROR):
-                self._append({"event": "duplicate", "job": job_id,
-                              "index": index, "agent": agent})
+            if lease_live:
+                self.leases.pop(lease_id)
+            if job.point_status[index] in _TERMINAL:
                 self.duplicate_results += 1
+                records.append({"event": "duplicate", "job": job_id,
+                                "index": index, "agent": agent})
                 if lease_live:
                     # e.g. the point was adopted from this agent's
                     # previous expired lease while a fresh lease raced
-                    self.leases.pop(lease_id, None)
-                    self._append({"event": "lease_end",
-                                  "lease": lease_id, "why": "stale"})
+                    records.append({"event": "lease_end",
+                                    "lease": lease_id, "why": "stale"})
                 emits.append(("duplicate",
                               {"job": job_id, "index": index,
                                "kind": job.kind, "agent": agent}))
                 disposition = "duplicate_result"
             else:
                 if lease_live:
-                    self.leases.pop(lease_id, None)
-                    self._append({"event": "lease_end",
-                                  "lease": lease_id, "why": "done"})
-                    disposition = "recorded"
-                else:
-                    disposition = "adopted"
+                    records.append({"event": "lease_end",
+                                    "lease": lease_id, "why": "done"})
+                disposition = "recorded" if lease_live else "adopted"
                 status = _ERROR if error else _DONE
-                self._append({"event": "point", "job": job_id,
-                              "index": index, "status": status,
-                              "result": result, "attempts": attempts})
-                job.point_status[index] = status
-                job.results[index] = result
-                job.attempts[index] = attempts
+                job.settle(index, status, result, attempts)
+                self._open_points -= 1
+                records.append({"event": "point", "job": job_id,
+                                "index": index, "status": status,
+                                "result": result, "attempts": attempts})
                 emits.append(("point", {"job": job_id, "index": index,
                                         "status": status,
                                         "attempts": attempts,
                                         "kind": job.kind}))
-                if job.finished and job.status != "done":
-                    self._append({"event": "done", "job": job_id})
+                if job.finished:  # this point finished the job
+                    self._open.pop(job_id, None)
                     job.status = "done"
+                    records.append({"event": "done", "job": job_id})
                     emits.append(("done", job.describe()))
+            self._append(*records)
         for kind, payload in emits:
             self._emit(kind, payload)
         return disposition
-
-    def record_point(self, job_id: str, index: int, result: Any,
-                     error: bool, attempts: int) -> None:
-        """Journal one point's completion (result inline)."""
-        status = _ERROR if error else _DONE
-        with self._lock:
-            self._append({"event": "point", "job": job_id,
-                          "index": index, "status": status,
-                          "result": result, "attempts": attempts})
-            job = self.jobs[job_id]
-            job.point_status[index] = status
-            job.results[index] = result
-            job.attempts[index] = attempts
-            finished = job.finished
-            if finished and job.status != "done":
-                self._append({"event": "done", "job": job_id})
-                job.status = "done"
-            kind = job.kind
-        self._emit("point", {"job": job_id, "index": index,
-                             "status": status, "attempts": attempts,
-                             "kind": kind})
-        if finished:
-            self._emit("done", self.jobs[job_id].describe())
 
     # -- views --------------------------------------------------------------
     def get(self, job_id: str) -> Job:
@@ -613,17 +598,15 @@ class JobQueue:
 
     def open_jobs(self) -> list[Job]:
         """Jobs with uncomputed points, in submission order — the
-        dispatcher's work list (and the resume set after a restart)."""
+        pending-point walk's work list (and the resume set after a
+        restart)."""
         with self._lock:
-            return [self.jobs[j] for j in self._order
-                    if not self.jobs[j].finished]
+            return list(self._open.values())
 
     def depth(self) -> int:
         """Points not yet completed across all jobs (the queue-depth
         gauge ``GET /metrics`` exposes)."""
-        with self._lock:
-            return sum(job.total - job.completed
-                       for job in self.jobs.values())
+        return self._open_points
 
     def _emit(self, kind: str, payload: dict) -> None:
         hook = self.on_event

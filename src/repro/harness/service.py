@@ -1,17 +1,23 @@
 """The sweep service: a persistent, fault-tolerant harness daemon.
 
 ``python -m repro.harness serve --socket /tmp/clmpi.sock`` turns the
-sweep machinery (content-addressed cache, process-pool fan-out,
-crash-proof error records) into a long-running *service*:
+sweep machinery (content-addressed result store, reapable per-point
+processes, crash-proof error records) into a long-running *service*:
 
-* **Durable job queue** — submissions and completions are journaled
-  (:mod:`repro.harness.queue`); a daemon killed mid-sweep — ``kill -9``
-  included — resumes its queue on restart and re-delivers results
-  byte-identical to a serial :func:`repro.harness.parallel.sweep`.
-* **Shared result store** — a :class:`~repro.harness.cache.SharedStore`
+* **Durable job queue** — submissions, leases and completions are
+  journaled (:mod:`repro.harness.queue`); a daemon killed mid-sweep —
+  ``kill -9`` included — resumes its queue on restart and re-delivers
+  results byte-identical to a serial :func:`repro.harness.parallel.sweep`.
+* **One claim path** — every point is computed under a journaled
+  lease from one pending-point walk.  The ``-j N`` local slots are
+  in-process lease holders running the same claim → compute → complete
+  loop as federation agents (:mod:`repro.harness.federation`): agent
+  death, partitions, and coordinator restarts all resolve to
+  byte-identical sweep output (see docs/service.md, "Federation").
+* **One result store** — a :class:`~repro.harness.cache.ResultCache`
   (sharded dirs, atomic rename-into-place, advisory locking, LRU
   eviction under a byte budget) that many daemons and CLI runs can
-  read and write concurrently.
+  read and write concurrently; completions store first-write-wins.
 * **Stuck-worker reaping** — every point runs in its own reapable
   process under a wall-clock budget with exponential-backoff retries
   (:func:`repro.harness.parallel.compute_with_retry`); a hung worker
@@ -20,11 +26,6 @@ crash-proof error records) into a long-running *service*:
 * **In-flight deduplication** — identical points submitted by
   different jobs (same content address and measurement policy) compute
   once and deliver everywhere.
-* **Federation** — N worker agents (``python -m repro.harness agent``,
-  :mod:`repro.harness.federation`) drain one coordinator's queue under
-  journaled, time-bounded leases: agent death, partitions, and
-  coordinator restarts all resolve to byte-identical sweep output
-  (see docs/service.md, "Federation").
 * **Statistically sound measurement** — a job may request adaptive
   repetitions (:mod:`repro.harness.stats`); the point's result and its
   RunReport then carry ``stats`` (repetitions, confidence interval,
@@ -57,13 +58,14 @@ from multiprocessing import util as mp_util
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.harness.cache import SharedStore
+from repro.harness.cache import ResultCache
 from repro.harness.parallel import (
     RetryPolicy,
     compute_point,
+    error_record,
     is_error_record,
 )
-from repro.harness.queue import JobQueue
+from repro.harness.queue import LOCAL_HOLDER, JobQueue
 from repro.harness.stats import MeasurePolicy
 from repro.obs.telemetry import (
     PROM_CONTENT_TYPE,
@@ -73,7 +75,7 @@ from repro.obs.telemetry import (
 )
 
 __all__ = ["WORKERS", "SweepService", "ServiceClient", "resolve_worker",
-           "serve"]
+           "run_grant", "serve"]
 
 #: job kinds the service accepts out of the box → worker dotted paths.
 #: A job may instead name any importable ``module:function`` worker
@@ -102,13 +104,28 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def run_grant(grant: dict,
+              on_failure: Optional[Callable] = None) -> tuple[Any, int]:
+    """Compute one leased point; returns ``(result, attempts)``.  The
+    unit of work of every lease holder, local slot or federation agent;
+    the coordinator, not the holder, stores the result."""
+    try:
+        return compute_point(resolve_worker(grant["worker"]),
+                             grant["spec"],
+                             RetryPolicy.from_dict(grant["policy"]),
+                             measure=grant.get("measure"),
+                             on_failure=on_failure)
+    except Exception as exc:  # defensive: never lose a lease
+        return error_record(grant["spec"], exc), 1
+
+
 class SweepService:
-    """The daemon: queue + store + reapable executor (see module doc).
+    """The daemon: queue + store + lease holders (see module doc).
 
     Usable fully in-process (tests, embedding): ``start()`` spins up
-    the dispatcher and — when a socket path or TCP port was given — the
-    listener threads; ``submit()``/``wait()`` work with or without any
-    socket.
+    the local worker slots, the housekeeping thread and — when a socket
+    path or TCP port was given — the listener threads;
+    ``submit()``/``wait()`` work with or without any socket.
     """
 
     def __init__(self, root: Path | str,
@@ -124,7 +141,7 @@ class SweepService:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.queue = JobQueue(self.root)
-        self.store = SharedStore(self.root / "store",
+        self.store = ResultCache(self.root / "store",
                                  max_bytes=store_budget_bytes)
         # lifecycle spans, next to the queue journal (docs/observability.md)
         self.telemetry = Telemetry(self.root / TELEMETRY_LOG_NAME)
@@ -143,12 +160,20 @@ class SweepService:
                                 if agent_timeout_s is not None
                                 else 3.0 * self.lease_ttl_s)
         self._stop = threading.Event()
-        self._wake = threading.Event()
         self._draining = threading.Event()
         self._lock = threading.Lock()
-        self._slots = threading.Semaphore(self.jobs)
-        #: dedup key -> list of (job_id, index) awaiting that result
-        self._inflight: dict[str, list[tuple[str, int]]] = {}
+        #: idle local slots wait for ``_work_gen`` to move (new or
+        #: re-queued points)
+        self._work = threading.Condition()
+        self._work_gen = 0
+        #: serializes the pending-point walk with completions, so an
+        #: in-flight entry and its waiters never race; guards
+        #: ``_inflight``, ``_waiting`` and ``_deduped``
+        self._claim_lock = threading.RLock()
+        #: dedup key -> (the lease computing it, the identical points
+        #: (job_id, index) waiting on its result)
+        self._inflight: dict[str, tuple[str, list]] = {}
+        self._waiting: set[tuple[str, int]] = set()
         self._deduped = 0
         #: agent id -> registry entry (federation; see docs/service.md)
         self._agents: dict[str, dict] = {}
@@ -167,19 +192,21 @@ class SweepService:
         # listening sockets in every child so an orphan (parent
         # SIGKILLed mid-point) cannot keep the address half-alive.
         mp_util.register_after_fork(self, SweepService._drop_listeners)
-        dispatcher = threading.Thread(target=self._dispatch_loop,
-                                      name="svc-dispatch", daemon=True)
-        dispatcher.start()
-        self._threads.append(dispatcher)
+        loops = [("svc-housekeeping", self._housekeeping_loop)]
+        loops += [(f"svc-slot-{i}", self._slot_loop)
+                  for i in range(self.jobs)]
+        for name, loop in loops:
+            t = threading.Thread(target=loop, name=name, daemon=True)
+            t.start()
+            self._threads.append(t)
         if self.socket_path is not None:
             self._serve_socket()
         if self.tcp_port is not None:
             self._serve_tcp()
-        self._wake.set()  # resume any journaled open jobs immediately
 
     def stop(self) -> None:
         self._stop.set()
-        self._wake.set()
+        self._notify_work()
         for server in self._servers:
             server.shutdown()
             server.server_close()
@@ -270,9 +297,9 @@ class SweepService:
                 f"given; built-in kinds: {sorted(WORKERS)}")
         resolve_worker(worker)          # validate before journaling
         MeasurePolicy.from_dict(options.get("measure"))  # validate
+        self._retry_policy(options)                      # validate
         job = self.queue.submit(kind, worker, specs, options,
                                 token=token)
-        self._wake.set()
         return job.describe()
 
     def wait(self, job_id: str, timeout_s: Optional[float] = None
@@ -299,7 +326,7 @@ class SweepService:
                 "errors": job.errors}
 
     def stats(self) -> dict:
-        with self._lock:
+        with self._claim_lock:
             inflight = len(self._inflight)
             deduped = self._deduped
         jobs = self.queue.list_jobs()
@@ -338,162 +365,191 @@ class SweepService:
     def prometheus(self) -> str:
         """The ``GET /metrics`` exposition body — built on demand, so a
         daemon nobody scrapes never pays for rendering."""
-        with self._lock:
-            inflight = len(self._inflight)
-            agents = len(self._agents)
-        jobs = self.queue.list_jobs()
+        stats = self.stats()
         return render_prometheus(
             self.telemetry,
-            queue_depth=self.queue.depth(),
-            inflight=inflight,
-            open_jobs=sum(1 for j in jobs if j["status"] != "done"),
+            queue_depth=stats["queue_depth"],
+            inflight=stats["inflight_points"],
+            open_jobs=stats["open_jobs"],
             workers=self.jobs,
-            store_stats=self.store.read_stats(),
-            store_entries=self.store.entry_count(),
-            agents=agents,
-            leases_active=self.queue.active_leases(),
-            lease_expirations=self.queue.lease_expirations,
-            duplicate_results=self.queue.duplicate_results)
+            store_stats=stats["store"],
+            store_entries=stats["store"]["entries"],
+            agents=len(stats["agents"]),
+            leases_active=stats["leases_active"],
+            lease_expirations=stats["lease_expirations"],
+            duplicate_results=stats["duplicate_results"])
 
-    # -- dispatch -----------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            if self._wake.wait(timeout=0.2):
-                self._wake.clear()
-            if self._stop.is_set():
-                return
-            self._expire_leases()
-            self._reap_agents()
-            self._schedule_pending()
-
-    def _expire_leases(self) -> None:
-        """Re-queue every lease whose deadline passed unrenewed — the
-        agent died, was partitioned away, or is simply too slow; the
-        point becomes pending again and anyone may pick it up."""
-        self.queue.expire_due_leases(time.time())
-
-    def _reap_agents(self) -> None:
-        """Forget agents silent past ``agent_timeout_s`` (registry
-        hygiene only — their leases expire on their own deadlines)."""
-        now = time.monotonic()
-        with self._lock:
-            lost = [agent for agent, entry in self._agents.items()
-                    if now - entry["last_seen"] > self.agent_timeout_s]
+    # -- the one claim path: leases ----------------------------------------
+    def _housekeeping_loop(self) -> None:
+        """Every tick: re-queue each lease whose deadline passed
+        unrenewed (the agent died, was partitioned away, or is simply
+        too slow), and forget agents silent past ``agent_timeout_s``
+        (registry hygiene only — their leases expire on their own
+        deadlines)."""
+        while not self._stop.wait(0.2):
+            self.queue.expire_due_leases(time.time())
+            now = time.monotonic()
+            with self._lock:
+                lost = [agent for agent, entry in self._agents.items()
+                        if now - entry["last_seen"]
+                        > self.agent_timeout_s]
+                for agent in lost:
+                    del self._agents[agent]
             for agent in lost:
-                del self._agents[agent]
-        for agent in lost:
-            self.telemetry.agent_lost(agent, "heartbeat")
+                self.telemetry.agent_lost(agent, "heartbeat")
 
-    def _schedule_pending(self) -> None:
-        if self._draining.is_set():
-            return  # drain: finish in-flight work, start nothing new
-        for job in self.queue.open_jobs():
-            for index in job.pending_indices():
-                if self._stop.is_set():
-                    return
-                spec = job.specs[index]
-                key = self._dedup_key(job.kind, spec, job.options)
-                with self._lock:
-                    waiters = self._inflight.get(key)
-                    if waiters is not None:
-                        # an identical point is already computing:
-                        # piggy-back on it instead of burning a slot
-                        waiters.append((job.job_id, index))
-                        self._deduped += 1
-                if waiters is not None:
-                    # claim outside self._lock: claiming emits a queue
-                    # event, and the event fan-out re-takes the lock
-                    self.queue.claim(job.job_id, index)
-                    self.telemetry.point_deduped(job.job_id, index,
-                                                 job.kind)
-                    continue
-                if not self._slots.acquire(blocking=False):
-                    return  # every worker slot is busy; resume on wake
-                with self._lock:
-                    self._inflight[key] = [(job.job_id, index)]
-                self.queue.claim(job.job_id, index)
-                t = threading.Thread(
-                    target=self._run_point,
-                    args=(key, job.job_id, index, job.kind, job.worker,
-                          spec, dict(job.options)),
-                    name=f"svc-point-{job.job_id}-{index}", daemon=True)
-                t.start()
+    def _notify_work(self) -> None:
+        with self._work:
+            self._work_gen += 1
+            self._work.notify_all()
+
+    def _slot_loop(self) -> None:
+        """One local worker slot: the agent loop, in process — take a
+        lease from the shared walk, compute it, complete it."""
+        while not self._stop.is_set():
+            with self._work:
+                seen = self._work_gen
+            grants = self._grant(LOCAL_HOLDER, 1)
+            if not grants:
+                with self._work:
+                    self._work.wait_for(
+                        lambda: self._work_gen != seen
+                        or self._stop.is_set(), timeout=1.0)
+                continue
+            grant = grants[0]
+            job_id, index, kind = grant["job"], grant["index"], \
+                grant["kind"]
+            self.telemetry.point_running(job_id, index, kind)
+            result, attempts = run_grant(
+                grant, on_failure=lambda failure, attempt, will_retry:
+                    self.telemetry.point_failure(
+                        job_id, index, kind, failure, attempt,
+                        will_retry))
+            self._complete(LOCAL_HOLDER, grant["lease"], job_id, index,
+                           result, attempts)
+
+    def _grant(self, holder: str, limit: int) -> list[dict]:
+        """The one pending-point walk: local slots and ``agent.claim``
+        both take their leases here, in submission order.
+
+        Per pending point: an identical point (same content address
+        and measurement policy) already in flight makes this one wait
+        on its result instead (``deduped_points``); a single-shot
+        point whose result is already stored completes at once with
+        zero attempts — measured points always lease, since their
+        merged stats live only in the journal; anything else is leased
+        to ``holder``, up to ``limit`` grants.
+        """
+        granted: list[dict] = []
+        if self._draining.is_set() or self._stop.is_set():
+            return granted
+        with self._claim_lock:
+            for job in self.queue.open_jobs():
+                for index in job.pending_indices():
+                    if len(granted) >= limit:
+                        return granted
+                    grant = self._take(job, index, holder)
+                    if grant is not None:
+                        granted.append(grant)
+        return granted
+
+    def _take(self, job, index: int, holder: str) -> Optional[dict]:
+        """One pending point of :meth:`_grant` (claim lock held)."""
+        if (job.job_id, index) in self._waiting:
+            return None
+        point = {"job": job.job_id, "index": index, "kind": job.kind}
+        spec = job.specs[index]
+        key = self._dedup_key(job.kind, spec, job.options)
+        if key in self._inflight:
+            self._inflight[key][1].append((job.job_id, index))
+            self._waiting.add((job.job_id, index))
+            self._deduped += 1
+            self._on_queue_event("claim", point)
+            self.telemetry.point_deduped(job.job_id, index, job.kind)
+            return None
+        measure = job.options.get("measure")
+        if MeasurePolicy.from_dict(measure).single_shot:
+            cached = self.store.get(job.kind, spec)
+            if cached is not None:
+                self._on_queue_event("claim", point)
+                self.telemetry.point_running(job.job_id, index, job.kind)
+                self.queue.complete_leased(
+                    None, job.job_id, index, cached,
+                    is_error_record(cached), attempts=0, agent=holder)
+                return None
+        lease = self.queue.lease(job.job_id, index, holder,
+                                 self.lease_ttl_s)
+        self._inflight[key] = (lease.lease_id, [])
+        return {**point, "lease": lease.lease_id, "worker": job.worker,
+                "spec": spec, "measure": measure,
+                "policy": self._retry_policy(job.options).to_dict(),
+                "deadline": lease.deadline}
+
+    def _complete(self, holder: str, lease_id: str, job_id: str,
+                  index: int, result: Any, attempts: int) -> dict:
+        """The one completion path, for local slots and agents alike: a
+        successful single-shot result is stored first (``put_if_absent``,
+        so a point never reads done before its result is stored), the
+        queue records the point first-write-wins
+        (:meth:`JobQueue.complete_leased`), and every identical point
+        waiting on this lease completes with the same result."""
+        job = self.queue.get(job_id)
+        spec = job.specs[index]
+        error = is_error_record(result)
+        stored = False
+        if not error and MeasurePolicy.from_dict(
+                job.options.get("measure")).single_shot:
+            stored = self.store.put_if_absent(job.kind, spec, result)
+        key = self._dedup_key(job.kind, spec, job.options)
+        with self._claim_lock:
+            disposition = self.queue.complete_leased(
+                lease_id, job_id, index, result, error, attempts,
+                agent=holder)
+            computing, waiters = self._inflight.get(key, (None, []))
+            if computing == lease_id:
+                del self._inflight[key]
+                for waiter in waiters:
+                    self._waiting.discard(waiter)
+                    self.queue.complete_leased(None, *waiter, result,
+                                               error, attempts,
+                                               agent=holder)
+        return {"disposition": disposition, "stored": stored}
 
     def _dedup_key(self, kind: str, spec: dict, options: dict) -> str:
         measure = options.get("measure") or {}
         return self.store.key(kind, spec) + "/" + _canonical(measure)
 
     def _retry_policy(self, options: dict) -> RetryPolicy:
-        d = self.default_policy
-        return RetryPolicy(
-            timeout_s=options.get("timeout_s", d.timeout_s),
-            retries=int(options.get("retries", d.retries)),
-            backoff_s=float(options.get("backoff_s", d.backoff_s)),
-            backoff_cap_s=float(options.get("backoff_cap_s",
-                                            d.backoff_cap_s)))
-
-    # -- point execution ----------------------------------------------------
-    def _run_point(self, key: str, job_id: str, index: int, kind: str,
-                   worker_path: str, spec: dict,
-                   options: dict) -> None:
-        self.telemetry.point_running(job_id, index, kind)
-        try:
-            result, attempts = self._compute(
-                kind, worker_path, spec, options,
-                on_failure=lambda failure, attempt, will_retry:
-                    self.telemetry.point_failure(
-                        job_id, index, kind, failure, attempt,
-                        will_retry))
-        except Exception as exc:  # defensive: never lose a point
-            result = {"sweep_error": {"type": type(exc).__name__,
-                                      "message": str(exc), "spec": spec}}
-            attempts = 1
-        finally:
-            self._slots.release()
-        with self._lock:
-            waiters = self._inflight.pop(key, [])
-        error = is_error_record(result)
-        for job_id_, index_ in waiters:
-            self.queue.record_point(job_id_, index_, result, error,
-                                    attempts)
-        self._wake.set()
-
-    def _compute(self, kind: str, worker_path: str, spec: dict,
-                 options: dict,
-                 on_failure: Optional[Callable] = None
-                 ) -> tuple[Any, int]:
-        """One point, through store/reaping/retry — and, when the job
-        asks for it, the adaptive-repetition measurement loop.  The
-        same :func:`~repro.harness.parallel.compute_point` the
-        federation agents run, with this daemon's store attached."""
-        return compute_point(resolve_worker(worker_path), spec,
-                             self._retry_policy(options),
-                             measure=options.get("measure"),
-                             store=self.store, kind=kind,
-                             on_failure=on_failure)
+        return RetryPolicy.from_dict(options, self.default_policy)
 
     # -- federation (coordinator side; see docs/service.md) -----------------
     def drain(self, grace_s: float = 30.0) -> dict:
-        """Graceful shutdown, phase one: stop scheduling and leasing,
-        wait (bounded) for in-flight points and live leases to finish,
-        compact the journal.  The caller then :meth:`stop`\\ s and exits
-        0; anything still open is journaled and resumes on restart.
+        """Graceful shutdown, phase one: stop leasing, wait (bounded)
+        for live leases — local slots' included — to finish, compact
+        the journal.  The caller then :meth:`stop`\\ s and exits 0;
+        anything still open is journaled and resumes on restart.
         """
         self._draining.set()
         deadline = time.monotonic() + max(0.0, grace_s)
         while time.monotonic() < deadline:
             self.queue.expire_due_leases(time.time())
-            with self._lock:
-                inflight = len(self._inflight)
-            if inflight == 0 and self.queue.active_leases() == 0:
+            if self.queue.active_leases() == 0:
                 break
             time.sleep(0.05)
         self.queue.compact()
-        with self._lock:
+        with self._claim_lock:
             inflight = len(self._inflight)
         leases = self.queue.active_leases()
         return {"drained": inflight == 0 and leases == 0,
                 "inflight": inflight, "leases_active": leases}
+
+    def _touch(self, agent: str) -> Optional[dict]:
+        """The agent's registry entry, marked seen (None: unknown)."""
+        with self._lock:
+            entry = self._agents.get(agent)
+            if entry is not None:
+                entry["last_seen"] = time.monotonic()
+        return entry
 
     def agent_register(self, name: Optional[str], host: str,
                        pid: int, slots: int) -> dict:
@@ -502,9 +558,14 @@ class SweepService:
         The agent id is client-stable — ``name`` when given, else
         derived from host+pid — so an agent reconnecting after a
         partition or a coordinator restart is recognised as the owner
-        of its journaled leases.
+        of its journaled leases.  The local slots' holder id is
+        reserved and refused.
         """
         agent = name or f"agent-{host}-{pid}"
+        if agent == LOCAL_HOLDER:
+            raise ValueError(
+                f"agent id {LOCAL_HOLDER!r} is reserved for the "
+                "daemon's own worker slots")
         with self._lock:
             fresh = agent not in self._agents
             self._agents[agent] = {"host": host, "pid": int(pid),
@@ -528,143 +589,55 @@ class SweepService:
         still accepted and arbitrated first-write-wins; the list just
         tells the agent to stop counting on those leases.
         """
-        with self._lock:
-            entry = self._agents.get(agent)
-            if entry is not None:
-                entry["last_seen"] = time.monotonic()
-        if entry is None:
+        if self._touch(agent) is None:
             # coordinator restarted (or reaped us): the agent must
             # re-register; its journaled leases survive under its id
             return {"known": False, "stale": list(leases or []),
                     "draining": self._draining.is_set()}
         now = time.time()
-        held = {lease.lease_id
-                for lease in self.queue.agent_leases(agent)}
         stale = []
         for lease_id in leases or []:
-            if lease_id in held:
-                try:
-                    self.queue.renew_lease(lease_id, agent,
-                                           self.lease_ttl_s, now=now)
-                except (KeyError, ValueError):
-                    stale.append(lease_id)
-            else:
+            try:
+                self.queue.renew_lease(lease_id, agent, self.lease_ttl_s,
+                                       now=now)
+            except (KeyError, ValueError):  # expired, or not ours
                 stale.append(lease_id)
         return {"known": True, "stale": stale,
                 "draining": self._draining.is_set()}
 
     def agent_claim(self, agent: str, max_leases: int = 1) -> dict:
         """Grant up to ``max_leases`` time-bounded leases on pending
-        points (the federation analogue of :meth:`_schedule_pending`).
-
-        Store hits short-circuit: a single-shot point whose result is
-        already content-addressed completes immediately instead of
-        burning an agent round-trip.  Measured (multi-repetition)
-        points always lease — their merged stats live only in the
-        journal, never under the bare spec key, so the store can't
-        answer for them.
-        """
-        with self._lock:
-            entry = self._agents.get(agent)
-            if entry is not None:
-                entry["last_seen"] = time.monotonic()
-        if entry is None:
+        points, from the same walk the local slots take theirs from
+        (:meth:`_grant`)."""
+        if self._touch(agent) is None:
             return {"known": False, "leases": [],
                     "draining": self._draining.is_set()}
-        granted: list[dict] = []
         if self._draining.is_set() or self._stop.is_set():
             return {"known": True, "leases": [], "draining": True}
-        for job in self.queue.open_jobs():
-            for index in job.pending_indices():
-                if len(granted) >= max(1, int(max_leases)):
-                    break
-                spec = job.specs[index]
-                key = self._dedup_key(job.kind, spec, job.options)
-                with self._lock:
-                    waiters = self._inflight.get(key)
-                    if waiters is not None:
-                        # this daemon is already computing an identical
-                        # point locally: piggy-back, don't lease
-                        waiters.append((job.job_id, index))
-                        self._deduped += 1
-                if waiters is not None:
-                    self.queue.claim(job.job_id, index)
-                    self.telemetry.point_deduped(job.job_id, index,
-                                                 job.kind)
-                    continue
-                measure = MeasurePolicy.from_dict(
-                    job.options.get("measure"))
-                if measure.single_shot:
-                    cached = self.store.get(job.kind, spec)
-                    if cached is not None:
-                        self.queue.claim(job.job_id, index)
-                        self.queue.record_point(
-                            job.job_id, index, cached,
-                            error=is_error_record(cached), attempts=0)
-                        continue
-                try:
-                    lease = self.queue.lease(job.job_id, index, agent,
-                                             self.lease_ttl_s)
-                except ValueError:
-                    # the local dispatcher (or another agent's claim
-                    # request) took this point between our snapshot and
-                    # the grant: skip it
-                    continue
-                policy = self._retry_policy(job.options)
-                granted.append({
-                    "lease": lease.lease_id, "job": job.job_id,
-                    "index": index, "kind": job.kind,
-                    "worker": job.worker, "spec": spec,
-                    "measure": job.options.get("measure"),
-                    "policy": {"timeout_s": policy.timeout_s,
-                               "retries": policy.retries,
-                               "backoff_s": policy.backoff_s,
-                               "backoff_cap_s": policy.backoff_cap_s},
-                    "deadline": lease.deadline})
-            if len(granted) >= max(1, int(max_leases)):
-                break
-        return {"known": True, "leases": granted, "draining": False}
+        return {"known": True,
+                "leases": self._grant(agent, max(1, int(max_leases))),
+                "draining": False}
 
     def agent_complete(self, agent: str, lease_id: str, job_id: str,
                        index: int, result: Any, attempts: int) -> dict:
-        """Accept a leased point's result; first write wins.
-
-        Dispositions (see :meth:`JobQueue.complete_leased`):
-        ``recorded`` (live lease), ``adopted`` (lease expired, point
-        still open — the deterministic result is taken rather than
-        recomputed), ``duplicate_result`` (point already done; only the
-        counter moves).  Successful single-shot results also land in
-        the shared store via :meth:`SharedStore.put_if_absent` — the
-        content-address arbiter that makes duplicate completions
-        harmless.
-        """
-        with self._lock:
-            entry = self._agents.get(agent)
-            if entry is not None:
-                entry["last_seen"] = time.monotonic()
-        error = is_error_record(result)
-        job = self.queue.get(job_id)
-        disposition = self.queue.complete_leased(
-            lease_id, job_id, index, result, error,
-            max(1, int(attempts)), agent=agent)
-        stored = False
-        if disposition != "duplicate_result":
-            if entry is not None:
-                with self._lock:
-                    entry["points"] += 1
-            measure = MeasurePolicy.from_dict(
-                job.options.get("measure"))
-            if measure.single_shot and not error:
-                stored = self.store.put_if_absent(
-                    job.kind, job.specs[index], result)
-        self._wake.set()
-        return {"disposition": disposition, "stored": stored}
+        """Accept a leased point's result through :meth:`_complete`;
+        dispositions ``recorded`` (live lease), ``adopted`` (lease
+        expired, point still open — the deterministic result is taken
+        rather than recomputed), ``duplicate_result`` (point already
+        done; only the counter moves)."""
+        entry = self._touch(agent)
+        reply = self._complete(agent, lease_id, job_id, index, result,
+                               max(1, int(attempts)))
+        if entry is not None and \
+                reply["disposition"] != "duplicate_result":
+            with self._lock:
+                entry["points"] += 1
+        return reply
 
     def agent_abandon(self, agent: str, lease_id: str) -> dict:
         """An agent gives a lease back (shutdown, drain, overload);
         the point returns to pending immediately."""
         lease = self.queue.release_lease(lease_id, "abandoned")
-        self._wake.set()
         return {"released": lease is not None}
 
     def agent_deregister(self, agent: str) -> dict:
@@ -675,11 +648,24 @@ class SweepService:
             known = self._agents.pop(agent, None) is not None
         if known:
             self.telemetry.agent_lost(agent, "deregistered")
-        self._wake.set()
         return {"deregistered": known}
 
     # -- progress streaming -------------------------------------------------
     def _on_queue_event(self, kind: str, payload: dict) -> None:
+        if kind == "lease" and payload.get("agent") == LOCAL_HOLDER:
+            # a local slot's grant reads as the classic claim
+            kind = "claim"
+            payload = {key: payload[key]
+                       for key in ("job", "index", "kind")}
+        elif kind == "lease_end":
+            # the lease ended without completing: identical points
+            # waiting on it become claimable again
+            with self._claim_lock:
+                for key, (computing, waiters) in \
+                        list(self._inflight.items()):
+                    if computing == payload["lease"]:
+                        del self._inflight[key]
+                        self._waiting.difference_update(waiters)
         self._feed_telemetry(kind, payload)
         event = {"event": kind, **payload}
         with self._lock:
@@ -687,14 +673,17 @@ class SweepService:
         for job_filter, watcher in watchers:
             if job_filter is None or payload.get("job") == job_filter:
                 watcher.push(event)
+        if kind in ("submit", "lease_end"):
+            self._notify_work()  # new or re-queued points
 
     def _feed_telemetry(self, kind: str, payload: dict) -> None:
         """Queue transitions → lifecycle spans (docs/observability.md).
 
         ``running``/``reaped``/``retried``/``deduped`` spans come from
-        the executor directly; everything that flows through the queue
-        is mapped here so the span log and the watch stream can never
-        disagree about what happened.
+        the local slots and the walk directly; everything that flows
+        through the queue (plus the walk's ``claim`` of a deduped or
+        stored point) is mapped here, so the span log and the watch
+        stream can never disagree about what happened.
         """
         t = self.telemetry
         if kind == "submit":

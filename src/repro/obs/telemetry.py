@@ -259,7 +259,7 @@ class Telemetry:
         """Emit the point's ``queued`` span exactly once.
 
         In the daemon the submit event fans out on the submitting thread
-        while the dispatcher may already be claiming points; whichever
+        while a worker slot may already be claiming points; whichever
         side gets here first writes the span (atomically, under the
         reentrant lock), so ``queued`` always precedes ``claimed``.
         """

@@ -24,7 +24,7 @@ import pytest
 
 from repro.apps.pingpong import bandwidth_point
 from repro.harness.federation import run_agent
-from repro.harness.queue import JobQueue
+from repro.harness.queue import LOCAL_HOLDER, JobQueue
 from repro.harness.service import ServiceClient, SweepService
 
 SPECS = [{"system": "cichlid", "nbytes": 1 << 16, "mode": m}
@@ -147,9 +147,8 @@ class TestLeases:
         q1, job = self._queue_with_job(tmp_path)
         lease = q1.lease(job.job_id, 0, "a1", ttl_s=3600.0)
         # simulate the torn shutdown: point recorded, lease_end lost
-        q1.record_point(job.job_id, 0, {"r": 0}, error=False,
-                        attempts=1)
-        del q1.leases[lease.lease_id]
+        q1.complete_leased(None, job.job_id, 0, {"r": 0}, error=False,
+                           attempts=1)
         q2 = JobQueue(tmp_path)
         assert lease.lease_id not in q2.leases
         assert q2.get(job.job_id).results[0] == {"r": 0}
@@ -160,8 +159,8 @@ class TestCompaction:
         q1 = JobQueue(tmp_path)
         job = q1.submit("bw", WORKER, [{"i": i} for i in range(3)])
         for i in range(3):
-            q1.record_point(job.job_id, i, {"r": i}, error=False,
-                            attempts=1)
+            q1.complete_leased(None, job.job_id, i, {"r": i},
+                               error=False, attempts=1)
         assert len(q1.journal_path.read_text().splitlines()) > 1
         q2 = JobQueue(tmp_path)
         lines = q2.journal_path.read_text().splitlines()
@@ -176,8 +175,8 @@ class TestCompaction:
         q1 = JobQueue(tmp_path)
         job = q1.submit("bw", WORKER, [{"i": i} for i in range(3)],
                         token="tok-1")
-        q1.record_point(job.job_id, 1, {"r": 1}, error=False,
-                        attempts=2)
+        q1.complete_leased(None, job.job_id, 1, {"r": 1}, error=False,
+                           attempts=2)
         q1.lease(job.job_id, 0, "a1", ttl_s=3600.0)
         q1.compact()
         q2 = JobQueue(tmp_path)
@@ -195,8 +194,9 @@ class TestCompaction:
         q = JobQueue(tmp_path, compact_bytes=512)
         job = q.submit("bw", WORKER, [{"i": i} for i in range(8)])
         for i in range(8):
-            q.record_point(job.job_id, i, {"r": i, "pad": "x" * 64},
-                           error=False, attempts=1)
+            q.complete_leased(None, job.job_id, i,
+                              {"r": i, "pad": "x" * 64}, error=False,
+                              attempts=1)
         assert q.compactions >= 1
         assert q.get(job.job_id).status == "done"
 
@@ -373,6 +373,51 @@ class TestFederationInProcess:
             out = svc.wait(again["job"], timeout_s=30)
             assert out["results"] == svc.result(first["job"])["results"]
             assert svc.result(again["job"])["attempts"] == [0]
+        finally:
+            svc.stop()
+
+    def test_inflight_dedup_when_an_agent_computes(self, tmp_path):
+        """An identical point submitted while an agent computes it
+        waits on that lease instead of taking one; the agent's single
+        completion delivers to both jobs.  If the lease expires first,
+        the waiter is claimable again (and waits on the next lease)."""
+        svc = self._coordinator(tmp_path)
+        try:
+            svc.agent_register("a1", "host", 1, 2)
+            specs = paced_specs([0.0])
+            first = svc.submit("bw", specs, {"worker": WORKER})["job"]
+            (stale,) = svc.agent_claim("a1", 2)["leases"]
+            second = svc.submit("bw", specs, {"worker": WORKER})["job"]
+            assert svc.agent_claim("a1", 2)["leases"] == []
+            assert svc.stats()["deduped_points"] == 1
+            svc.queue.expire_due_leases(now=time.time() + 3600.0)
+            (grant,) = svc.agent_claim("a1", 2)["leases"]
+            assert grant["job"] == first
+            assert svc.stats()["deduped_points"] == 2
+            row = paced_bandwidth_point(grant["spec"])
+            reply = svc.agent_complete("a1", grant["lease"], grant["job"],
+                                       grant["index"], row, 1)
+            assert reply == {"disposition": "recorded", "stored": True}
+            assert svc.result(first)["results"] == [row]
+            assert svc.result(second)["results"] == [row]
+            assert svc.result(second)["attempts"] == [1]
+            assert svc.stats()["inflight_points"] == 0
+            # the expired lease's late completion loses the race
+            assert svc.agent_complete(
+                "a1", stale["lease"], stale["job"], stale["index"], row,
+                1)["disposition"] == "duplicate_result"
+        finally:
+            svc.stop()
+
+    def test_reserved_local_holder_id_refused(self, tmp_path):
+        svc = self._coordinator(tmp_path)
+        try:
+            with pytest.raises(ValueError, match="reserved"):
+                svc.agent_register(LOCAL_HOLDER, "host", 1, 1)
+            reply = svc.handle_request({"op": "agent.register",
+                                        "name": LOCAL_HOLDER})
+            assert reply["ok"] is False and "reserved" in reply["error"]
+            assert svc.stats()["agents"] == []
         finally:
             svc.stop()
 

@@ -1,12 +1,13 @@
-"""SharedStore: concurrent writers, LRU eviction, corrupt recovery.
+"""ResultCache: concurrent writers, LRU eviction, corrupt recovery.
 
-The shared store is the sweep service's result backend: many daemons
-and CLI runs may read and write one directory tree at once.  These
-tests pin the three guarantees that make that safe — a reader only
-ever observes complete entries (writes are atomic renames), eviction
-never removes an entry someone is mid-write on (advisory lock probe),
-and the corrupt-entry recovery path cannot destroy a concurrent
-writer's fresh data (quarantine-rename + inode identity).
+The one result store backs the CLI sweeps and the sweep service alike:
+many daemons and CLI runs may read and write one directory tree at
+once.  These tests pin the guarantees that make that safe — a reader
+only ever observes complete entries (writes are atomic renames),
+eviction never removes an entry someone is mid-write on (advisory lock
+probe), the corrupt-entry recovery path cannot destroy a concurrent
+writer's fresh data (quarantine-rename + inode identity), and the
+persisted counters lose no update under concurrent threads.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.harness.cache import ResultCache, SharedStore
+from repro.harness.cache import ResultCache
 
 SPEC = {"system": "cichlid", "nbytes": 65536}
 RESULT = {"seconds": 0.25, "mode": "pinned"}
@@ -26,7 +29,7 @@ RESULT = {"seconds": 0.25, "mode": "pinned"}
 
 def _hammer_writer(root, n, barrier):
     """Child-process body: write the same entry ``n`` times."""
-    store = SharedStore(root=Path(root), version="v1")
+    store = ResultCache(root=Path(root), version="v1")
     barrier.wait()
     for _ in range(n):
         store.put("bw", SPEC, RESULT)
@@ -35,7 +38,7 @@ def _hammer_writer(root, n, barrier):
 def _hammer_reader(root, n, barrier, out):
     """Child-process body: read the entry ``n`` times, record any torn
     observation (None misses are fine; partial JSON is not)."""
-    store = SharedStore(root=Path(root), version="v1")
+    store = ResultCache(root=Path(root), version="v1")
     barrier.wait()
     torn = 0
     for _ in range(n):
@@ -67,7 +70,7 @@ class TestConcurrentWriters:
             p.join(timeout=60)
             assert p.exitcode == 0
         assert out.get(timeout=5) == 0  # zero torn observations
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         assert store.get("bw", SPEC) == RESULT
         # no leftover temp files from either writer
         strays = [p for p in tmp_path.rglob("*.tmp")]
@@ -76,7 +79,7 @@ class TestConcurrentWriters:
     def test_same_address_writes_are_byte_identical(self, tmp_path):
         """Racing writers at one content address land the same bytes,
         so last-write-wins is harmless by construction."""
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         store.put("bw", SPEC, RESULT)
         path = store._path("bw", SPEC)
         first = path.read_bytes()
@@ -86,17 +89,10 @@ class TestConcurrentWriters:
 
 class TestShardedLayout:
     def test_entries_shard_by_key_prefix(self, tmp_path):
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         store.put("bw", SPEC, RESULT)
         key = store.key("bw", SPEC)
         assert (tmp_path / "bw" / key[:2] / f"{key}.json").is_file()
-
-    def test_flat_cache_and_store_share_content_addresses(self, tmp_path):
-        """Only the directory layout differs — the key function is the
-        base class's, so service and CLI address identically."""
-        cache = ResultCache(root=tmp_path / "a", version="v1")
-        store = SharedStore(root=tmp_path / "b", version="v1")
-        assert cache.key("bw", SPEC) == store.key("bw", SPEC)
 
 
 class TestLruEviction:
@@ -105,7 +101,7 @@ class TestLruEviction:
             store.put("bw", {"i": i}, {"r": i, "pad": "x" * 64})
 
     def test_evicts_oldest_first(self, tmp_path):
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         self._fill(store, 6)
         paths = [store._path("bw", {"i": i}) for i in range(6)]
         for i, p in enumerate(paths):  # deterministic recency order
@@ -117,7 +113,7 @@ class TestLruEviction:
         assert paths[-1].exists()             # MRU survived
 
     def test_hit_refreshes_recency(self, tmp_path):
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         self._fill(store, 4)
         paths = [store._path("bw", {"i": i}) for i in range(4)]
         for i, p in enumerate(paths):
@@ -132,7 +128,7 @@ class TestLruEviction:
         """The mid-write protection: an entry whose advisory lock is
         held survives eviction no matter how old it looks."""
         fcntl = pytest.importorskip("fcntl")
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         self._fill(store, 4)
         paths = [store._path("bw", {"i": i}) for i in range(4)]
         for i, p in enumerate(paths):
@@ -148,14 +144,14 @@ class TestLruEviction:
             os.close(fd)
 
     def test_eviction_runs_automatically_on_write(self, tmp_path):
-        store = SharedStore(root=tmp_path, version="v1", max_bytes=1,
+        store = ResultCache(root=tmp_path, version="v1", max_bytes=1,
                             evict_every=2)
         self._fill(store, 4)  # every 2nd put triggers evict()
         assert store.entry_count() < 4
         assert store.read_stats()["evicted"] >= 1
 
     def test_eviction_counted_in_metrics_and_stats(self, tmp_path):
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         self._fill(store, 3)
         removed = store.evict(max_bytes=0)
         assert removed == 3
@@ -163,9 +159,40 @@ class TestLruEviction:
         assert store.read_stats()["evicted"] == 3
 
 
+class TestPersistedStats:
+    def test_concurrent_lookups_lose_no_update(self, tmp_path):
+        """Two threads doing 300 lookups each persist exactly 600: the
+        read-modify-write of stats.json runs under its lock file, with
+        a temp name unique to each thread."""
+        store = ResultCache(root=tmp_path, version="v1")
+        store.put("bw", SPEC, RESULT)
+        barrier = threading.Barrier(2)
+
+        def lookups(spec):
+            barrier.wait()
+            for _ in range(300):
+                store.get("bw", spec)
+
+        threads = [threading.Thread(target=lookups, args=(spec,))
+                   for spec in (SPEC, {"missing": True})]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads densely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        stats = store.read_stats()
+        assert (stats["hits"], stats["misses"]) == (300, 300)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
 class TestCorruptRecovery:
     def test_corrupt_entry_deleted_and_counted(self, tmp_path):
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         store.put("bw", SPEC, RESULT)
         path = store._path("bw", SPEC)
         path.write_text("{torn")
@@ -180,7 +207,7 @@ class TestCorruptRecovery:
         writer's fresh entry lands between the failed parse and the
         quarantine rename.  The fresh entry must survive and be served
         (counted as ``corrupt_replaced``, not ``corrupt_deleted``)."""
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         store.put("bw", SPEC, RESULT)
         path = store._path("bw", SPEC)
         path.write_text("{torn")
@@ -212,7 +239,7 @@ class TestCorruptRecovery:
                                                     monkeypatch):
         """A racing delete between parse failure and quarantine: no
         crash, no counter confusion — just a miss."""
-        store = SharedStore(root=tmp_path, version="v1")
+        store = ResultCache(root=tmp_path, version="v1")
         store.put("bw", SPEC, RESULT)
         path = store._path("bw", SPEC)
         path.write_text("{torn")
