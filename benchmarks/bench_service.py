@@ -1,7 +1,7 @@
 """Sweep-service benchmarks: throughput and the stats zero-cost guard.
 
 The service adds three layers over a plain sweep — journaled queue,
-shared store, reapable per-point processes.  These benchmarks time the
+shared store, reapable persistent worker processes.  These benchmarks time the
 end-to-end path and pin the measurement-statistics contract: a
 single-repetition job must never pay for the adaptive-repetition
 machinery (no extra reps, no sampling arithmetic on the hot path).

@@ -180,8 +180,12 @@ class ResultCache:
                 yield False
                 return
             yield True
+            # unlock explicitly: a child forked meanwhile shares this
+            # open file description, and closing only our descriptor
+            # would leave the lock held for as long as that child lives
+            fcntl.flock(fd, fcntl.LOCK_UN)
         finally:
-            os.close(fd)  # closing drops the lock
+            os.close(fd)
 
     # -- access -------------------------------------------------------------
     def get(self, kind: str, spec: dict) -> Optional[Any]:

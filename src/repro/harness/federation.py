@@ -6,10 +6,13 @@ possibly on another host, reached over ``--tcp host:port``).  N agents
 drain the coordinator's one journaled queue under **time-bounded
 leases**:
 
-* the agent registers (a stable, client-chosen id), then loops:
-  claim up to ``--slots`` leases → compute each point through
-  :func:`repro.harness.service.run_grant`, exactly as the daemon's
-  local slots do → report completions;
+* the agent forks ``--slots`` persistent worker processes
+  (:class:`repro.harness.parallel.WorkerProcess`), registers (a
+  stable, client-chosen id), then loops: claim up to ``--slots`` leases
+  → compute each point through :func:`repro.harness.service.run_grant`
+  on its own worker, exactly as the daemon's local slots do → report
+  completions.  The workers are killed and joined when the agent
+  exits; a worker whose agent is SIGKILLed exits on its own once idle;
 * a heartbeat thread renews every held lease on an interval the
   coordinator suggests (ttl/3); if the agent dies or is partitioned
   away, the unrenewed leases expire and the coordinator re-queues the
@@ -40,6 +43,7 @@ import threading
 import time
 from typing import Any, Optional
 
+from repro.harness.parallel import WorkerProcess
 from repro.harness.service import ServiceClient, run_grant
 
 __all__ = ["FederationAgent", "run_agent"]
@@ -75,6 +79,9 @@ class FederationAgent:
         self._lock = threading.Lock()
         #: lease id -> lease grant payload, while computing
         self._held: dict[str, dict] = {}
+        #: one worker process per slot, while :meth:`run` runs; each
+        #: claim round's k-th lease computes on the k-th
+        self._workers: list[WorkerProcess] = []
         self._summary = {"points": 0, "duplicates": 0,
                          "reconnects": 0}
 
@@ -141,10 +148,10 @@ class FederationAgent:
             return
 
     # -- the work itself ----------------------------------------------------
-    def _run_lease(self, grant: dict) -> None:
+    def _run_lease(self, grant: dict, worker: WorkerProcess) -> None:
         # agents are stateless: the coordinator arbitrates storage on
         # completion (put_if_absent)
-        result, attempts = run_grant(grant)
+        result, attempts = run_grant(grant, worker)
         with self._lock:
             self._held.pop(grant["lease"], None)
         # Always report, even if our lease looks expired from here: the
@@ -175,9 +182,9 @@ class FederationAgent:
             for grant in grants:
                 self._held[grant["lease"]] = grant
         threads = [threading.Thread(
-            target=self._run_lease, args=(grant,),
+            target=self._run_lease, args=(grant, worker),
             name=f"agent-lease-{grant['lease']}", daemon=True)
-            for grant in grants]
+            for grant, worker in zip(grants, self._workers)]
         for t in threads:
             t.start()
         for t in threads:
@@ -192,7 +199,17 @@ class FederationAgent:
         return int(stats.get("queue_depth", 0))
 
     def run(self) -> dict:
-        """The agent main loop; returns a summary dict on exit."""
+        """The agent main loop; returns a summary dict on exit.  The
+        worker processes live exactly as long as this call."""
+        self._workers = [WorkerProcess() for _ in range(self.slots)]
+        try:
+            return self._run()
+        finally:
+            for worker in self._workers:
+                worker.close()
+            self._workers = []
+
+    def _run(self) -> dict:
         backoff = 0.1
         while not self.stop.is_set() and not self._register():
             if self.once:

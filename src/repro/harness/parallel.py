@@ -20,6 +20,13 @@ process that is killed outright — yields an *error record* (see
 :func:`is_error_record`) in that point's slot, and every other point
 still completes.  Error records are never written to the cache, so a
 repaired run recomputes exactly the failed points.
+
+The sweep service's lease holders compute their points differently:
+each owns one persistent :class:`WorkerProcess`, forked once and
+reaped — and re-forked — only when a point overruns its deadline or
+the process dies; :func:`compute_with_retry` and :func:`compute_point`
+add the retry/backoff and repetition loops on top.  ``sweep -j N``
+keeps its process pool.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -36,7 +45,7 @@ from repro.harness.cache import ResultCache
 
 __all__ = ["resolve_jobs", "sweep", "measured_sweep",
            "is_error_record", "error_record", "PointTimeout",
-           "WorkerDied", "RetryPolicy", "run_reaped",
+           "WorkerDied", "RetryPolicy", "WorkerProcess",
            "compute_with_retry", "compute_point"]
 
 
@@ -267,7 +276,8 @@ def _measure_point(base: Any, run_rep: Callable[[int], Any],
 
 
 # ---------------------------------------------------------------------------
-# reapable single-point execution (the sweep service's unit of work)
+# reapable point execution on a persistent worker process (the sweep
+# service's unit of work)
 # ---------------------------------------------------------------------------
 class PointTimeout(Exception):
     """A sweep point overran its wall-clock budget and was reaped."""
@@ -324,86 +334,183 @@ class RetryPolicy:
                                                 base.backoff_cap_s)))
 
 
-def _point_child(worker: Callable[[dict], Any], spec: dict, conn) -> None:
-    """Child-process body: compute one point, ship the outcome back."""
+#: how often an idle worker process checks that its parent is alive
+_PARENT_CHECK_S = 0.25
+#: how often a waiting parent checks its worker for death or deadline
+_REAP_CHECK_S = 0.05
+
+
+def _worker_loop(conn, parent_pid: int) -> None:
+    """Body of a :class:`WorkerProcess`: compute the ``(worker, spec)``
+    points sent down ``conn`` one at a time and ship back each result
+    (or its error record), until the pipe closes or the parent dies."""
     # Local alias: this is a multiprocessing pipe, not a simulation
     # coroutine — the alias also keeps the self-lint (CLM001) focused on
     # real sim-API misuse.
     ship = conn.send
-    try:
+    # a handler the owner installed (say, the daemon's graceful drain)
+    # must not run in here; the owner stops workers with SIGKILL anyway
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        # Poll rather than block on recv: sibling workers inherit the
+        # parent's end of this pipe, so a dead parent may never show up
+        # here as EOF.  Exit with os._exit so nothing inherited from
+        # the parent (buffered streams, finalizers) runs twice.
+        if not conn.poll(_PARENT_CHECK_S):
+            if os.getppid() != parent_pid:
+                os._exit(0)
+            continue
         try:
-            ship(("ok", worker(spec)))
+            worker, spec = conn.recv()
+        except EOFError:
+            os._exit(0)
+        try:
+            result = worker(spec)
         except Exception as exc:
-            ship(("error", error_record(spec, exc)))
-    finally:
-        conn.close()
+            result = error_record(spec, exc)
+        try:
+            ship(result)
+        except OSError:  # the parent is gone
+            os._exit(0)
+        except Exception as exc:  # the result does not pickle
+            ship(error_record(spec, exc))
 
 
-def run_reaped(worker: Callable[[dict], Any], spec: dict,
-               timeout_s: Optional[float] = None) -> Any:
-    """One point in a fresh process with a hard wall-clock deadline.
+class WorkerProcess:
+    """One persistent forked process that computes sweep points, one at
+    a time, each under a hard wall-clock deadline.
 
-    Returns the worker's result (or its error record, if it raised).
-    A point still running at the deadline is SIGKILLed and raises
-    :class:`PointTimeout`; a worker that dies without reporting (killed
-    from outside, interpreter crash) raises :class:`WorkerDied`.  Either
-    way the stuck/poisoned process is reaped — a hung worker can never
-    hang the caller.
+    The process is forked when the object is made and serves every
+    point :meth:`run` sends it.  It is reaped (SIGKILLed and joined) only
+    when a point overruns its deadline or the process dies, and the
+    next :meth:`run` forks a fresh one.  Points share the process but
+    not state: each is a self-contained simulation.
+
+    Each lease holder — a sweep-service local slot, or one lease thread
+    of a federation agent — owns one worker and runs one point on it at
+    a time.  :meth:`close` may come from any thread: it kills the
+    process and forks no other.
     """
-    ctx = multiprocessing.get_context()
-    parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_point_child, args=(worker, spec, child),
-                       daemon=True)
-    proc.start()
-    child.close()
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    try:
-        while True:
-            if parent.poll(0.02):
-                try:
-                    status, payload = parent.recv()
-                except (EOFError, OSError) as exc:
-                    proc.join()
-                    raise WorkerDied(
-                        f"worker exited (code {proc.exitcode}) without "
-                        "a result") from exc
-                proc.join()
-                return payload
-            if not proc.is_alive():
-                # drain the race window between poll() and is_alive()
-                if parent.poll(0):
-                    try:
-                        status, payload = parent.recv()
-                        proc.join()
-                        return payload
-                    except (EOFError, OSError):
-                        pass
-                proc.join()
-                raise WorkerDied(
-                    f"worker exited (code {proc.exitcode}) without "
-                    "a result")
-            if deadline is not None and time.monotonic() >= deadline:
-                proc.kill()
-                proc.join()
-                raise PointTimeout(
-                    f"point exceeded its {timeout_s}s budget and was "
-                    "reaped")
-    finally:
-        parent.close()
-        if proc.is_alive():  # pragma: no cover - belt and braces
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._proc = None
+        self._conn = None
+        self._busy = False
+        self._closed = False
+        with self._lock:
+            self._spawn()
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The live process's pid; None between a reap and the next
+        point."""
+        proc = self._proc
+        return None if proc is None else proc.pid
+
+    def _spawn(self) -> None:
+        """Fork the process (lock held).  Plain fork: the child starts
+        with every module its parent has imported."""
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        proc = ctx.Process(target=_worker_loop,
+                           args=(theirs, os.getpid()),
+                           name="point-worker", daemon=True)
+        proc.start()
+        theirs.close()
+        self._proc, self._conn = proc, ours
+
+    def _reap(self) -> None:
+        """Kill and join the process, if any (lock held)."""
+        proc, conn = self._proc, self._conn
+        self._proc = self._conn = None
+        if conn is not None:
+            conn.close()
+        if proc is not None:
             proc.kill()
             proc.join()
+            proc.close()
+
+    def run(self, worker: Callable[[dict], Any], spec: dict,
+            timeout_s: Optional[float] = None) -> Any:
+        """Compute one point; returns the worker's result (or its error
+        record, if it raised — the process keeps running).
+
+        A point still running at the deadline is SIGKILLed and raises
+        :class:`PointTimeout`; a process that dies without reporting
+        (killed from outside, interpreter crash) raises
+        :class:`WorkerDied`.  Either way the process is reaped — a hung
+        worker can never hang the caller.
+        """
+        with self._lock:
+            if self._closed:
+                raise WorkerDied("the worker process was closed")
+            if self._proc is not None and not self._proc.is_alive():
+                self._reap()  # died while idle: not this point's fault
+            if self._proc is None:
+                self._spawn()
+            self._busy = True
+            proc, conn = self._proc, self._conn
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        replied = False
+        try:
+            post = conn.send  # a pipe, not a sim coroutine (see above)
+            try:
+                post((worker, spec))
+            except OSError as exc:
+                raise WorkerDied("worker exited before it got the "
+                                 "point") from exc
+            while True:
+                wait_s = _REAP_CHECK_S if deadline is None else max(
+                    0.0, min(_REAP_CHECK_S, deadline - time.monotonic()))
+                # the alive check drains the race window between the
+                # worker replying and exiting
+                if conn.poll(wait_s) or (not proc.is_alive()
+                                         and conn.poll(0)):
+                    try:
+                        result = conn.recv()
+                    except (EOFError, OSError) as exc:
+                        raise WorkerDied(
+                            f"worker exited (code {proc.exitcode}) "
+                            "without a result") from exc
+                    replied = True
+                    return result
+                if not proc.is_alive():
+                    raise WorkerDied(
+                        f"worker exited (code {proc.exitcode}) without "
+                        "a result")
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise PointTimeout(
+                        f"point exceeded its {timeout_s}s budget and was "
+                        "reaped")
+        finally:
+            with self._lock:
+                self._busy = False
+                if not replied or self._closed:
+                    self._reap()
+
+    def close(self) -> None:
+        """Kill and join the process; fork no other.  Idempotent.  A
+        point in flight on another thread fails as :class:`WorkerDied`,
+        and that thread reaps the process."""
+        with self._lock:
+            self._closed = True
+            if not self._busy:
+                self._reap()
+            elif self._proc is not None:
+                self._proc.kill()
 
 
 def compute_with_retry(worker: Callable[[dict], Any], spec: dict,
-                       policy: RetryPolicy,
+                       policy: RetryPolicy, process: WorkerProcess,
                        sleep: Callable[[float], None] = time.sleep,
                        on_failure: Optional[
                            Callable[[str, int, bool], None]] = None
                        ) -> tuple[Any, dict]:
-    """Run one point under ``policy``; returns ``(result, meta)``.
+    """Run one point on ``process`` under ``policy``; returns
+    ``(result, meta)``.
 
-    ``meta`` records ``attempts`` (total launches) and ``failures``
+    ``meta`` records ``attempts`` (total attempts) and ``failures``
     (the infrastructure failures that forced each retry: ``"timeout"``
     or ``"died"``).  After the retry budget is spent the point comes
     back as an error record — never an exception, and never a hang:
@@ -420,7 +527,7 @@ def compute_with_retry(worker: Callable[[dict], Any], spec: dict,
     failures: list[str] = []
     for attempt in range(policy.retries + 1):
         try:
-            result = run_reaped(worker, spec, policy.timeout_s)
+            result = process.run(worker, spec, policy.timeout_s)
         except PointTimeout:
             failures.append("timeout")
         except WorkerDied:
@@ -448,16 +555,16 @@ def compute_with_retry(worker: Callable[[dict], Any], spec: dict,
 
 
 def compute_point(worker: Callable[[dict], Any], spec: dict,
-                  policy: RetryPolicy,
+                  policy: RetryPolicy, process: WorkerProcess,
                   measure: Optional[dict] = None,
                   on_failure: Optional[Callable] = None
                   ) -> tuple[Any, int]:
-    """One sweep point end-to-end: reaped execution with retry/backoff
-    and — when ``measure`` asks for repetitions — the adaptive loop of
-    :func:`_measure_point`.
+    """One sweep point end-to-end: reaped execution on ``process``
+    with retry/backoff and — when ``measure`` asks for repetitions —
+    the adaptive loop of :func:`_measure_point`.
 
     Returns ``(result, attempts)`` where ``attempts`` is the worst
-    per-rep launch count.  Every sweep service lease holder — local
+    per-rep attempt count.  Every sweep service lease holder — local
     slot or federation agent — computes through here, so the rows are
     byte-identical whoever computes them.
     """
@@ -468,7 +575,7 @@ def compute_point(worker: Callable[[dict], Any], spec: dict,
     def run(point_spec: dict) -> Any:
         nonlocal worst
         result, meta = compute_with_retry(worker, point_spec, policy,
-                                          on_failure=on_failure)
+                                          process, on_failure=on_failure)
         worst = max(worst, meta["attempts"])
         return result
 

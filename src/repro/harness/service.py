@@ -1,7 +1,7 @@
 """The sweep service: a persistent, fault-tolerant harness daemon.
 
 ``python -m repro.harness serve --socket /tmp/clmpi.sock`` turns the
-sweep machinery (content-addressed result store, reapable per-point
+sweep machinery (content-addressed result store, reapable worker
 processes, crash-proof error records) into a long-running *service*:
 
 * **Durable job queue** — submissions, leases and completions are
@@ -18,11 +18,14 @@ processes, crash-proof error records) into a long-running *service*:
   (sharded dirs, atomic rename-into-place, advisory locking, LRU
   eviction under a byte budget) that many daemons and CLI runs can
   read and write concurrently; completions store first-write-wins.
-* **Stuck-worker reaping** — every point runs in its own reapable
-  process under a wall-clock budget with exponential-backoff retries
-  (:func:`repro.harness.parallel.compute_with_retry`); a hung worker
-  becomes a completed (retried) point or an error record, never a hung
-  client, and a poisoned worker can only ever take its own point down.
+* **Stuck-worker reaping** — each lease holder owns one persistent
+  worker process (:class:`repro.harness.parallel.WorkerProcess`,
+  forked when the daemon starts) and runs every point on it under a
+  wall-clock budget with exponential-backoff retries
+  (:func:`repro.harness.parallel.compute_with_retry`); an overrunning
+  or dead worker is reaped and re-forked, so a hung worker becomes a
+  completed (retried) point or an error record, never a hung client,
+  and a poisoned worker can only ever take its own point down.
 * **In-flight deduplication** — identical points submitted by
   different jobs (same content address and measurement policy) compute
   once and deliver everywhere.
@@ -61,6 +64,7 @@ from typing import Any, Callable, Optional
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import (
     RetryPolicy,
+    WorkerProcess,
     compute_point,
     error_record,
     is_error_record,
@@ -104,16 +108,17 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def run_grant(grant: dict,
+def run_grant(grant: dict, process: WorkerProcess,
               on_failure: Optional[Callable] = None) -> tuple[Any, int]:
-    """Compute one leased point; returns ``(result, attempts)``.  The
-    unit of work of every lease holder, local slot or federation agent;
-    the coordinator, not the holder, stores the result."""
+    """Compute one leased point on the holder's worker ``process``;
+    returns ``(result, attempts)``.  The unit of work of every lease
+    holder, local slot or federation agent; the coordinator, not the
+    holder, stores the result."""
     try:
         return compute_point(resolve_worker(grant["worker"]),
                              grant["spec"],
                              RetryPolicy.from_dict(grant["policy"]),
-                             measure=grant.get("measure"),
+                             process, measure=grant.get("measure"),
                              on_failure=on_failure)
     except Exception as exc:  # defensive: never lose a lease
         return error_record(grant["spec"], exc), 1
@@ -122,10 +127,11 @@ def run_grant(grant: dict,
 class SweepService:
     """The daemon: queue + store + lease holders (see module doc).
 
-    Usable fully in-process (tests, embedding): ``start()`` spins up
-    the local worker slots, the housekeeping thread and — when a socket
-    path or TCP port was given — the listener threads;
-    ``submit()``/``wait()`` work with or without any socket.
+    Usable fully in-process (tests, embedding): ``start()`` forks one
+    worker process per local slot, then spins up the slots, the
+    housekeeping thread and — when a socket path or TCP port was given
+    — the listener threads; ``submit()``/``wait()`` work with or
+    without any socket.  ``stop()`` kills and joins every worker.
     """
 
     def __init__(self, root: Path | str,
@@ -178,6 +184,8 @@ class SweepService:
         #: agent id -> registry entry (federation; see docs/service.md)
         self._agents: dict[str, dict] = {}
         self._threads: list[threading.Thread] = []
+        #: slot i's worker process (forked at start, closed at stop)
+        self._workers: list[WorkerProcess] = []
         self._servers: list[socketserver.BaseServer] = []
         self._watchers: list[tuple[Optional[str], "_Watcher"]] = []
         self.queue.on_event = self._on_queue_event
@@ -188,15 +196,19 @@ class SweepService:
         if self.started:
             return
         self.started = True
-        # Reaped point workers fork from this process; close the
-        # listening sockets in every child so an orphan (parent
-        # SIGKILLed mid-point) cannot keep the address half-alive.
+        # Point workers fork from this process; close the listening
+        # sockets in every child so an orphan (parent SIGKILLed
+        # mid-point) cannot keep the address half-alive.
         mp_util.register_after_fork(self, SweepService._drop_listeners)
-        loops = [("svc-housekeeping", self._housekeeping_loop)]
-        loops += [(f"svc-slot-{i}", self._slot_loop)
-                  for i in range(self.jobs)]
-        for name, loop in loops:
-            t = threading.Thread(target=loop, name=name, daemon=True)
+        # fork before any thread of ours exists; a worker re-forked
+        # after a reap is the only fork from a threaded daemon
+        self._workers = [WorkerProcess() for _ in range(self.jobs)]
+        loops = [("svc-housekeeping", self._housekeeping_loop, ())]
+        loops += [(f"svc-slot-{i}", self._slot_loop, (worker,))
+                  for i, worker in enumerate(self._workers)]
+        for name, loop, args in loops:
+            t = threading.Thread(target=loop, name=name, args=args,
+                                 daemon=True)
             t.start()
             self._threads.append(t)
         if self.socket_path is not None:
@@ -216,6 +228,12 @@ class SweepService:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
+        # kill the workers before joining their slots: a point in flight
+        # fails at once instead of holding up stop(), and its slot then
+        # leaves it uncompleted (see _slot_loop)
+        for worker in self._workers:
+            worker.close()
+        self._workers.clear()
         for t in self._threads:
             t.join(timeout=5.0)
         self._threads.clear()
@@ -403,9 +421,12 @@ class SweepService:
             self._work_gen += 1
             self._work.notify_all()
 
-    def _slot_loop(self) -> None:
+    def _slot_loop(self, worker: WorkerProcess) -> None:
         """One local worker slot: the agent loop, in process — take a
-        lease from the shared walk, compute it, complete it."""
+        lease from the shared walk, compute it on the slot's own
+        ``worker`` process, complete it.  A point cut short by
+        :meth:`stop` is not completed: its local lease is released when
+        the daemon next starts, and the point computes again then."""
         while not self._stop.is_set():
             with self._work:
                 seen = self._work_gen
@@ -421,10 +442,13 @@ class SweepService:
                 grant["kind"]
             self.telemetry.point_running(job_id, index, kind)
             result, attempts = run_grant(
-                grant, on_failure=lambda failure, attempt, will_retry:
+                grant, worker,
+                on_failure=lambda failure, attempt, will_retry:
                     self.telemetry.point_failure(
                         job_id, index, kind, failure, attempt,
                         will_retry))
+            if self._stop.is_set():
+                return
             self._complete(LOCAL_HOLDER, grant["lease"], job_id, index,
                            result, attempts)
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,40 @@ from repro.launcher import ClusterApp
 from repro.mpi.world import MpiWorld
 from repro.sim import Environment, Tracer
 from repro.systems import cichlid, ricc
+
+
+def _live_children() -> list[str]:
+    """This process's live (not zombie) children, as ``pid command``."""
+    multiprocessing.active_children()  # joins finished workers
+    me, found = str(os.getpid()), []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            head, _, tail = stat.read_text().rpartition(")")
+        except OSError:  # the process exited meanwhile
+            continue
+        state, ppid = tail.split()[:2]
+        if ppid == me and state != "Z":
+            found.append(head.replace(" (", " ", 1))
+    return found
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a test left a child process running (a worker
+    process, daemon or agent that outlived its owner).  Children that
+    are already exiting get a few seconds to finish."""
+    deadline = time.monotonic() + 5.0
+    while (left := _live_children()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if left:
+        reporter = session.config.pluginmanager.get_plugin(
+            "terminalreporter")
+        if reporter is not None:
+            reporter.write("\n")
+            reporter.write_sep("=", "child processes left running",
+                               red=True)
+            for child in left:
+                reporter.write_line(child)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(autouse=True)

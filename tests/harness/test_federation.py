@@ -12,6 +12,7 @@ recovery.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -338,6 +339,31 @@ class TestFederationInProcess:
             assert canon(out["results"]) == canon(serial_rows(specs))
         finally:
             svc.stop()
+
+    def test_once_agent_exits_with_its_workers_reaped(self, tmp_path):
+        """An agent's slots compute on worker processes it forked, and
+        those are killed and joined before ``run_agent`` returns."""
+        specs = [{"i": i} for i in range(4)]
+        svc = self._coordinator(tmp_path)
+        try:
+            job = svc.submit("pids", specs, {
+                "worker": "tests.harness.test_service:pid_point"})
+            agent = threading.Thread(
+                target=run_agent,
+                kwargs=dict(socket_path=svc.socket_path, name="a1",
+                            slots=2, once=True), daemon=True)
+            agent.start()
+            agent.join(timeout=60)
+            assert not agent.is_alive()
+            assert multiprocessing.active_children() == []
+            out = svc.result(job["job"])
+        finally:
+            svc.stop()
+        pids = {row["pid"] for row in out["results"]}
+        assert out["errors"] == 0 and os.getpid() not in pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # already reaped
 
     def test_coordinator_with_zero_slots_computes_nothing(self,
                                                           tmp_path):

@@ -10,6 +10,7 @@ resume its journaled queue on restart.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import socket as socket_mod
@@ -39,6 +40,11 @@ def slow_point(spec: dict) -> dict:
     """Deterministic result after an optional sleep (pacing for tests)."""
     time.sleep(spec.get("sleep_s", 0))
     return {"i": spec["i"], "value": spec["i"] * 3}
+
+
+def pid_point(spec: dict) -> dict:
+    """Which process computed the point."""
+    return {"i": spec["i"], "pid": os.getpid()}
 
 
 def hang_once_point(spec: dict) -> dict:
@@ -170,6 +176,55 @@ class TestServiceSmoke:
                     str(d).encode(), b"OUT")
                 a, b = norm(a, local_dir), norm(b, remote_dir)
             assert a == b, f"artifact {name} diverged via the service"
+
+
+class TestWorkerProcesses:
+    def test_slots_reuse_their_workers_and_stop_reaps_them(self,
+                                                           tmp_path):
+        """Each local slot computes on one persistent worker process,
+        forked at start(); stop() kills and joins them all."""
+        svc = SweepService(tmp_path / "svc", jobs=2)
+        svc.start()
+        try:
+            forked = {w.pid for w in svc._workers}
+            job = svc.submit("pids", [{"i": i} for i in range(8)],
+                             {"worker": "tests.harness.test_service:"
+                                        "pid_point"})
+            out = svc.wait(job["job"], timeout_s=60)
+        finally:
+            svc.stop()
+        used = {row["pid"] for row in out["results"]}
+        assert len(forked) == 2 and used <= forked
+        assert multiprocessing.active_children() == []
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # already reaped
+
+    def test_stop_leaves_an_inflight_point_to_the_next_start(self,
+                                                            tmp_path):
+        """stop() kills a worker mid-point rather than waiting for it;
+        the point is not recorded (not even as an error), so a
+        restarted daemon finds it pending again."""
+        root = tmp_path / "svc"
+        svc = SweepService(root, jobs=1)
+        svc.start()
+        spec = {"i": 1, "marker": str(tmp_path / "started")}
+        job = svc.submit("hang", [spec], {
+            "worker": "tests.harness.test_service:hang_once_point"})
+        try:
+            _poll_until(lambda: Path(spec["marker"]).exists(),
+                        timeout_s=30)
+        finally:
+            t0 = time.monotonic()
+            svc.stop()
+        assert time.monotonic() - t0 < 5.0
+        assert multiprocessing.active_children() == []
+        restarted = SweepService(root, jobs=0)
+        try:
+            assert restarted.queue.get(job["job"]).pending_indices() \
+                == [0]
+        finally:
+            restarted.stop()
 
 
 def _connect(sock_path: str, timeout_s: float = 20.0) -> ServiceClient:

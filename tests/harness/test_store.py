@@ -6,8 +6,9 @@ once.  These tests pin the guarantees that make that safe — a reader
 only ever observes complete entries (writes are atomic renames),
 eviction never removes an entry someone is mid-write on (advisory lock
 probe), the corrupt-entry recovery path cannot destroy a concurrent
-writer's fresh data (quarantine-rename + inode identity), and the
-persisted counters lose no update under concurrent threads.
+writer's fresh data (quarantine-rename + inode identity), the
+persisted counters lose no update under concurrent threads, and a
+process forked while a lock is held does not keep it.
 """
 
 from __future__ import annotations
@@ -188,6 +189,33 @@ class TestPersistedStats:
         stats = store.read_stats()
         assert (stats["hits"], stats["misses"]) == (300, 300)
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_lock_released_while_a_forked_child_lives(self, tmp_path):
+        """A child forked while ``stats.lock`` is held shares the locked
+        file description; leaving the context must still release the
+        lock, or every later stats update blocks until the child dies
+        (a persistent worker process never does)."""
+        fcntl = pytest.importorskip("fcntl")
+        store = ResultCache(root=tmp_path, version="v1")
+        release_r, release_w = os.pipe()
+        with store._locked(store._stats_path) as held:
+            assert held
+            pid = os.fork()
+            if pid == 0:  # child: hold the inherited fd until released
+                os.close(release_w)
+                os.read(release_r, 1)
+                os._exit(0)
+        os.close(release_r)
+        try:
+            fd = os.open(store._lock_path(store._stats_path), os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+            assert os.waitpid(pid, os.WNOHANG) == (0, 0)  # child alive
+        finally:
+            os.close(release_w)
+            os.waitpid(pid, 0)
 
 
 class TestCorruptRecovery:
