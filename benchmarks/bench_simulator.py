@@ -5,6 +5,8 @@ the optimizing-code discipline: measure before trusting.  They also act
 as performance regression tripwires for the DES engine.
 """
 
+import sys
+
 import numpy as np
 
 from repro.mpi import MpiWorld
@@ -121,8 +123,12 @@ def test_metrics_detached_is_free():
         f"attached {attached:.4f}s"
 
 
-def _mpi_loop_run(faults: bool) -> float:
-    """1k-message MPI loop with or without the fault/FT stack attached."""
+def _mpi_loop_run(faults: bool, profile=None) -> float:
+    """1k-message MPI loop with or without the fault/FT stack attached.
+
+    ``profile`` is installed with ``sys.setprofile`` around the run
+    itself (world construction excluded).
+    """
     from repro.faults import FaultPlan
 
     world = MpiWorld(cichlid(), 2,
@@ -136,7 +142,14 @@ def _mpi_loop_run(faults: bool) -> float:
             else:
                 yield from comm.recv(buf, 0, tag=i)
 
-    world.run(main)
+    if profile is None:
+        world.run(main)
+    else:
+        sys.setprofile(profile)
+        try:
+            world.run(main)
+        finally:
+            sys.setprofile(None)
     return world.env.now
 
 
@@ -174,6 +187,30 @@ def test_failure_detector_detached_is_free():
     assert detached <= attached * 1.25, \
         f"fault-free hot path regressed: {detached:.4f}s vs " \
         f"fault-attached {attached:.4f}s"
+
+
+#: observer and fault modules a detached run must never enter
+_ATTACHMENT_MODULES = ("repro.obs", "repro.analysis", "repro.faults",
+                       "repro.sim.trace")
+
+
+def test_mpi_loop_detached_enters_no_attachment_code():
+    """Exact guard beside the best-of-3 timing tripwires: with no
+    tracer, monitor, metrics registry, fault plan or schedule policy
+    attached, the 1k-message MPI loop must not enter one function of the
+    observer and fault modules.  Unlike the timing comparisons this
+    cannot be hidden by noise: a single stray call fails it."""
+    entered = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if any(module == m or module.startswith(m + ".")
+                   for m in _ATTACHMENT_MODULES):
+                entered.add(f"{module}.{frame.f_code.co_name}")
+
+    assert _mpi_loop_run(False, profile=profile) > 0
+    assert not entered, f"detached MPI loop entered {sorted(entered)}"
 
 
 def _policy_loop_run(policy: bool) -> float:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Any, Generator
+from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.sim import Environment, Resource
+from repro.sim import Chain, Environment, Event, Resource
+from repro.sim.core import Next
 
-__all__ = ["NicSpec", "Nic", "FabricSpec", "Fabric"]
+__all__ = ["NicSpec", "Nic", "FabricSpec", "Fabric", "FabricChain"]
 
 
 @dataclass(frozen=True)
@@ -127,43 +128,32 @@ class Fabric:
     def send(self, src: int, dst: int, nbytes: int,
              label: str = "msg",
              rate_limit: float | None = None,
-             flow: int = 0) -> Generator[Any, Any, float]:
-        """Coroutine: move ``nbytes`` from node ``src`` to node ``dst``.
+             flow: int = 0) -> "FabricChain":
+        """Move ``nbytes`` from node ``src`` to node ``dst``, starting now.
 
-        Occupies the source tx port and destination rx port for the whole
-        message duration (store-and-forward at message granularity, which
-        is how MPI-over-sockets and IPoIB behave for the sizes evaluated).
+        Returns the transfer, an event firing with the elapsed time once
+        the bytes have landed (its ``fate`` says whether a fault
+        injector lost them; see :meth:`FabricChain._wire`).  Protocol
+        layers drive the same step from their own chains instead.
         """
         src = self._check_node(src, "src")
         dst = self._check_node(dst, "dst")
-        start = self.env.now
-        if src == dst:
-            yield self.env.timeout(nbytes / self.spec.loopback_bandwidth)
-            return self.env.now - start
-        # Inlined Resource.acquire (×2) and unloaded_time: Fabric.send sits
-        # on the per-message hot path, and the generator frames of the
-        # acquire helpers are measurable at MPI message rates.
-        tx, rx = self.nics[src].tx, self.nics[dst].rx
-        tx_grant = tx.request()
-        yield tx_grant
-        rx_grant = rx.request()
-        yield rx_grant
-        try:
-            bw = self._effective_bandwidth(src, dst, rate_limit)
-            yield self.env.timeout(self.spec.nic.latency + nbytes / bw
-                                   + self.spec.switch_latency)
-        finally:
-            rx.release(rx_grant)
-            tx.release(tx_grant)
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc("net.messages")
-            metrics.inc("net.bytes", nbytes)
-        if self.env.tracer is not None:
-            self.env.tracer.record(self.nics[src].lane + ".tx", label,
-                                   start, self.env.now, "net", flow=flow,
-                                   nbytes=nbytes, dst=dst)
-        return self.env.now - start
+        chain = FabricChain(self, "fabric.send")
+        chain._wait(*chain._wire(src, dst, nbytes, label, rate_limit, flow,
+                                 FabricChain._sent))
+        return chain
+
+    def control_message(self, src: int, dst: int) -> "FabricChain":
+        """A control packet from ``src`` to ``dst``, starting now.
+
+        Returns an event firing with the packet's fate (see
+        :meth:`FabricChain._control`).
+        """
+        src = self._check_node(src, "src")
+        dst = self._check_node(dst, "dst")
+        chain = FabricChain(self, "fabric.control")
+        chain._wait(*chain._control(src, dst, FabricChain._controlled))
+        return chain
 
     def _effective_bandwidth(self, src: int, dst: int,
                              rate_limit: float | None) -> float:
@@ -181,80 +171,139 @@ class Fabric:
                 bw /= derate
         return bw
 
-    def send_checked(self, src: int, dst: int, nbytes: int,
-                     label: str = "msg",
-                     rate_limit: float | None = None,
-                     flow: int = 0,
-                     ) -> Generator[Any, Any, tuple[float, str]]:
-        """Coroutine: a fault-aware :meth:`send`; returns ``(elapsed, fate)``.
 
-        The frame's fate comes from ``env.faults`` (``"ok"`` when no
-        injector is attached):
+class FabricChain(Chain):
+    """A chain that moves bytes over a :class:`Fabric`.
 
-        * ``"ok"`` — behaves exactly like :meth:`send`.
+    The fabric's two timing rules live here, once: :meth:`_wire` (a
+    data frame holding the ports) and :meth:`_control` (a control
+    packet).  Both are called from inside a step, return what that step
+    should wait for, and run a continuation step when done, leaving the
+    outcome in :attr:`fate` — so protocol chains (the MPI send path)
+    put them in sequence without a generator frame or an event of their
+    own.  Node ids must already be valid indices: :meth:`Fabric.send`
+    and :meth:`Fabric.control_message` check theirs, protocol layers
+    pass the cluster's own.
+    """
+
+    __slots__ = ("fabric", "fate", "_src", "_dst", "_nbytes", "_label",
+                 "_rate", "_flow", "_start", "_tx", "_rx", "_then")
+
+    def __init__(self, fabric: Fabric, name: str):
+        super().__init__(fabric.env, name)
+        self.fabric = fabric
+        #: outcome of the last wire or control step: "ok", or a fault
+        #: injector's "drop"/"corrupt"/"down"/"dead"
+        self.fate = "ok"
+
+    def _wire(self, src: int, dst: int, nbytes: int, label: str,
+              rate_limit: float | None, flow: int, then: Callable) -> Next:
+        """Move ``nbytes`` from ``src`` to ``dst``; then run ``then``.
+
+        A frame occupies the source tx port and the destination rx port
+        for its whole duration (store-and-forward at message
+        granularity, which is how MPI-over-sockets and IPoIB behave for
+        the sizes evaluated).  Its fate comes from ``env.faults``
+        (``"ok"`` when no injector is attached):
+
+        * ``"ok"`` — the bytes arrive.
         * ``"drop"`` / ``"corrupt"`` — the frame occupies the wire for
           its full duration (the bytes travel; the receiver discards
           them), so a retransmitting sender pays realistic time.
         * ``"down"`` / ``"dead"`` — the local NIC stack detects the
           unreachable peer after its own latency; the ports are never
           occupied.
+
+        Loopback (``src == dst``) is a memcpy: nothing on the wire to
+        lose.
         """
+        fabric = self.fabric
+        self._src = src
+        self._dst = dst
+        self._nbytes = nbytes
+        self._label = label
+        self._rate = rate_limit
+        self._flow = flow
         env = self.env
-        src = self._check_node(src, "src")
-        dst = self._check_node(dst, "dst")
-        start = env.now
+        self._start = env._now
         if src == dst:
-            # Loopback is a memcpy — nothing on the wire to drop.
-            yield env.timeout(nbytes / self.spec.loopback_bandwidth)
-            return env.now - start, "ok"
+            self.fate = "ok"
+            return env.timeout(nbytes / fabric.spec.loopback_bandwidth), then
         faults = env.faults
         fate = ("ok" if faults is None
                 else faults.link_fate(src, dst, nbytes, label, flow=flow))
-        if fate in ("down", "dead"):
-            yield env.timeout(self.spec.nic.latency)
-            return env.now - start, fate
-        tx, rx = self.nics[src].tx, self.nics[dst].rx
-        tx_grant = tx.request()
-        yield tx_grant
-        rx_grant = rx.request()
-        yield rx_grant
+        self.fate = fate
+        if fate == "down" or fate == "dead":
+            return env.timeout(fabric.spec.nic.latency), then
+        self._then = then
+        self._tx = fabric.nics[src].tx.request()
+        return self._tx, FabricChain._tx_granted
+
+    def _tx_granted(self, event: Event) -> Next:
+        self._rx = self.fabric.nics[self._dst].rx.request()
+        return self._rx, FabricChain._rx_granted
+
+    def _rx_granted(self, event: Event) -> Next:
+        fabric = self.fabric
         try:
-            bw = self._effective_bandwidth(src, dst, rate_limit)
-            yield env.timeout(self.spec.nic.latency + nbytes / bw
-                              + self.spec.switch_latency)
-        finally:
-            rx.release(rx_grant)
-            tx.release(tx_grant)
+            bw = fabric._effective_bandwidth(self._src, self._dst,
+                                             self._rate)
+            wire = self.env.timeout(fabric.spec.nic.latency
+                                    + self._nbytes / bw
+                                    + fabric.spec.switch_latency)
+        except BaseException:
+            self._release()
+            raise
+        return wire, FabricChain._landed
+
+    def _release(self) -> None:
+        rx, tx = self._rx, self._tx
+        rx.resource.release(rx)
+        tx.resource.release(tx)
+
+    def _landed(self, event: Event) -> Next:
+        self._release()
+        env = self.env
+        nbytes = self._nbytes
         metrics = env.metrics
         if metrics is not None:
             metrics.inc("net.messages")
             metrics.inc("net.bytes", nbytes)
         if env.tracer is not None:
-            env.tracer.record(self.nics[src].lane + ".tx",
+            fate = self.fate
+            label = self._label
+            env.tracer.record(self.fabric.nics[self._src].lane + ".tx",
                               label if fate == "ok" else f"{label}!{fate}",
-                              start, env.now, "net", flow=flow,
-                              nbytes=nbytes, dst=dst)
-        return env.now - start, fate
+                              self._start, env.now, "net", flow=self._flow,
+                              nbytes=nbytes, dst=self._dst)
+        return self._then(self, event)
 
-    def control_message(self, src: int,
-                        dst: int) -> Generator[Any, Any, str]:
-        """Coroutine: a tiny control packet (rendezvous RTS/CTS, acks).
+    def _control(self, src: int, dst: int, then: Callable) -> Next:
+        """A tiny control packet (rendezvous RTS/CTS, acks); then run
+        ``then``.
 
         Does not occupy the ports — control traffic rides the wire
-        alongside bulk data.  Returns the packet's fate: ``"ok"``, or
-        ``"down"``/``"dead"`` when a fault injector has taken an
-        endpoint's NIC offline (control packets are never dropped or
-        corrupted — they are tiny and checksummed/retried below the
-        layer we model).
+        alongside bulk data.  Its fate is ``"ok"``, or ``"down"`` /
+        ``"dead"`` when a fault injector has taken an endpoint's NIC
+        offline (control packets are never dropped or corrupted — they
+        are tiny and checksummed/retried below the layer we model).
         """
-        src = self._check_node(src, "src")
-        dst = self._check_node(dst, "dst")
+        fabric = self.fabric
+        env = self.env
         if src == dst:
-            yield self.env.timeout(0.0)
-            return "ok"
-        faults = self.env.faults
-        fate = ("ok" if faults is None
-                else faults.control_fate(src, dst))
-        yield self.env.timeout(self.spec.nic.latency
-                               + self.spec.switch_latency)
-        return fate
+            self.fate = "ok"
+            return env.timeout(0.0), then
+        faults = env.faults
+        self.fate = ("ok" if faults is None
+                     else faults.control_fate(src, dst))
+        return (env.timeout(fabric.spec.nic.latency
+                            + fabric.spec.switch_latency), then)
+
+    # -- standalone endings (Fabric.send / Fabric.control_message) -----
+    def _sent(self, event: Event) -> Next:
+        self.succeed(self.env.now - self._start)
+        return None
+
+    def _controlled(self, event: Event) -> Next:
+        self.succeed(self.fate)
+        return None

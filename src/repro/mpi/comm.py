@@ -24,12 +24,14 @@ import numpy as np
 
 from repro.errors import MpiError, MpiRankFailed, MpiRevoked
 from repro.hardware.cluster import Cluster
+from repro.hardware.network import FabricChain
 from repro.mpi import collectives as _coll
 from repro.mpi.ft import detector_of
 from repro.mpi.matching import Endpoint, Envelope, PostedRecv
 from repro.mpi.request import Request
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
-from repro.sim import Environment, Event, LOW
+from repro.sim import LOW, Chain, Environment, Event
+from repro.sim.core import PENDING, Next
 
 __all__ = ["MpiConfig", "Communicator"]
 
@@ -345,118 +347,8 @@ class Communicator:
             name = "mpi.send"
         if matched is not None:
             self._start_recv_finish(envelope, matched, unexpected=False)
-        env.process(self._send_proc(envelope, completion, rate_limit),
-                    name=name)
+        _SendChain(self, envelope, completion, rate_limit, name)
         return Request(env, completion, kind="send")
-
-    def _send_proc(self, envelope: Envelope, completion: Event,
-                   rate_limit: Optional[float]):
-        state, env = self._state, self.env
-        fabric = state.cluster.fabric
-        src_node = state.node_id(envelope.src)
-        dst_node = state.node_id(envelope.dst)
-        overhead = fabric.spec.nic.per_message_overhead
-        traced = env.tracer is not None
-        if envelope.protocol == "eager":
-            if not envelope.is_object:
-                # NIC initiation + staging copy into the eager buffer:
-                # one fused delay (nothing observes the boundary).
-                overhead += envelope.nbytes / self._memcpy_bw
-            yield env.timeout(overhead)
-            label = f"eager t{envelope.tag}" if traced else "eager"
-            if env.faults is None:
-                yield from fabric.send(src_node, dst_node, envelope.nbytes,
-                                       label=label, rate_limit=rate_limit,
-                                       flow=envelope.flow)
-                envelope.arrived.succeed()
-                completion.succeed()
-                return
-            delivered = yield from self._reliable_send(
-                envelope, src_node, dst_node, label, rate_limit)
-            if delivered:
-                envelope.arrived.succeed()
-                completion.succeed()
-            else:
-                self._fail_send(envelope, completion)
-        else:
-            try:
-                yield envelope.cts  # clear-to-send from the receiver
-            except MpiError as exc:
-                # The handshake was poisoned (communicator revoked while
-                # this sender was parked waiting for the receiver).
-                self._abort_send(envelope, completion, exc)
-                return
-            yield from fabric.control_message(dst_node, src_node)
-            recv_rate = envelope.recv_rate
-            if recv_rate is not None:
-                rate_limit = (recv_rate if rate_limit is None
-                              else min(rate_limit, recv_rate))
-            label = f"rndv t{envelope.tag}" if traced else "rndv"
-            if env.faults is None:
-                yield from fabric.send(src_node, dst_node, envelope.nbytes,
-                                       label=label, rate_limit=rate_limit,
-                                       flow=envelope.flow)
-            else:
-                delivered = yield from self._reliable_send(
-                    envelope, src_node, dst_node, label, rate_limit)
-                if not delivered:
-                    self._fail_send(envelope, completion)
-                    return
-            # zero-copy deposit into the matched receive buffer
-            dst_buf = envelope.recv_buf
-            if dst_buf is not None and envelope.payload is not None:
-                self._deposit(envelope.payload, dst_buf)
-            envelope.arrived.succeed()
-            completion.succeed()
-
-    def _reliable_send(self, envelope: Envelope, src_node: int,
-                       dst_node: int, label: str,
-                       rate_limit: Optional[float]
-                       ) -> Generator[Any, Any, bool]:
-        """Ack/timeout/retransmit delivery loop (fault injection active).
-
-        Each wire attempt's fate comes from the fault injector: dropped
-        or corrupted frames cost their full wire time, a downed NIC
-        costs only the local detection latency.  A successful frame is
-        acknowledged by a control packet back from the receiver; a lost
-        ack looks exactly like a lost frame.  After each failed attempt
-        the sender backs off exponentially from ``ack_timeout``.
-
-        Returns True once delivered, False when ``max_retries`` is
-        exhausted (the caller turns that into an ``MpiError``).
-        """
-        env = self.env
-        fabric = self._state.cluster.fabric
-        cfg = self._state.config
-        metrics = env.metrics
-        delay = cfg.ack_timeout
-        fate = "ok"
-        for attempt in range(cfg.max_retries + 1):
-            if attempt:
-                if metrics is not None:
-                    metrics.inc("mpi.backoffs")
-                    metrics.inc("mpi.retransmits")
-                yield env.timeout(delay)  # backoff before retransmitting
-                delay *= cfg.retry_backoff
-            _elapsed, fate = yield from fabric.send_checked(
-                src_node, dst_node, envelope.nbytes,
-                label=label, rate_limit=rate_limit, flow=envelope.flow)
-            if fate != "ok":
-                envelope.retries = attempt + 1
-                if fate == "dead":
-                    break  # fail-stop peer: retransmission cannot help
-                continue
-            fate = yield from fabric.control_message(dst_node, src_node)
-            if fate == "ok":
-                envelope.retries = attempt
-                if metrics is not None:
-                    metrics.inc("mpi.acks")
-                return True
-            envelope.retries = attempt + 1
-            if fate == "dead":
-                break  # the ack will never come; stop retransmitting
-        envelope.last_fate = fate
-        return False
 
     def _abort_send(self, envelope: Envelope, completion: Event,
                     exc: BaseException) -> None:
@@ -594,7 +486,7 @@ class Communicator:
 
     def _start_recv_finish(self, envelope: Envelope, posted: PostedRecv,
                            unexpected: bool) -> None:
-        """Spawn the completion coroutine for a matched pair.
+        """Start the receiver-side chain of a matched pair.
 
         ``unexpected`` is True when the envelope arrived before the
         receive was posted (buffered eager data costs an extra copy).
@@ -603,57 +495,15 @@ class Communicator:
             raise MpiError(
                 f"object/buffer API mismatch on tag {envelope.tag} "
                 f"(src {envelope.src} -> dst {envelope.dst})")
-        self.env.process(
-            self._recv_finish(envelope, posted, unexpected),
-            name=f"mpi.recv r{envelope.dst}<-r{envelope.src} t{envelope.tag}"
-            if self.env.monitor is not None else "mpi.recv")
+        _RecvChain(self, envelope, posted, unexpected,
+                   f"mpi.recv r{envelope.dst}<-r{envelope.src} "
+                   f"t{envelope.tag}"
+                   if self.env.monitor is not None else "mpi.recv")
 
     def _fail_recv(self, posted: PostedRecv, exc: BaseException) -> None:
         """Propagate a sender-side delivery failure to the receive request."""
         posted.completion.fail(exc)
         posted.completion._defused = True
-
-    def _recv_finish(self, envelope: Envelope, posted: PostedRecv,
-                     unexpected: bool):
-        env = self.env
-        posted.flow = envelope.flow  # receiver-side stages join the chain
-        if envelope.protocol == "eager":
-            # Was the payload already buffered at the receiver when the
-            # receive got matched?  Then draining it costs an extra copy.
-            buffered = unexpected and envelope.arrived.triggered
-            try:
-                yield envelope.arrived
-            except MpiError as exc:
-                self._fail_recv(posted, exc)
-                return
-            if envelope.is_object:
-                status = Status(envelope.src, envelope.tag, envelope.nbytes)
-                self._trace_recv(envelope, env.now, env.now)
-                posted.completion.succeed((envelope.payload, status))
-                return
-            drained = env.now
-            if buffered:
-                node = self._state.cluster[
-                    self._state.node_id(envelope.dst)]
-                yield env.timeout(
-                    envelope.nbytes / node.host.spec.memcpy_bandwidth)
-            if posted.buf is not None and envelope.payload is not None:
-                self._deposit(envelope.payload, posted.buf)
-            self._trace_recv(envelope, drained, env.now)
-            posted.completion.succeed(
-                Status(envelope.src, envelope.tag, envelope.nbytes))
-        else:
-            envelope.recv_buf = posted.buf
-            envelope.recv_rate = posted.rate_limit
-            envelope.cts.succeed()
-            try:
-                yield envelope.arrived
-            except MpiError as exc:
-                self._fail_recv(posted, exc)
-                return
-            self._trace_recv(envelope, env.now, env.now)
-            posted.completion.succeed(
-                Status(envelope.src, envelope.tag, envelope.nbytes))
 
     def _trace_recv(self, envelope: Envelope, start: float,
                     end: float) -> None:
@@ -843,8 +693,8 @@ class Communicator:
                 cts = envelope.cts
                 if cts is not None and not cts.triggered:
                     # Wake the rendezvous sender parked on clear-to-send;
-                    # _send_proc turns this into a failed (defused)
-                    # request on the sender's side.
+                    # its chain (_SendChain._cleared) turns this into a
+                    # failed (defused) request on the sender's side.
                     cts.fail(self._revoked_error("rendezvous"))
                     cts._defused = True
                 envelope.matched = True
@@ -1010,3 +860,218 @@ class Communicator:
         return _coll.nonblocking(
             self, self._collective(_coll.allreduce(self, sendbuf, recvbuf,
                                                    op)))
+
+
+# =========================================================================
+# per-message chains (see repro.sim.Chain)
+# =========================================================================
+class _SendChain(FabricChain):
+    """The sender side of one message.
+
+    Eager: NIC initiation plus the staging copy, then the wire.
+    Rendezvous: wait for clear-to-send, the CTS control packet back,
+    then the wire straight out of the send buffer into the matched
+    receive buffer.  While a fault injector is attached every wire
+    attempt is acknowledged by a control packet from the receiver; a
+    lost frame or ack costs a backoff from ``ack_timeout`` and a
+    retransmission, until ``max_retries`` is spent or the peer is known
+    dead (:meth:`Communicator._fail_send`).
+    """
+
+    __slots__ = ("comm", "envelope", "completion", "_attempt", "_delay")
+
+    def __init__(self, comm: Communicator, envelope: Envelope,
+                 completion: Event, rate_limit: Optional[float],
+                 name: str):
+        # FabricChain.__init__ inlined (one chain per message)
+        fabric = comm._state.cluster.fabric
+        self.env = fabric.env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = PENDING
+        self._defused = False
+        self.name = name
+        self.fabric = fabric
+        self.fate = "ok"
+        self.comm = comm
+        self.envelope = envelope
+        self.completion = completion
+        self._rate = rate_limit
+        self._boot(_SendChain._started)
+
+    def _started(self, event: Event) -> Next:
+        comm, envelope, env = self.comm, self.envelope, self.env
+        state = comm._state
+        self._src = state.node_id(envelope.src)
+        self._dst = state.node_id(envelope.dst)
+        if envelope.protocol == "eager":
+            overhead = self.fabric.spec.nic.per_message_overhead
+            if not envelope.is_object:
+                # NIC initiation + staging copy into the eager buffer:
+                # one fused delay (nothing observes the boundary).
+                overhead += envelope.nbytes / comm._memcpy_bw
+            return env.timeout(overhead), _SendChain._staged
+        return envelope.cts, _SendChain._cleared
+
+    def _staged(self, event: Event) -> Next:
+        return self._transmit(f"eager t{self.envelope.tag}"
+                              if self.env.tracer is not None else "eager")
+
+    def _cleared(self, event: Event) -> Next:
+        """Clear-to-send from the receiver (or its poisoning)."""
+        if not event._ok:
+            exc = event._value
+            if not isinstance(exc, MpiError):
+                raise exc
+            # The handshake was poisoned (communicator revoked while
+            # this sender was parked waiting for the receiver).
+            self.comm._abort_send(self.envelope, self.completion, exc)
+            return None
+        return self._control(self._dst, self._src, _SendChain._handshaken)
+
+    def _handshaken(self, event: Event) -> Next:
+        envelope = self.envelope
+        recv_rate = envelope.recv_rate
+        if recv_rate is not None:
+            rate = self._rate
+            self._rate = recv_rate if rate is None else min(rate, recv_rate)
+        return self._transmit(f"rndv t{envelope.tag}"
+                              if self.env.tracer is not None else "rndv")
+
+    def _transmit(self, label: str) -> Next:
+        if self.env.faults is None:
+            then = _SendChain._delivered
+        else:
+            self._attempt = 0
+            self._delay = self.comm._state.config.ack_timeout
+            then = _SendChain._checked
+        envelope = self.envelope
+        return self._wire(self._src, self._dst, envelope.nbytes, label,
+                          self._rate, envelope.flow, then)
+
+    def _checked(self, event: Event) -> Next:
+        """One wire attempt landed (fault injection active)."""
+        fate = self.fate
+        if fate != "ok":
+            self.envelope.retries = self._attempt + 1
+            return self._retry(fate)
+        # the receiver acknowledges with a control packet
+        return self._control(self._dst, self._src, _SendChain._acked)
+
+    def _acked(self, event: Event) -> Next:
+        fate = self.fate
+        if fate == "ok":
+            self.envelope.retries = self._attempt
+            metrics = self.env.metrics
+            if metrics is not None:
+                metrics.inc("mpi.acks")
+            return self._delivered(event)
+        # a lost ack looks exactly like a lost frame
+        self.envelope.retries = self._attempt + 1
+        return self._retry(fate)
+
+    def _retry(self, fate: str) -> Next:
+        """Back off and retransmit, or give up."""
+        cfg = self.comm._state.config
+        if fate == "dead" or self._attempt >= cfg.max_retries:
+            # retries spent, or a fail-stop peer that retransmission
+            # cannot reach
+            self.envelope.last_fate = fate
+            self.comm._fail_send(self.envelope, self.completion)
+            return None
+        self._attempt += 1
+        metrics = self.env.metrics
+        if metrics is not None:
+            metrics.inc("mpi.backoffs")
+            metrics.inc("mpi.retransmits")
+        delay = self._delay
+        self._delay = delay * cfg.retry_backoff
+        return self.env.timeout(delay), _SendChain._resend
+
+    def _resend(self, event: Event) -> Next:
+        return self._wire(self._src, self._dst, self._nbytes, self._label,
+                          self._rate, self._flow, _SendChain._checked)
+
+    def _delivered(self, event: Event) -> Next:
+        envelope = self.envelope
+        if envelope.protocol != "eager":
+            # zero-copy deposit into the matched receive buffer
+            dst_buf = envelope.recv_buf
+            if dst_buf is not None and envelope.payload is not None:
+                Communicator._deposit(envelope.payload, dst_buf)
+        envelope.arrived.succeed()
+        self.completion.succeed()
+        return None
+
+
+class _RecvChain(Chain):
+    """The receiver side of one matched message.
+
+    Rendezvous: fire clear-to-send, then wait for the payload.  Eager:
+    wait for the payload; if it was already buffered at the receiver
+    when the receive got matched, draining it costs an extra copy.
+    A sender-side delivery failure fails the receive request.
+    """
+
+    __slots__ = ("comm", "envelope", "posted", "_unexpected", "_buffered",
+                 "_drained")
+
+    def __init__(self, comm: Communicator, envelope: Envelope,
+                 posted: PostedRecv, unexpected: bool, name: str):
+        # Chain.__init__ inlined (one chain per message)
+        self.env = comm._state.env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = PENDING
+        self._defused = False
+        self.name = name
+        self.comm = comm
+        self.envelope = envelope
+        self.posted = posted
+        self._unexpected = unexpected
+        self._boot(_RecvChain._started)
+
+    def _started(self, event: Event) -> Next:
+        envelope, posted = self.envelope, self.posted
+        posted.flow = envelope.flow  # receiver-side stages join the chain
+        if envelope.protocol == "eager":
+            self._buffered = self._unexpected and envelope.arrived.triggered
+        else:
+            envelope.recv_buf = posted.buf
+            envelope.recv_rate = posted.rate_limit
+            envelope.cts.succeed()
+        return envelope.arrived, _RecvChain._arrived
+
+    def _arrived(self, event: Event) -> Next:
+        if not event._ok:
+            exc = event._value
+            if not isinstance(exc, MpiError):
+                raise exc
+            self.comm._fail_recv(self.posted, exc)
+            return None
+        envelope, env = self.envelope, self.env
+        if envelope.protocol == "eager" and not envelope.is_object:
+            self._drained = env.now
+            if self._buffered:
+                state = self.comm._state
+                node = state.cluster[state.node_id(envelope.dst)]
+                return (env.timeout(
+                    envelope.nbytes / node.host.spec.memcpy_bandwidth),
+                    _RecvChain._copied)
+            return self._copied(event)
+        status = Status(envelope.src, envelope.tag, envelope.nbytes)
+        self.comm._trace_recv(envelope, env.now, env.now)
+        self.posted.completion.succeed(
+            (envelope.payload, status) if envelope.is_object else status)
+        return None
+
+    def _copied(self, event: Event) -> Next:
+        envelope, posted = self.envelope, self.posted
+        if posted.buf is not None and envelope.payload is not None:
+            Communicator._deposit(envelope.payload, posted.buf)
+        self.comm._trace_recv(envelope, self._drained, self.env.now)
+        posted.completion.succeed(
+            Status(envelope.src, envelope.tag, envelope.nbytes))
+        return None

@@ -84,7 +84,7 @@ def match_arrays(send_src: np.ndarray, send_tag: np.ndarray,
     return order[pos]
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """Metadata of one in-flight message (one per send operation)."""
 
@@ -116,6 +116,10 @@ class Envelope:
     #: endpoint registration stamp (deferred matching only): envelopes
     #: stamped before the receive they match were "unexpected" arrivals
     order: int = 0
+    #: rndv only: the matched receive's byte view and its streaming cap,
+    #: handed to the sender with clear-to-send
+    recv_buf: Optional[np.ndarray] = None
+    recv_rate: Optional[float] = None
 
     def matches(self, source: int, tag: int) -> bool:
         """Does this envelope satisfy a receive for ``(source, tag)``?"""
@@ -123,7 +127,7 @@ class Envelope:
                 and (tag == ANY_TAG or tag == self.tag))
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedRecv:
     """One posted (pending) receive."""
 

@@ -35,6 +35,7 @@ from repro.sim.core import (
     NORMAL,
     AllOf,
     AnyOf,
+    Chain,
     EngineError,
     Environment,
     Event,
@@ -51,6 +52,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Chain",
     "AllOf",
     "AnyOf",
     "Interrupt",

@@ -52,6 +52,11 @@ inner loop is written for CPython's profile rather than for symmetry:
 * Resuming a process that yielded an *already processed* event, and
   bootstrapping a new process, both reuse pooled one-shot "kick" events
   (:class:`_Kick`) rather than allocating a fresh :class:`Event`.
+* Per-message work (the MPI send and receive sides) runs as a
+  :class:`Chain` — steps as callbacks on the awaited events — instead
+  of a generator process.  A chain pushes one calendar entry per step,
+  exactly the one a process would (``HIGH`` bootstrap, ``HIGH`` kick
+  for an already-processed target), so the heap order is unchanged.
 * ``Environment.run`` inlines :meth:`step` so the drain loop costs one
   heappop plus one callback dispatch per event.
 * ``Environment(reuse_timeouts=True)`` opts into a slotted freelist that
@@ -72,6 +77,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Chain",
     "AllOf",
     "AnyOf",
     "Interrupt",
@@ -387,6 +393,103 @@ class Process(Event):
         else:
             target.callbacks.append(self._resume_cb)
             self._waiting_on = target
+
+
+#: what a :class:`Chain` step returns: the event to wait on and the step
+#: to run when it fires, or None once the chain is finished
+Next = Optional[tuple[Event, Callable]]
+
+
+class Chain(Event):
+    """A process without a generator: a callback state machine.
+
+    Subclasses split their work into *steps*: functions of the chain and
+    the event that woke it.  A step returns ``(event, next_step)`` to
+    wait — the way a process yields — or None once the chain is
+    finished.  Steps are passed unbound (``Cls._step``), so a parked
+    chain holds no reference cycle and a finished one is freed at once.
+    :meth:`_boot` schedules the first step; :meth:`_wait` parks a chain
+    started from outside a step.
+
+    The calendar sees exactly the entries a :class:`Process` running the
+    same code would push — one ``HIGH`` bootstrap entry, a ``HIGH`` kick
+    for an already-processed target, nothing extra for a live one — so
+    ``(time, priority, sequence)`` ties resolve as before, and ``name``
+    labels the chain's entries in verifier tie batches the same way a
+    process name does.
+
+    Like a process, a chain is an event that nobody usually waits on: it
+    finishes in place, and a step that raises fails the chain through
+    the calendar, so an unhandled error still propagates out of
+    :meth:`Environment.run`.  A failed event the chain waited on is
+    defused before its step runs; the step reads ``event.ok`` and
+    re-raises what it does not handle.
+    """
+
+    __slots__ = ("name", "_step")
+
+    def __init__(self, env: "Environment", name: str):
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = PENDING
+        self._defused = False
+        self.name = name
+
+    def _boot(self, step: Callable) -> None:
+        """Run ``step`` at the current time, after the entries already
+        due now (a process bootstrap)."""
+        self._step = step
+        self._kick(None)
+
+    def _wait(self, target: Event, step: Callable) -> None:
+        """Run ``step`` when ``target`` fires."""
+        self._step = step
+        if target._state != PROCESSED:
+            target.callbacks.append(self._resume)
+        else:
+            self._kick(target)
+
+    def _kick(self, target: Optional[Event]) -> None:
+        """Resume on the next scheduling round at the current time
+        through a pooled kick carrying ``target``'s outcome (a plain
+        success when None), as Process bootstraps and _wait_on do."""
+        env = self.env
+        pool = env._kick_pool
+        kick = pool.pop() if pool else _Kick(env)
+        if target is not None:
+            kick._ok = target._ok
+            kick._value = target._value
+            if not target._ok:
+                target._defused = True
+        kick.callbacks.append(self._resume)
+        kick._state = TRIGGERED
+        env._seq += 1
+        heappush(env._heap, (env._now, HIGH, env._seq, kick))
+
+    def _resume(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+        try:
+            nxt = self._step(self, event)
+        except BaseException as exc:
+            self.fail(exc)
+            return
+        if nxt is None:
+            # finished: in place, unless a step already triggered the
+            # chain or someone waits on it
+            if self._state == PENDING:
+                if self.callbacks:
+                    self.succeed()
+                else:
+                    self._state = PROCESSED
+            return
+        target, self._step = nxt
+        if target._state != PROCESSED:
+            target.callbacks.append(self._resume)
+        else:
+            self._kick(target)
 
 
 class _Condition(Event):
@@ -726,8 +829,8 @@ class Environment:
     def _tie_label(event: Event) -> str:
         """Stable human-readable label for one tie-batch entry.
 
-        Events a process waits on carry the process's cached bound
-        ``_resume`` — the bound method's ``__self__`` is the Process, so
+        Events a process or chain waits on carry its bound ``_resume``
+        — the bound method's ``__self__`` is the Process or Chain, so
         its name labels the entry.  Anything without a named waiter
         (flush rounds, bare control events) falls back to its class name.
         """

@@ -11,7 +11,7 @@ import heapq
 from collections import deque
 from typing import Any, Generator
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import PENDING, Environment, Event, SimulationError
 
 __all__ = ["Resource", "Store", "PriorityStore"]
 
@@ -22,7 +22,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, env: Environment, resource: "Resource"):
-        super().__init__(env)
+        # Event.__init__ inlined: one grant per port hold on every message.
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = PENDING
+        self._defused = False
         self.resource = resource
 
 

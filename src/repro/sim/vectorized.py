@@ -261,7 +261,7 @@ class VectorEngine:
         return self.t
 
     # ------------------------------------------------------------------
-    # wire (replay of repro.hardware.network.Fabric.send)
+    # wire (replay of repro.hardware.network.FabricChain._wire)
     # ------------------------------------------------------------------
     def wire(self, src, dst, req, nbytes, rate=None):
         """Arrival time of one message batch (≤1 tx/rx use per node).
@@ -310,8 +310,9 @@ class VectorEngine:
         """One matched isend/irecv batch; returns ``(send_c, recv_c)``.
 
         ``ts1`` is the sender's post-overhead delivery time, ``tr1`` the
-        receiver's post time; both completions replay
-        :meth:`Communicator._send_proc` / ``_recv_finish`` bit-for-bit.
+        receiver's post time; both completions replay the MPI layer's
+        per-message chains (``repro.mpi.comm._SendChain`` /
+        ``_RecvChain``) bit-for-bit.
         """
         t = self._need_bind()
         ts1 = np.atleast_1d(np.asarray(ts1, dtype=np.float64))

@@ -62,7 +62,7 @@ class TestFabric:
         f = fabric(env)
 
         def proc(env):
-            return (yield from f.send(0, 1, 1_000_000))
+            return (yield f.send(0, 1, 1_000_000))
 
         p = env.process(proc(env))
         env.run()
@@ -73,7 +73,7 @@ class TestFabric:
         f = fabric(env)
 
         def proc(env, dst):
-            yield from f.send(0, dst, 1_000_000)
+            yield f.send(0, dst, 1_000_000)
 
         env.process(proc(env, 1))
         env.process(proc(env, 2))
@@ -85,7 +85,7 @@ class TestFabric:
         f = fabric(env)
 
         def proc(env, src):
-            yield from f.send(src, 3, 1_000_000)
+            yield f.send(src, 3, 1_000_000)
 
         env.process(proc(env, 0))
         env.process(proc(env, 1))
@@ -96,7 +96,7 @@ class TestFabric:
         f = fabric(env)
 
         def proc(env, src, dst):
-            yield from f.send(src, dst, 1_000_000)
+            yield f.send(src, dst, 1_000_000)
 
         env.process(proc(env, 0, 1))
         env.process(proc(env, 2, 3))
@@ -108,7 +108,7 @@ class TestFabric:
 
         def proc(env):
             t0 = env.now
-            yield from f.control_message(0, 1)
+            yield f.control_message(0, 1)
             return env.now - t0
 
         p = env.process(proc(env))
@@ -121,13 +121,13 @@ class TestFabric:
     def test_send_rejects_out_of_range_node(self, env, src, dst):
         f = fabric(env)  # nodes 0..3
         with pytest.raises(ConfigurationError, match="out of range"):
-            next(f.send(src, dst, 64))
+            f.send(src, dst, 64)
 
     @pytest.mark.parametrize("bad", [1.5, "1", None, (1,)])
     def test_send_rejects_non_integer_node(self, env, bad):
         f = fabric(env)
         with pytest.raises(ConfigurationError, match="must be an integer"):
-            next(f.send(bad, 1, 64))
+            f.send(bad, 1, 64)
 
     def test_send_accepts_integer_likes(self, env):
         """Anything ``operator.index`` accepts (e.g. numpy ints) works."""
@@ -136,7 +136,7 @@ class TestFabric:
         f = fabric(env)
 
         def proc(env):
-            yield from f.send(np.int64(0), np.int32(1), 1_000_000)
+            yield f.send(np.int64(0), np.int32(1), 1_000_000)
 
         env.process(proc(env))
         env.run()
@@ -145,19 +145,19 @@ class TestFabric:
     def test_control_message_validates_too(self, env):
         f = fabric(env)
         with pytest.raises(ConfigurationError, match="dst node id"):
-            next(f.control_message(0, 99))
+            f.control_message(0, 99)
         with pytest.raises(ConfigurationError, match="src node id"):
-            next(f.control_message(-2, 1))
+            f.control_message(-2, 1)
 
     def test_full_duplex(self, env):
         """Opposite directions between two nodes overlap (tx vs rx)."""
         f = fabric(env)
 
         def a(env):
-            yield from f.send(0, 1, 1_000_000)
+            yield f.send(0, 1, 1_000_000)
 
         def b(env):
-            yield from f.send(1, 0, 1_000_000)
+            yield f.send(1, 0, 1_000_000)
 
         env.process(a(env))
         env.process(b(env))

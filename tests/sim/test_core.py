@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Chain, Environment, Interrupt, SimulationError
 
 
 class TestClock:
@@ -542,3 +542,102 @@ class TestObjectPools:
             return log
 
         assert build(False) == build(True)
+
+
+class TestChain:
+    """A Chain pushes exactly the calendar entries a Process running the
+    same waits would: same times, priorities, sequence numbers and tie
+    labels."""
+
+    @staticmethod
+    def _fire(env):
+        entries = []
+        while env._heap:
+            when, prio, seq, event = env._heap[0]
+            entries.append((when, prio, seq, Environment._tie_label(event)))
+            env.step()
+        return entries
+
+    @staticmethod
+    def _setup(env):
+        done = env.event().succeed("early")     # processed before the wait
+        late = env.event()
+        env.timeout(2).callbacks.append(
+            lambda _e: late.fail(RuntimeError("late")))
+        return done, late
+
+    def test_same_entries_as_a_process(self):
+
+        def as_process(env, log):
+            done, late = self._setup(env)
+
+            def body():
+                yield env.timeout(1)
+                log.append((yield done))
+                try:
+                    yield late
+                except RuntimeError as exc:
+                    log.append(str(exc))
+
+            env.process(body(), name="worker")
+
+        class Worker(Chain):
+            __slots__ = ("log", "done", "late")
+
+            def first(self, _event):
+                return self.env.timeout(1), Worker.second
+
+            def second(self, _event):
+                return self.done, Worker.third
+
+            def third(self, event):
+                self.log.append(event.value)
+                return self.late, Worker.last
+
+            def last(self, event):
+                assert not event.ok
+                self.log.append(str(event.value))
+
+        def as_chain(env, log):
+            done, late = self._setup(env)
+            chain = Worker(env, "worker")
+            chain.log, chain.done, chain.late = log, done, late
+            chain._boot(Worker.first)
+
+        runs = []
+        for start in (as_process, as_chain):
+            env, log = Environment(), []
+            start(env, log)
+            runs.append((self._fire(env), log, env.now))
+        assert runs[0] == runs[1]
+        assert runs[1][1] == ["early", "late"]
+
+    def test_raising_step_fails_through_the_calendar(self, env):
+
+        class Boom(Chain):
+            __slots__ = ()
+
+            def first(self, _event):
+                return self.env.timeout(1), Boom.second
+
+            def second(self, _event):
+                raise ValueError("boom")
+
+        chain = Boom(env, "boom")
+        chain._boot(Boom.first)
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
+        assert env.now == 1 and chain.triggered and not chain.ok
+
+    def test_finished_chain_completes_in_place(self, env):
+
+        class Once(Chain):
+            __slots__ = ()
+
+            def first(self, _event):
+                return None
+
+        chain = Once(env, "once")
+        chain._boot(Once.first)
+        env.run()
+        assert chain.processed and chain.ok and not env._heap
