@@ -71,8 +71,12 @@ def test_mpi_message_rate(benchmark):
     assert benchmark(run) > 0
 
 
-def _event_loop_run(metrics: bool) -> float:
-    """One 20k-event calendar drain, with or without a registry."""
+def _event_loop_run(metrics: bool, profile=None) -> float:
+    """One 20k-event calendar drain, with or without a registry.
+
+    ``profile`` is installed with ``sys.setprofile`` around the drain
+    itself (environment construction excluded).
+    """
     env = Environment()
     if metrics:
         from repro.obs import MetricsRegistry
@@ -84,8 +88,20 @@ def _event_loop_run(metrics: bool) -> float:
 
     for _ in range(2):
         env.process(ticker(env, 10_000))
-    env.run()
+    _run_profiled(env.run, profile)
     return env.now
+
+
+def _run_profiled(run, profile) -> None:
+    """``run()``, under ``sys.setprofile(profile)`` when one is given."""
+    if profile is None:
+        run()
+        return
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
 
 
 def test_metrics_detached_event_throughput(benchmark):
@@ -142,14 +158,7 @@ def _mpi_loop_run(faults: bool, profile=None) -> float:
             else:
                 yield from comm.recv(buf, 0, tag=i)
 
-    if profile is None:
-        world.run(main)
-    else:
-        sys.setprofile(profile)
-        try:
-            world.run(main)
-        finally:
-            sys.setprofile(None)
+    _run_profiled(lambda: world.run(main), profile)
     return world.env.now
 
 
@@ -194,12 +203,9 @@ _ATTACHMENT_MODULES = ("repro.obs", "repro.analysis", "repro.faults",
                        "repro.sim.trace")
 
 
-def test_mpi_loop_detached_enters_no_attachment_code():
-    """Exact guard beside the best-of-3 timing tripwires: with no
-    tracer, monitor, metrics registry, fault plan or schedule policy
-    attached, the 1k-message MPI loop must not enter one function of the
-    observer and fault modules.  Unlike the timing comparisons this
-    cannot be hidden by noise: a single stray call fails it."""
+def _attachment_calls(run) -> list[str]:
+    """Every function of the observer and fault modules that
+    ``run(profile=...)`` enters, as sorted ``module.function`` names."""
     entered = set()
 
     def profile(frame, event, _arg):
@@ -209,8 +215,28 @@ def test_mpi_loop_detached_enters_no_attachment_code():
                    for m in _ATTACHMENT_MODULES):
                 entered.add(f"{module}.{frame.f_code.co_name}")
 
-    assert _mpi_loop_run(False, profile=profile) > 0
-    assert not entered, f"detached MPI loop entered {sorted(entered)}"
+    assert run(profile=profile) > 0
+    return sorted(entered)
+
+
+def test_mpi_loop_detached_enters_no_attachment_code():
+    """Exact guard beside the best-of-3 timing tripwires: with no
+    tracer, monitor, metrics registry, fault plan or schedule policy
+    attached, the 1k-message MPI loop must not enter one function of the
+    observer and fault modules.  Unlike the timing comparisons this
+    cannot be hidden by noise: a single stray call fails it."""
+    entered = _attachment_calls(lambda profile: _mpi_loop_run(
+        False, profile=profile))
+    assert not entered, f"detached MPI loop entered {entered}"
+
+
+def test_event_loop_detached_enters_no_attachment_code():
+    """The exact twin of :func:`test_metrics_detached_is_free`: with
+    nothing attached, the 20k-event calendar drain must not enter one
+    function of the observer and fault modules."""
+    entered = _attachment_calls(lambda profile: _event_loop_run(
+        False, profile=profile))
+    assert not entered, f"detached event loop entered {entered}"
 
 
 def _policy_loop_run(policy: bool) -> float:
@@ -326,38 +352,6 @@ def _himeno_mesoscale_point(engine: str):
     return res.time, res.gflops, res.kernel_times
 
 
-def measure_mesoscale_speedup(reps: int = 5, keep: int = 3) -> dict:
-    """Best-``keep``-of-``reps`` wall-clock comparison at 1024 ranks.
-
-    Returns per-engine mean and variance over the kept (fastest)
-    samples plus the speedup — the record behind ``BENCH_PR7.json``
-    (``python benchmarks/bench_simulator.py`` regenerates it).
-    """
-    import statistics
-    import time
-
-    record: dict = {}
-    virtual: dict = {}
-    for engine in ("coroutine", "vectorized"):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            virtual[engine] = _himeno_mesoscale_point(engine)
-            times.append(time.perf_counter() - t0)
-        best = sorted(times)[:keep]
-        record[engine] = {
-            "mean_s": statistics.mean(best),
-            "variance_s2": statistics.variance(best),
-            "samples": reps,
-            "kept": keep,
-        }
-    assert virtual["coroutine"] == virtual["vectorized"], \
-        "engines disagree on the virtual result"
-    record["speedup"] = (record["coroutine"]["mean_s"]
-                         / record["vectorized"]["mean_s"])
-    return record
-
-
 def test_vectorized_engine_throughput(benchmark):
     """1024-rank Himeno point, coroutine vs mesoscale engine.
 
@@ -381,24 +375,3 @@ def test_vectorized_engine_throughput(benchmark):
         f"mesoscale engine only {speedup:.1f}x faster at 1024 ranks"
     assert benchmark(_himeno_mesoscale_point, "vectorized")[0] > 0
 
-
-if __name__ == "__main__":
-    # regenerate the mesoscale-engine perf record (BENCH_PR7.json):
-    #   PYTHONPATH=src python benchmarks/bench_simulator.py
-    import json
-
-    rec = measure_mesoscale_speedup()
-    record = {
-        "benchmarks": {"mesoscale_himeno_1024ranks": rec},
-        "note": "PR 7: mesoscale (NumPy-vectorized) timing-only engine. "
-                "One 1024-rank clmpi Himeno point (dims 2050x33x33, 3 "
-                "iterations, RICC preset), byte-identical virtual "
-                "results on both engines; best-3-of-5 means with "
-                "variance over the kept samples, one machine.",
-    }
-    with open("BENCH_PR7.json", "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(f"speedup: {rec['speedup']:.1f}x "
-          f"(coroutine {rec['coroutine']['mean_s']:.2f}s -> "
-          f"vectorized {rec['vectorized']['mean_s']:.3f}s)")

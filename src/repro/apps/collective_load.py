@@ -99,7 +99,7 @@ def collective_load(system: SystemPreset, ranks: int, rounds: int = 8,
 
 
 def collective_load_point(spec: dict) -> dict:
-    """Sweep worker: dict-in/dict-out (process-pool and cache safe)."""
+    """Sweep worker: dict-in/dict-out (worker-process and cache safe)."""
     from repro.systems import get_system
 
     ranks = spec["ranks"]

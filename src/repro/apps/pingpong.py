@@ -331,7 +331,7 @@ def measure_bandwidth(system: SystemPreset, nbytes: int,
 def bandwidth_point(spec: dict) -> dict:
     """Sweep worker: one Fig 8 data point from a JSON-able spec dict.
 
-    Module-level and dict-in/dict-out so it can cross a process-pool
+    Module-level and dict-in/dict-out so it can cross a worker-process
     boundary (the system presets themselves hold lambdas and cannot be
     pickled — workers rebuild them by name) and a cache round-trip
     without changing shape.  See :mod:`repro.harness.parallel`.
@@ -427,8 +427,8 @@ def bandwidth_sweep(system: SystemPreset,
     """The full Fig 8 sweep for one system.
 
     Curves: pinned, mapped, pipelined(B) for each block size, plus the
-    automatic selector.  ``jobs``/``cache`` fan the grid out over a
-    process pool and/or the result cache (see
+    automatic selector.  ``jobs``/``cache`` fan the grid out over
+    worker processes and/or the result cache (see
     :mod:`repro.harness.parallel`); results come back in grid order
     either way.  Points that failed (crashed workers) are dropped from
     the returned list — inspect the raw sweep for their error records.

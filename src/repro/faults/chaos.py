@@ -163,7 +163,7 @@ def chaos_case(spec: dict) -> dict:
 
     Module-level, dict-in/dict-out, picklable — the standard
     :mod:`repro.harness.parallel` worker contract, so campaigns fan out
-    over the process pool and cache exactly like figure sweeps.
+    over worker processes and cache exactly like figure sweeps.
     """
     from repro.analysis.sanitizer import Sanitizer
     from repro.launcher import ClusterApp

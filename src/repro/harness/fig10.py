@@ -20,8 +20,8 @@ IMPLS = ("baseline", "clmpi")
 def nanopowder_point(spec: dict) -> dict:
     """Sweep worker: one (nodes, implementation) nanopowder run.
 
-    Dict-in/dict-out and module-level so the point can cross a process
-    pool and the result cache (see :mod:`repro.harness.parallel`).
+    Dict-in/dict-out and module-level so the point can cross a worker
+    process and the result cache (see :mod:`repro.harness.parallel`).
     """
     from repro.apps.nanopowder import NanoConfig, run_nanopowder
 

@@ -25,8 +25,8 @@ IMPLS = ("serial", "hand-optimized", "clmpi")
 def himeno_point(spec: dict) -> dict:
     """Sweep worker: one (system, nodes, implementation) Himeno run.
 
-    Dict-in/dict-out and module-level so the point can cross a process
-    pool and the result cache (see :mod:`repro.harness.parallel`).
+    Dict-in/dict-out and module-level so the point can cross a worker
+    process and the result cache (see :mod:`repro.harness.parallel`).
     """
     from repro.apps.himeno import HimenoConfig, run_himeno
 

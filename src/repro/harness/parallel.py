@@ -12,33 +12,32 @@ Contract for workers:
 
 * a module-level function (picklable by reference) taking one spec dict;
 * returns a JSON-able dict of primitives — no tuples, no objects — so
-  the value survives both the pickle hop from a pool worker and the
+  the value survives both the pickle hop from a worker process and the
   JSON round-trip through the cache without changing shape.
 
-A sweep never dies with its points: a worker that raises — or a pool
+A sweep never dies with its points: a worker that raises — or a worker
 process that is killed outright — yields an *error record* (see
 :func:`is_error_record`) in that point's slot, and every other point
 still completes.  Error records are never written to the cache, so a
 repaired run recomputes exactly the failed points.
 
-The sweep service's lease holders compute their points differently:
-each owns one persistent :class:`WorkerProcess`, forked once and
-reaped — and re-forked — only when a point overruns its deadline or
-the process dies; :func:`compute_with_retry` and :func:`compute_point`
-add the retry/backoff and repetition loops on top.  ``sweep -j N``
-keeps its process pool.
+Every parallel point runs on a persistent :class:`WorkerProcess`,
+forked once and reaped — and re-forked — only when a point overruns its
+deadline or the process dies.  ``sweep -j N`` deals its points one at a
+time to N of them; the sweep service's lease holders each own one.
+:func:`compute_with_retry` and :func:`compute_point` add the
+retry/backoff and repetition loops on top.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import multiprocessing
 import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Optional, Sequence
 
 from repro.harness.cache import ResultCache
@@ -74,21 +73,22 @@ def is_error_record(result: Any) -> bool:
 
 
 def sweep(worker: Callable[[dict], Any], specs: Sequence[dict],
-          jobs: Optional[int] = None,
+          jobs: Optional[int] = 1,
           cache: Optional[ResultCache] = None,
           kind: str = "sweep",
           telemetry=None) -> list[Any]:
     """``[worker(s) for s in specs]``, cached, fanned out, crash-proof.
 
-    Cache lookups and stores happen here in the parent — pool workers
-    never touch the cache directory, so no locking is needed and the
-    hit/miss counters are exact.  ``jobs=1`` (or a one-point grid) runs
-    inline with no pool at all; results are identical either way because
-    each point is an isolated simulation.
+    Cache lookups and stores happen here in the parent — worker
+    processes never touch the cache directory, so no locking is needed
+    and the hit/miss counters are exact.  ``jobs=1`` (the default, or a
+    one-point grid) runs inline with no worker process at all; results
+    are identical either way because each point is an isolated
+    simulation.  ``jobs=0`` (or None) means one worker per CPU.
 
-    A point whose worker raises (or whose pool process dies) comes back
-    as an error record instead of aborting the sweep; the figure code
-    skips such slots and reports a partial result.
+    A point whose worker raises (or whose worker process dies twice)
+    comes back as an error record instead of aborting the sweep; the
+    figure code skips such slots and reports a partial result.
 
     ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`, or None)
     receives the same lifecycle spans the sweep service emits — every
@@ -111,26 +111,23 @@ def sweep(worker: Callable[[dict], Any], specs: Sequence[dict],
 
     njobs = resolve_jobs(jobs)
     if todo:
-        pending = [specs[i] for i in todo]
         if njobs <= 1 or len(todo) == 1:
-            computed = []
-            for k, spec in enumerate(pending):
-                computed.append(_run_one_traced(
-                    worker, spec, telemetry, kind, todo[k]))
+            computed = [_run_one_traced(worker, specs[i], telemetry, kind, i)
+                        for i in todo]
         else:
             if telemetry is not None:
                 # terminal spans are emitted in spec order below —
-                # completion order inside the pool is a wall-clock
+                # completion order across the workers is a wall-clock
                 # accident the span structure must not record
                 for i in todo:
                     telemetry.point_claimed("sweep", i, kind)
                     telemetry.point_running("sweep", i, kind)
-            computed = _run_pool(worker, pending, njobs)
+            computed = _run_workers(worker, [specs[i] for i in todo],
+                                    njobs)
             if telemetry is not None:
                 for i, result in zip(todo, computed):
-                    telemetry.point_done(
-                        "sweep", i, kind,
-                        error=is_error_record(result))
+                    telemetry.point_done("sweep", i, kind,
+                                         error=is_error_record(result))
         for i, result in zip(todo, computed):
             if cache is not None and not is_error_record(result):
                 cache.put(kind, specs[i], result)
@@ -153,62 +150,63 @@ def _run_one_traced(worker: Callable[[dict], Any], spec: dict,
     if telemetry is not None:
         telemetry.point_claimed("sweep", index, kind)
         telemetry.point_running("sweep", index, kind)
-    result = _run_inline(worker, spec)
+    try:
+        result = worker(spec)
+    except Exception as exc:
+        result = error_record(spec, exc)
     if telemetry is not None:
         telemetry.point_done("sweep", index, kind,
                              error=is_error_record(result))
     return result
 
 
-def _run_inline(worker: Callable[[dict], Any], spec: dict) -> Any:
-    try:
-        return worker(spec)
-    except Exception as exc:
-        return error_record(spec, exc)
-
-
-def _run_pool(worker: Callable[[dict], Any], pending: list[dict],
-              njobs: int) -> list[Any]:
-    """Fan ``pending`` over a process pool, isolating failures per slot."""
+def _run_workers(worker: Callable[[dict], Any], pending: list[dict],
+                 njobs: int) -> list[Any]:
+    """Deal ``pending`` one point at a time to ``min(njobs, points)``
+    worker processes, one thread each; results come back in order.
+    Only a point that kills its process runs twice (:data:`_SWEEP_RETRY`)."""
     computed: list[Any] = [None] * len(pending)
-    broken: list[int] = []
-    with ProcessPoolExecutor(max_workers=min(njobs, len(pending))) as pool:
-        futures = [(pool.submit(worker, spec), k)
-                   for k, spec in enumerate(pending)]
-        for fut, k in futures:
+    undealt = collections.deque(range(len(pending)))
+
+    def deal(process: WorkerProcess) -> None:
+        while True:
             try:
-                computed[k] = fut.result()
-            except BrokenProcessPool:
-                # A killed worker process poisons the *whole* pool:
-                # every still-pending future fails with this, no matter
-                # which spec actually crashed.  Defer them all.
-                broken.append(k)
-            except Exception as exc:
+                k = undealt.popleft()  # atomic: no lock needed
+            except IndexError:
+                return
+            try:
+                computed[k] = compute_with_retry(
+                    worker, pending[k], _SWEEP_RETRY, process)[0]
+            except Exception as exc:  # say, a result that won't unpickle
                 computed[k] = error_record(pending[k], exc)
-    # Isolation round: rerun each deferred point in its own one-worker
-    # pool, so only the spec that genuinely kills its interpreter ends
-    # up as an error record — innocent bystanders just recompute.
-    for k in broken:
-        computed[k] = _run_isolated(worker, pending[k])
-    return computed
 
-
-def _run_isolated(worker: Callable[[dict], Any], spec: dict) -> Any:
+    processes: list[WorkerProcess] = []
+    threads: list[threading.Thread] = []
     try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(worker, spec).result()
-    except BrokenProcessPool as exc:
-        return error_record(
-            spec, exc, "worker process died (killed, or it crashed "
-            "the interpreter) while computing this point")
-    except Exception as exc:
-        return error_record(spec, exc)
+        # fork every worker before the first dealing thread exists
+        for _ in range(min(njobs, len(pending))):
+            processes.append(WorkerProcess())
+        threads = [threading.Thread(target=deal, args=(p,), daemon=True)
+                   for p in processes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        # on an exception or Ctrl-C: deal no further point, and a point
+        # in flight fails at once on its closed worker
+        undealt.clear()
+        for process in processes:
+            process.close()
+        for thread in filter(threading.Thread.is_alive, threads):
+            thread.join()
+    return computed
 
 
 def measured_sweep(worker: Callable[[dict], Any],
                    specs: Sequence[dict],
                    measure: Optional[dict] = None,
-                   jobs: Optional[int] = None,
+                   jobs: Optional[int] = 1,
                    cache: Optional[ResultCache] = None,
                    kind: str = "sweep",
                    telemetry=None) -> list[Any]:
@@ -276,8 +274,7 @@ def _measure_point(base: Any, run_rep: Callable[[int], Any],
 
 
 # ---------------------------------------------------------------------------
-# reapable point execution on a persistent worker process (the sweep
-# service's unit of work)
+# reapable point execution on a persistent worker process
 # ---------------------------------------------------------------------------
 class PointTimeout(Exception):
     """A sweep point overran its wall-clock budget and was reaped."""
@@ -334,6 +331,8 @@ class RetryPolicy:
                                                 base.backoff_cap_s)))
 
 
+#: ``sweep -j N``: no deadline; a point that kills its worker runs twice
+_SWEEP_RETRY = RetryPolicy(timeout_s=None, retries=1, backoff_s=0.0)
 #: how often an idle worker process checks that its parent is alive
 _PARENT_CHECK_S = 0.25
 #: how often a waiting parent checks its worker for death or deadline
@@ -386,10 +385,10 @@ class WorkerProcess:
     next :meth:`run` forks a fresh one.  Points share the process but
     not state: each is a self-contained simulation.
 
-    Each lease holder — a sweep-service local slot, or one lease thread
-    of a federation agent — owns one worker and runs one point on it at
-    a time.  :meth:`close` may come from any thread: it kills the
-    process and forks no other.
+    Each lease holder — a sweep-service local slot, one lease thread of
+    a federation agent, or one dealing thread of ``sweep -j N`` — owns
+    one worker and runs one point on it at a time.  :meth:`close` may
+    come from any thread: it kills the process and forks no other.
     """
 
     def __init__(self) -> None:
@@ -403,8 +402,7 @@ class WorkerProcess:
 
     @property
     def pid(self) -> Optional[int]:
-        """The live process's pid; None between a reap and the next
-        point."""
+        """The live process's pid; None between a reap and the next point."""
         proc = self._proc
         return None if proc is None else proc.pid
 
@@ -434,7 +432,8 @@ class WorkerProcess:
     def run(self, worker: Callable[[dict], Any], spec: dict,
             timeout_s: Optional[float] = None) -> Any:
         """Compute one point; returns the worker's result (or its error
-        record, if it raised — the process keeps running).
+        record, if it raised or does not pickle — the process keeps
+        running).
 
         A point still running at the deadline is SIGKILLed and raises
         :class:`PointTimeout`; a process that dies without reporting
@@ -460,6 +459,9 @@ class WorkerProcess:
             except OSError as exc:
                 raise WorkerDied("worker exited before it got the "
                                  "point") from exc
+            except Exception as exc:  # the point does not pickle
+                replied = True
+                return error_record(spec, exc)
             while True:
                 wait_s = _REAP_CHECK_S if deadline is None else max(
                     0.0, min(_REAP_CHECK_S, deadline - time.monotonic()))
@@ -545,12 +547,9 @@ def compute_with_retry(worker: Callable[[dict], Any], spec: dict,
             if delay > 0:
                 sleep(delay)
     kinds = ", ".join(failures)
-    record = error_record(
-        spec, PointTimeout(kinds),
-        f"point failed {len(failures)} attempt(s) ({kinds}) and "
-        "exhausted its retry budget")
-    record["sweep_error"]["type"] = \
-        "PointTimeout" if failures[-1] == "timeout" else "WorkerDied"
+    last = PointTimeout if failures[-1] == "timeout" else WorkerDied
+    record = error_record(spec, last(kinds), f"point failed {len(failures)} "
+                          f"attempt(s) ({kinds}) and exhausted its retry budget")
     return record, {"attempts": policy.retries + 1, "failures": failures}
 
 

@@ -2,8 +2,7 @@
 
 * ``diff a.json b.json`` — field-by-field diff of two RunReports.
 * ``regress baseline.json current.json`` — CI-aware regression gate
-  over RunReports or BENCH_*.json trajectories (see
-  :mod:`repro.obs.regress`).
+  between two RunReports (see :mod:`repro.obs.regress`).
 * ``timeline telemetry.jsonl -o trace.json`` — export a service span
   log to the Chrome-tracing/Perfetto format.
 
@@ -11,8 +10,8 @@ Exit codes (shared by ``diff`` and ``regress``, suitable for CI):
 
 * ``0`` — identical / no regression
 * ``1`` — reports differ / a regression was detected
-* ``2`` — invalid input (unreadable file, schema violation, or
-  mismatched artifact families)
+* ``2`` — invalid input (unreadable file, schema violation, or an
+  artifact that is not a RunReport)
 """
 
 from __future__ import annotations
@@ -101,10 +100,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     r = sub.add_parser(
         "regress",
-        help="CI-aware regression gate between two artifacts "
+        help="CI-aware regression gate between two RunReports "
              "(exit 0 ok / 1 regression / 2 invalid)")
-    r.add_argument("baseline", help="baseline RunReport or BENCH JSON")
-    r.add_argument("current", help="current RunReport or BENCH JSON")
+    r.add_argument("baseline", help="baseline RunReport JSON")
+    r.add_argument("current", help="current RunReport JSON")
     r.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                    help="relative slowdown tolerated when no CIs are "
                         "available (default %(default)s)")

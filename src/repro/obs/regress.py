@@ -1,21 +1,18 @@
-"""CI-aware regression gating between two measurement artifacts.
+"""CI-aware regression gating between two RunReports.
 
 ``python -m repro.obs regress BASELINE.json CURRENT.json`` answers one
-question with an exit code: *did performance regress?*  Two artifact
-families are understood:
+question with an exit code: *did performance regress?*  Both sides are
+RunReports (:class:`~repro.obs.report.RunReport`, schema v1/v2).  When
+both carry non-empty schema-v2 ``stats`` the comparison is statistical,
+per Hunold & Carpen-Amarie: overlapping confidence intervals ⇒ *no
+change* (the difference is within measurement noise); disjoint
+intervals ⇒ a directional verdict (regression when current is slower).
+Without stats the single-shot ``makespan_s`` values are compared
+against a relative threshold (default 5 %).
 
-* **RunReports** (:class:`~repro.obs.report.RunReport`, schema v1/v2).
-  When both sides carry non-empty schema-v2 ``stats`` the comparison is
-  statistical, per Hunold & Carpen-Amarie: overlapping confidence
-  intervals ⇒ *no change* (the difference is within measurement noise);
-  disjoint intervals ⇒ a directional verdict (regression when current
-  is slower).  Without stats the single-shot ``makespan_s`` values are
-  compared against a relative threshold (default 5 %).
-* **BENCH_*.json trajectories** (the ``benchmarks`` records every PR
-  leaves behind).  Each ``mean_s`` leaf is compared; when a sibling
-  ``variance_s2``/``samples`` pair exists, Student-t CIs are rebuilt
-  from them so the same overlap rule applies; bare means fall back to
-  the threshold rule.
+Anything else is refused, including the ``BENCH_*.json`` records at the
+repository root: those are frozen history, and ``perfbench/run.py``
+measures performance now.
 
 Exit codes mirror ``python -m repro.obs diff``: 0 = no regression,
 1 = regression detected, 2 = invalid/unreadable input.  ``--json``
@@ -25,7 +22,6 @@ emits the full finding list for dashboards.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Optional
 
@@ -42,12 +38,11 @@ class RegressError(ValueError):
     """An artifact could not be read or recognized (CLI exit code 2)."""
 
 
-def load_artifact(path: str | Path) -> tuple[str, dict]:
-    """Read one artifact and classify it: ``("report" | "bench", data)``.
+def load_artifact(path: str | Path) -> dict:
+    """Read one RunReport.
 
-    A dict with a ``benchmarks`` key is a BENCH_*.json trajectory; a
-    dict with ``schema_version`` + ``makespan_s`` is a RunReport (and is
-    schema-validated).  Anything else raises :class:`RegressError`.
+    A dict with ``schema_version`` + ``makespan_s`` is a RunReport (and
+    is schema-validated).  Anything else raises :class:`RegressError`.
     """
     try:
         with open(path) as fh:
@@ -58,19 +53,17 @@ def load_artifact(path: str | Path) -> tuple[str, dict]:
         raise RegressError(f"{path}: expected a JSON object, "
                            f"got {type(data).__name__}")
     if "benchmarks" in data:
-        if not isinstance(data["benchmarks"], dict):
-            raise RegressError(
-                f"{path}: 'benchmarks' must be an object")
-        return "bench", data
+        raise RegressError(
+            f"{path}: a BENCH record; regress reads RunReports only "
+            "(perfbench/run.py measures performance)")
     if "schema_version" in data and "makespan_s" in data:
         try:
             validate_report(data)
         except ValueError as exc:
             raise RegressError(f"{path}: {exc}") from exc
-        return "report", data
+        return data
     raise RegressError(
-        f"{path}: neither a RunReport (schema_version + makespan_s) "
-        "nor a BENCH record (benchmarks)")
+        f"{path}: not a RunReport (schema_version + makespan_s)")
 
 
 def _interval_from_stats(stats: dict) -> Optional[tuple[float, float, float]]:
@@ -82,23 +75,6 @@ def _interval_from_stats(stats: dict) -> Optional[tuple[float, float, float]]:
                 float(stats["ci_high"]))
     except (KeyError, TypeError, ValueError):
         return None
-
-
-def _interval_from_bench(leaf: dict) -> Optional[tuple[float, float, float]]:
-    """Rebuild a 95 % CI from a bench record's mean/variance/samples."""
-    try:
-        mean = float(leaf["mean_s"])
-        var = float(leaf["variance_s2"])
-        n = int(leaf.get("kept", leaf.get("samples", 0)))
-    except (KeyError, TypeError, ValueError):
-        return None
-    if n < 2 or var < 0:
-        return (mean, mean, mean)
-    # Lazy: keeps repro.obs import-time independent of repro.harness
-    # (the harness imports obs lazily for the same layering reason).
-    from repro.harness.stats import t_critical
-    half = t_critical(n - 1, 0.95) * math.sqrt(var / n)
-    return (mean, mean - half, mean + half)
 
 
 def _judge(name: str, base: tuple[float, float, float],
@@ -137,77 +113,35 @@ def _judge(name: str, base: tuple[float, float, float],
     return finding
 
 
-def _bench_leaves(data: dict, prefix: str = "") -> dict[str, dict]:
-    """Every dict in the tree that carries a ``mean_s`` key, by path."""
-    leaves: dict[str, dict] = {}
-    for key in sorted(data):
-        value = data[key]
-        if not isinstance(value, dict):
-            continue
-        path = f"{prefix}.{key}" if prefix else key
-        if "mean_s" in value:
-            leaves[path] = value
-        else:
-            leaves.update(_bench_leaves(value, path))
-    return leaves
-
-
 def compare_artifacts(baseline_path: str | Path,
                       current_path: str | Path,
                       threshold: float = DEFAULT_THRESHOLD) -> dict:
-    """The full regression verdict between two artifacts.
+    """The full regression verdict between two RunReports.
 
     Returns ``{"kind", "findings": [...], "regressions": n,
     "improvements": n, "verdict": "ok" | "regression"}``.  Raises
-    :class:`RegressError` when either side is unreadable or the two
-    sides are different artifact families.
+    :class:`RegressError` when either side is unreadable or not a
+    RunReport.
     """
-    base_kind, base = load_artifact(baseline_path)
-    cur_kind, cur = load_artifact(current_path)
-    if base_kind != cur_kind:
-        raise RegressError(
-            f"cannot compare a {base_kind} artifact "
-            f"({baseline_path}) against a {cur_kind} artifact "
-            f"({current_path})")
-
-    findings: list[dict] = []
-    if base_kind == "report":
-        b_iv = _interval_from_stats(base.get("stats", {}))
-        c_iv = _interval_from_stats(cur.get("stats", {}))
-        if b_iv is None or c_iv is None:
-            b_mk = float(base["makespan_s"])
-            c_mk = float(cur["makespan_s"])
-            b_iv = (b_mk, b_mk, b_mk)
-            c_iv = (c_mk, c_mk, c_mk)
-        findings.append(_judge("makespan_s", b_iv, c_iv, threshold))
-    else:
-        b_leaves = _bench_leaves(base["benchmarks"])
-        c_leaves = _bench_leaves(cur["benchmarks"])
-        for name in sorted(set(b_leaves) & set(c_leaves)):
-            b_iv = _interval_from_bench(b_leaves[name])
-            c_iv = _interval_from_bench(c_leaves[name])
-            if b_iv is None or c_iv is None:
-                continue
-            findings.append(_judge(name, b_iv, c_iv, threshold))
-        for name in sorted(set(c_leaves) - set(b_leaves)):
-            findings.append({"metric": name, "verdict": "new",
-                             "method": "presence"})
-        for name in sorted(set(b_leaves) - set(c_leaves)):
-            findings.append({"metric": name, "verdict": "removed",
-                             "method": "presence"})
-
-    regressions = sum(1 for f in findings
-                      if f["verdict"] == "regression")
-    improvements = sum(1 for f in findings
-                       if f["verdict"] == "improvement")
+    base = load_artifact(baseline_path)
+    cur = load_artifact(current_path)
+    b_iv = _interval_from_stats(base.get("stats", {}))
+    c_iv = _interval_from_stats(cur.get("stats", {}))
+    if b_iv is None or c_iv is None:
+        b_mk = float(base["makespan_s"])
+        c_mk = float(cur["makespan_s"])
+        b_iv = (b_mk, b_mk, b_mk)
+        c_iv = (c_mk, c_mk, c_mk)
+    finding = _judge("makespan_s", b_iv, c_iv, threshold)
+    regressions = int(finding["verdict"] == "regression")
     return {
-        "kind": base_kind,
+        "kind": "report",
         "baseline": str(baseline_path),
         "current": str(current_path),
         "threshold": threshold,
-        "findings": findings,
+        "findings": [finding],
         "regressions": regressions,
-        "improvements": improvements,
+        "improvements": int(finding["verdict"] == "improvement"),
         "verdict": "regression" if regressions else "ok",
     }
 
@@ -217,9 +151,6 @@ def format_verdict(result: dict) -> str:
     lines = [f"{result['baseline']} -> {result['current']} "
              f"({result['kind']} artifacts)"]
     for f in result["findings"]:
-        if f["method"] == "presence":
-            lines.append(f"  {f['verdict']:>11}: {f['metric']}")
-            continue
         mark = {"regression": "!!", "improvement": "ok",
                 "no-change": "=="}[f["verdict"]]
         detail = (f"{f['baseline_mean_s']:.6g}s -> "

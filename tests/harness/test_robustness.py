@@ -3,6 +3,9 @@ partial figures, and the fault-plan CLI plumbing."""
 
 import json
 import os
+import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ from repro.harness.parallel import error_record, is_error_record, sweep
 
 
 # ---------------------------------------------------------------------------
-# pool workers (module-level: picklable by reference)
+# sweep workers (module-level: picklable by reference)
 # ---------------------------------------------------------------------------
 def doubling_worker(spec):
     return {"x2": spec["x"] * 2}
@@ -23,6 +26,14 @@ def crashing_worker(spec):
     if spec.get("raise"):
         raise ValueError(f"bad spec {spec['x']}")
     return {"x2": spec["x"] * 2}
+
+
+def counted_crashing_worker(spec):
+    """:func:`crashing_worker` that first leaves one marker file per run
+    under ``spec["runs"]``, so a test can count each point's runs."""
+    marker = f"{spec['x']}-{os.getpid()}-{time.monotonic_ns()}"
+    (Path(spec["runs"]) / marker).touch()
+    return crashing_worker(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +94,30 @@ class TestCrashProofSweep:
         assert results[0] == {"x2": 0}
         assert results[2] == {"x2": 4}
         assert results[4] == {"x2": 8}
-        assert results[1]["sweep_error"]["type"] == "BrokenProcessPool"
+        assert results[1]["sweep_error"]["type"] == "WorkerDied"
         assert results[1]["sweep_error"]["spec"] == specs[1]
         err3 = results[3]["sweep_error"]
         assert err3["type"] == "ValueError" and "bad spec 3" in err3["message"]
+
+    def test_crash_reruns_only_the_crashing_point(self, tmp_path):
+        """A point that kills its worker process is tried exactly twice
+        and becomes an error record; every other point runs once."""
+        specs = [{"x": x, "runs": str(tmp_path), "die": x == 2}
+                 for x in range(6)]
+        results = sweep(counted_crashing_worker, specs, jobs=3)
+        runs = Counter(name.split("-")[0] for name in os.listdir(tmp_path))
+        assert runs == {str(x): 2 if x == 2 else 1 for x in range(6)}
+        assert [is_error_record(r) for r in results] == [
+            x == 2 for x in range(6)]
+        assert results[2]["sweep_error"]["type"] == "WorkerDied"
+        assert results[5] == {"x2": 10}
+
+    def test_unpicklable_worker_yields_per_slot_error_records(self):
+        results = sweep(lambda spec: {}, [{"x": 0}, {"x": 1}], jobs=2)
+        assert [r["sweep_error"]["spec"] for r in results] == [
+            {"x": 0}, {"x": 1}]
+        assert all("pickle" in r["sweep_error"]["message"]
+                   for r in results)
 
     def test_error_records_are_never_cached(self, tmp_path):
         specs = [{"x": 0}, {"x": 1, "raise": True}]

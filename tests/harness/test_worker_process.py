@@ -125,6 +125,15 @@ class TestReaping:
         assert worker.pid == old
         assert worker.run(pid_point, {})["pid"] == old
 
+    def test_unpicklable_point_returns_error_record_on_same_pid(self,
+                                                                worker):
+        old = worker.pid
+        record = worker.run(lambda spec: {}, {"x": 1})
+        assert record["sweep_error"]["spec"] == {"x": 1}
+        assert "pickle" in record["sweep_error"]["message"]
+        assert worker.pid == old and _alive(old)
+        assert worker.run(pid_point, {})["pid"] == old
+
     def test_death_while_idle_is_not_charged_to_the_next_point(
             self, worker):
         old = worker.pid

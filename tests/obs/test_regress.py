@@ -1,7 +1,7 @@
 """The CI-aware regression gate (repro.obs.regress) and its CLI.
 
 Verdict semantics (overlapping CI => no-change, disjoint => directional)
-over both artifact families, the documented exit codes of
+over RunReports, the refusal of anything else, the documented exit codes of
 ``python -m repro.obs {diff,regress}`` (0 clean / 1 finding / 2 invalid
 input), and the loud-failure contract of :meth:`RunReport.load`.
 """
@@ -85,48 +85,22 @@ class TestCompareReports:
 
 
 class TestCompareBench:
-    def test_ci_rebuilt_from_variance(self, tmp_path):
-        base = {"fig8": {"run": {"mean_s": 1.0, "variance_s2": 1e-4,
-                                 "samples": 5, "kept": 5}}}
-        slow = {"fig8": {"run": {"mean_s": 1.5, "variance_s2": 1e-4,
-                                 "samples": 5, "kept": 5}}}
-        a = write(tmp_path, "a.json", bench(base))
-        b = write(tmp_path, "b.json", bench(slow))
-        result = compare_artifacts(a, b)
-        assert result["kind"] == "bench"
-        assert result["verdict"] == "regression"
-        (finding,) = result["findings"]
-        assert finding["method"] == "ci-overlap"
-        assert finding["metric"] == "fig8.run"
+    """``BENCH_*.json`` records are frozen history: regress refuses
+    them loudly instead of comparing them."""
 
-    def test_same_record_is_clean(self, tmp_path):
-        record = bench({"fig8": {"run": {"mean_s": 1.0,
-                                         "variance_s2": 1e-4,
-                                         "samples": 5, "kept": 5}}})
-        a = write(tmp_path, "a.json", record)
-        b = write(tmp_path, "b.json", record)
-        assert compare_artifacts(a, b)["verdict"] == "ok"
-
-    def test_new_and_removed_metrics_are_reported(self, tmp_path):
-        a = write(tmp_path, "a.json",
-                  bench({"old": {"mean_s": 1.0}}))
-        b = write(tmp_path, "b.json",
-                  bench({"new": {"mean_s": 1.0}}))
-        result = compare_artifacts(a, b)
-        verdicts = {f["metric"]: f["verdict"]
-                    for f in result["findings"]}
-        assert verdicts == {"new": "new", "old": "removed"}
-        assert result["verdict"] == "ok"  # presence is not a regression
-
-    def test_mismatched_families_rejected(self, tmp_path):
+    def test_bench_record_refused(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", make_report(1.0))
-        b = write(tmp_path, "b.json", bench({}))
-        with pytest.raises(RegressError, match="cannot compare"):
-            compare_artifacts(a, b)
+        b = write(tmp_path, "b.json",
+                  bench({"fig8": {"run": {"mean_s": 1.0}}}))
+        for pair in ((a, b), (b, b)):
+            with pytest.raises(RegressError, match="BENCH record"):
+                compare_artifacts(*pair)
+            assert main(["regress", *map(str, pair)]) == 2
+        assert "RunReports only" in capsys.readouterr().err
 
     def test_unrecognized_artifact_rejected(self, tmp_path):
         path = write(tmp_path, "x.json", {"something": "else"})
-        with pytest.raises(RegressError, match="neither"):
+        with pytest.raises(RegressError, match="not a RunReport"):
             load_artifact(path)
 
 
