@@ -5,6 +5,7 @@ the optimizing-code discipline: measure before trusting.  They also act
 as performance regression tripwires for the DES engine.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -237,6 +238,56 @@ def test_event_loop_detached_enters_no_attachment_code():
     entered = _attachment_calls(lambda profile: _event_loop_run(
         False, profile=profile))
     assert not entered, f"detached event loop entered {entered}"
+
+
+def _cyclic_garbage(run) -> list:
+    """The objects ``run()`` leaves for the cycle collector.
+
+    Under ``gc.DEBUG_SAVEALL`` the collector moves what it finds into
+    ``gc.garbage`` instead of freeing it, so everything reference
+    counting could not free is there to inspect.  The ``gc`` flags and
+    ``gc.garbage`` are restored afterwards.
+    """
+    flags, saved = gc.get_debug(), gc.garbage[:]
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return gc.garbage[:]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+
+
+def test_hot_path_objects_die_by_refcount():
+    """Exact guard beside the detached-cost guards: a grant, an OpenCL
+    command event or a finished process that only the cycle collector
+    can free is a reference cycle on the hot path, and a sweep makes
+    one per grant, command or process.  Runs a serial and a
+    hand-optimized Himeno point and a clMPI bandwidth point and finds
+    none of them in the cyclic garbage."""
+    from repro.apps.pingpong import bandwidth_point
+    from repro.harness.fig9 import himeno_point
+    from repro.ocl.event import CLEvent
+    from repro.sim import Process
+    from repro.sim.resources import Request
+
+    def run():
+        for impl in ("serial", "hand-optimized"):
+            himeno_point({"system": "cichlid", "nodes": 4, "impl": impl,
+                          "size": "M", "iterations": 2,
+                          "functional": False})
+        bandwidth_point({"system": "cichlid", "nbytes": 4 << 20,
+                         "mode": "pipelined", "block": 1 << 20,
+                         "repeats": 2})
+
+    garbage = _cyclic_garbage(run)
+    leaked = sorted({type(o).__name__ for o in garbage
+                     if isinstance(o, (Request, CLEvent))
+                     or (isinstance(o, Process) and not o.is_alive)})
+    assert not leaked, f"reference cycles through {leaked}"
 
 
 def _policy_loop_run(policy: bool) -> float:

@@ -42,14 +42,29 @@ class HimenoState:
     gosa_seen: float = 0.0
     gosa_host: np.ndarray = field(
         default_factory=lambda: np.zeros(1, dtype=np.float64))
+    #: (send, recv) host staging planes of the halo exchanges, made on
+    #: first use — see :meth:`staging`
+    _staging: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False)
 
     def row_offset(self, row: int) -> int:
         """Byte offset of local i-plane ``row`` inside ``p_buf``."""
         return row * self.plane
 
-    def plane_array(self) -> np.ndarray:
-        """Fresh float32 host staging array of one plane."""
-        return np.empty((self.part.mj, self.part.mk), dtype=np.float32)
+    def staging(self) -> tuple[np.ndarray, np.ndarray]:
+        """This rank's ``(send, recv)`` float32 host planes for a halo
+        exchange, allocated once and reused by every exchange.
+
+        Reuse is safe because every exchange blocks on its device→host
+        read of ``send``, and the in-order transfer queue runs that read
+        only after the previous exchange's ghost write has consumed
+        ``recv``; the exchange's sendrecv completes before it returns.
+        """
+        if self._staging is None:
+            shape = (self.part.mj, self.part.mk)
+            self._staging = (np.empty(shape, dtype=np.float32),
+                             np.empty(shape, dtype=np.float32))
+        return self._staging
 
     def track(self, kernel_event) -> None:
         """Record a kernel event for the compute-time tally."""

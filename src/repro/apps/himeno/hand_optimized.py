@@ -37,8 +37,7 @@ def _exchange_host_managed(ctx, st: HimenoState, q1, own_row: int,
                            read_after: tuple[CLEvent, ...]
                            ) -> Generator[Any, Any, CLEvent]:
     """Host-managed pinned halo exchange; returns the ghost-write event."""
-    send_host = st.plane_array()
-    recv_host = st.plane_array()
+    send_host, recv_host = st.staging()
     e_read = yield from q1.enqueue_read_buffer(
         st.p_buf, False, st.row_offset(own_row), st.plane, send_host,
         wait_for=read_after, pinned=True)

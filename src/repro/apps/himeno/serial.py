@@ -36,8 +36,7 @@ def _exchange_blocking(ctx, st: HimenoState, q, own_row: int,
                        ghost_row: int, nbr: int, send_tag: int,
                        recv_tag: int) -> Generator[Any, Any, None]:
     """Fully serialized halo exchange: read → sendrecv → write."""
-    send_host = st.plane_array()
-    recv_host = st.plane_array()
+    send_host, recv_host = st.staging()
     yield from q.enqueue_read_buffer(
         st.p_buf, True, st.row_offset(own_row), st.plane, send_host,
         pinned=True)

@@ -410,6 +410,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     jobs = getattr(args, "jobs", 1)
     cache = None if getattr(args, "no_cache", False) else ResultCache()
     json_path = getattr(args, "json", None)
+    if json_path and args.experiment in ("all", "fig4"):
+        print(f"warning: {args.experiment} does not support --json; "
+              "ignored", file=sys.stderr)
+        json_path = None
     faults = _load_faults(args)
     if faults is not None and args.experiment not in ("fig8", "fig9"):
         print(f"warning: {args.experiment} does not support fault "

@@ -42,7 +42,9 @@ class CLEvent:
         self.profile: dict[CommandStatus, float] = {
             CommandStatus.QUEUED: env.now,
         }
-        #: simulation event fired on completion (value: the CLEvent)
+        #: simulation event fired on completion, with no value (None):
+        #: a value pointing back at this CLEvent would be a reference
+        #: cycle per command; a failed command fails it with the error
         self.completion = Event(env)
         self._callbacks: list[tuple[CommandStatus,
                                     Callable[["CLEvent", CommandStatus], None]]] = []
@@ -77,7 +79,7 @@ class CLEvent:
         return int(self._status)
 
     def _advance(self, status: CommandStatus) -> None:
-        if status.value >= self._status.value and status != self._status:
+        if status > self._status:  # IntEnum: later stages compare smaller
             raise OclError("CL_INVALID_OPERATION",
                            f"event {self.label!r}: status cannot go "
                            f"{self._status.name} -> {status.name}")
@@ -93,7 +95,7 @@ class CLEvent:
             if trigger == status:
                 self._dispatch_callback(fn, status)
         if status == CommandStatus.COMPLETE:
-            self.completion.succeed(self)
+            self.completion.succeed()
 
     def _fail(self, exc: BaseException) -> None:
         self.error = exc
@@ -143,7 +145,7 @@ class CLEvent:
                      status: CommandStatus = CommandStatus.COMPLETE) -> None:
         """Register ``fn(event, status)`` for a status transition
         (``clSetEventCallback``).  Fires immediately if already reached."""
-        if self._status.value <= status.value:
+        if self._status <= status:
             self._dispatch_callback(fn, status)
         else:
             self._callbacks.append((status, fn))

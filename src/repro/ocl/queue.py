@@ -51,8 +51,9 @@ class CommandQueue:
         self.env = context.env
         self.in_order = in_order
         self.name = name or f"queue{self.env.next_id('queue')}"
-        self._pending: set[CLEvent] = set()
-        self._all_enqueued: list[CLEvent] = []
+        #: events of the commands not yet completed, in enqueue order
+        #: (a dict used as an insertion-ordered set)
+        self._pending: dict[CLEvent, None] = {}
         #: out-of-order queues: event of the latest barrier, which gates
         #: every subsequently enqueued command
         self._ooo_barrier: Optional[CLEvent] = None
@@ -65,10 +66,9 @@ class CommandQueue:
     # dispatch machinery
     # ------------------------------------------------------------------
     def _submit(self, cmd: Command) -> None:
-        self._pending.add(cmd.event)
-        self._all_enqueued.append(cmd.event)
+        self._pending[cmd.event] = None
         cmd.event.completion.callbacks.append(
-            lambda _e: self._pending.discard(cmd.event))
+            lambda _e: self._pending.pop(cmd.event, None))
         if not self.in_order:
             if (self._ooo_barrier is not None
                     and cmd.type != CommandType.BARRIER
@@ -325,8 +325,7 @@ class CommandQueue:
     def enqueue_barrier(self) -> Generator[Any, Any, CLEvent]:
         """``clEnqueueBarrier``: all previously enqueued commands must
         complete before any later one starts (meaningful out-of-order)."""
-        prior = tuple(ev for ev in self._all_enqueued
-                      if not ev.is_complete)
+        prior = tuple(ev for ev in self._pending if not ev.is_complete)
 
         def execute():
             yield self.env.timeout(0.0)

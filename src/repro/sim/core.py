@@ -48,7 +48,15 @@ inner loop is written for CPython's profile rather than for symmetry:
   instead of going through :meth:`Environment._schedule` (one call frame
   per event saved; ``_schedule`` remains for subclasses and tests).
 * Each :class:`Process` caches its bound ``_resume`` once instead of
-  materialising a fresh bound method per wait.
+  materialising a fresh bound method per wait, and drops it when the
+  coroutine exits (the cached method points back at its process).
+* Per-grant, per-command and per-process objects hold no reference
+  cycle once they are done (a grant's value is cleared on release, a
+  finished process drops its cached ``_resume``, an OpenCL completion
+  fires with no value), so reference counting frees them the moment
+  they die.  Each cycle left on the hot path is work for CPython's
+  cycle collector, whose collections are triggered by allocation
+  counts and scan every young object each time.
 * Resuming a process that yielded an *already processed* event, and
   bootstrapping a new process, both reuse pooled one-shot "kick" events
   (:class:`_Kick`) rather than allocating a fresh :class:`Event`.
@@ -325,6 +333,7 @@ class Process(Event):
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
+            self._resume_cb = None
             if self.callbacks:
                 self.succeed(stop.value)
             else:
@@ -338,6 +347,7 @@ class Process(Event):
             return
         except BaseException as exc:
             env._active_process = None
+            self._resume_cb = None
             self.fail(exc)
             return
         env._active_process = None
@@ -357,6 +367,7 @@ class Process(Event):
             target = self._generator.throw(exc)
         except StopIteration as stop:
             self.env._active_process = None
+            self._resume_cb = None
             if self.callbacks:
                 self.succeed(stop.value)
             else:
@@ -365,6 +376,7 @@ class Process(Event):
             return
         except BaseException as err:
             self.env._active_process = None
+            self._resume_cb = None
             self.fail(err)
             return
         self.env._active_process = None

@@ -17,7 +17,11 @@ __all__ = ["Resource", "Store", "PriorityStore"]
 
 
 class Request(Event):
-    """Grant event handed out by :meth:`Resource.request`."""
+    """Grant event handed out by :meth:`Resource.request`.
+
+    It fires with itself as its value; :meth:`Resource.release` resets
+    the value to None, so a released grant holds no reference cycle.
+    """
 
     __slots__ = ("resource",)
 
@@ -79,6 +83,9 @@ class Resource:
         """Return a previously granted server; wakes the next waiter."""
         if req in self._users:
             self._users.remove(req)
+            # a held grant's value is the grant itself: drop that
+            # self-reference so the released grant dies by refcount
+            req._value = None
         elif req in self._queue:  # cancelled before grant
             self._queue.remove(req)
             return

@@ -18,6 +18,24 @@ def make_kernel(name="k", duration=1e-3, body=None):
     return Kernel(name, body=body, cost=lambda gpu, *a: duration)
 
 
+class RecordingMonitor:
+    """Monitor that records host syncs and enqueued commands and
+    ignores every other lifecycle hook."""
+
+    def __init__(self):
+        self.host_syncs = []
+        self.enqueued = []
+
+    def on_host_sync(self, events):
+        self.host_syncs.append(list(events))
+
+    def on_command_enqueued(self, queue, cmd):
+        self.enqueued.append(cmd)
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
 class TestInOrderQueue:
     def test_commands_execute_in_fifo_order(self, node_env):
         env, ctx = node_env
@@ -127,6 +145,31 @@ class TestOutOfOrderQueue:
         e1, e2 = run(env, main())
         assert (e2.profile[CommandStatus.RUNNING]
                 >= e1.profile[CommandStatus.COMPLETE])
+
+    def test_barrier_waits_on_exactly_the_incomplete_prior(self, node_env):
+        """The barrier's wait list is the prior commands still running,
+        in enqueue order; one that already completed is left out."""
+        env, ctx = node_env
+        mon = env.monitor = RecordingMonitor()
+        q = ctx.create_queue(in_order=False)
+
+        def main():
+            e1 = yield from q.enqueue_nd_range_kernel(
+                make_kernel(duration=0.4), ())
+            e2 = yield from q.enqueue_marker()
+            yield from wait_for_events([e2], host=ctx.host)
+            e3 = yield from q.enqueue_nd_range_kernel(
+                make_kernel(duration=0.3), ())
+            e4 = yield from q.enqueue_nd_range_kernel(
+                make_kernel(duration=0.2), ())
+            assert e2.is_complete and not e1.is_complete
+            yield from q.enqueue_barrier()
+            yield from q.finish()
+            return e1, e3, e4
+
+        e1, e3, e4 = run(env, main())
+        barrier, = [c for c in mon.enqueued if c.label == "barrier"]
+        assert barrier.wait_events == (e1, e3, e4)
 
 
 class TestTransfers:
@@ -353,6 +396,23 @@ class TestSync:
             return env.now
 
         assert run(env, main()) >= 0.7
+
+    def test_finish_reports_drained_events_in_enqueue_order(self,
+                                                            node_env):
+        env, ctx = node_env
+        mon = env.monitor = RecordingMonitor()
+        q = ctx.create_queue()
+
+        def main():
+            evts = []
+            for i in range(16):
+                evts.append((yield from q.enqueue_nd_range_kernel(
+                    make_kernel(f"k{i}"), ())))
+            yield from q.finish()
+            return evts
+
+        evts = run(env, main())
+        assert mon.host_syncs == [evts]
 
     def test_finish_empty_queue_is_cheap(self, node_env):
         env, ctx = node_env
