@@ -1,8 +1,10 @@
 """Meta-benchmarks: the simulator's own performance.
 
 Not paper results — these quantify what a sweep costs in *real* time, per
-the optimizing-code discipline: measure before trusting.  They also act
-as performance regression tripwires for the DES engine.
+the optimizing-code discipline: measure before trusting.  Exact guards
+beside them check that a detached run enters no observer, fault or
+schedule-policy code and leaves no hot-path object to the cycle
+collector.
 """
 
 import gc
@@ -117,29 +119,6 @@ def test_metrics_attached_event_throughput(benchmark):
     assert benchmark(_event_loop_run, True) > 0
 
 
-def test_metrics_detached_is_free():
-    """Regression tripwire: a detached registry must cost nothing on the
-    hot path.  The attached run does strictly more work per event, so
-    best-of-N detached time must not exceed best-of-N attached time
-    (with a generous noise allowance)."""
-    import time
-
-    def best_of(metrics, reps=3):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            _event_loop_run(metrics)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    best_of(False, reps=1)  # warm up allocators and imports
-    detached = best_of(False)
-    attached = best_of(True)
-    assert detached <= attached * 1.25, \
-        f"detached hot path regressed: {detached:.4f}s vs " \
-        f"attached {attached:.4f}s"
-
-
 def _mpi_loop_run(faults: bool, profile=None) -> float:
     """1k-message MPI loop with or without the fault/FT stack attached.
 
@@ -175,66 +154,52 @@ def test_ft_attached_message_rate(benchmark):
     assert benchmark(_mpi_loop_run, True) > 0
 
 
-def test_failure_detector_detached_is_free():
-    """Regression tripwire: with no fault plan attached, the failure
-    detector must add zero cost to the MPI hot path.  The faulty run
-    does strictly more work per message (fate lookups, detector
-    plumbing), so best-of-N detached must not exceed best-of-N attached
-    (with a generous noise allowance)."""
-    import time
-
-    def best_of(faults, reps=3):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            _mpi_loop_run(faults)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    best_of(False, reps=1)  # warm up allocators and imports
-    detached = best_of(False)
-    attached = best_of(True)
-    assert detached <= attached * 1.25, \
-        f"fault-free hot path regressed: {detached:.4f}s vs " \
-        f"fault-attached {attached:.4f}s"
-
-
-#: observer and fault modules a detached run must never enter
+#: observer, fault and failure-detector modules a detached run must
+#: never enter
 _ATTACHMENT_MODULES = ("repro.obs", "repro.analysis", "repro.faults",
-                       "repro.sim.trace")
+                       "repro.mpi.ft", "repro.sim.trace")
+
+#: the paths only a schedule policy routes through, as
+#: ``module.function``: the policed run loop and deferred matching
+_POLICED_FUNCTIONS = frozenset({"repro.sim.core._run_scheduled",
+                                "repro.mpi.comm._schedule_flush",
+                                "repro.mpi.comm._flush_endpoint"})
 
 
 def _attachment_calls(run) -> list[str]:
-    """Every function of the observer and fault modules that
-    ``run(profile=...)`` enters, as sorted ``module.function`` names."""
+    """Every function of the attachment modules, and every policed
+    function, that ``run(profile=...)`` enters, as sorted
+    ``module.function`` names."""
     entered = set()
 
     def profile(frame, event, _arg):
         if event == "call":
             module = frame.f_globals.get("__name__", "")
-            if any(module == m or module.startswith(m + ".")
-                   for m in _ATTACHMENT_MODULES):
-                entered.add(f"{module}.{frame.f_code.co_name}")
+            name = f"{module}.{frame.f_code.co_name}"
+            if name in _POLICED_FUNCTIONS or any(
+                    module == m or module.startswith(m + ".")
+                    for m in _ATTACHMENT_MODULES):
+                entered.add(name)
 
     assert run(profile=profile) > 0
     return sorted(entered)
 
 
 def test_mpi_loop_detached_enters_no_attachment_code():
-    """Exact guard beside the best-of-3 timing tripwires: with no
-    tracer, monitor, metrics registry, fault plan or schedule policy
-    attached, the 1k-message MPI loop must not enter one function of the
-    observer and fault modules.  Unlike the timing comparisons this
-    cannot be hidden by noise: a single stray call fails it."""
+    """Exact detached-cost guard: with no tracer, monitor, metrics
+    registry, fault plan or schedule policy attached, the 1k-message MPI
+    loop must not enter one function of the observer, fault or
+    failure-detector modules, nor the policed run loop or deferred
+    matching.  Unlike a wall-clock comparison this cannot be hidden by
+    noise: a single stray call fails it."""
     entered = _attachment_calls(lambda profile: _mpi_loop_run(
         False, profile=profile))
     assert not entered, f"detached MPI loop entered {entered}"
 
 
 def test_event_loop_detached_enters_no_attachment_code():
-    """The exact twin of :func:`test_metrics_detached_is_free`: with
-    nothing attached, the 20k-event calendar drain must not enter one
-    function of the observer and fault modules."""
+    """The same guard on a detached 20k-event calendar drain: it must
+    enter no attachment module and no policed path."""
     entered = _attachment_calls(lambda profile: _event_loop_run(
         False, profile=profile))
     assert not entered, f"detached event loop entered {entered}"
@@ -322,30 +287,6 @@ def test_schedule_policy_attached_message_rate(benchmark):
     flush rounds plus the policed run loop, to quantify what one
     explored schedule costs over a plain run."""
     assert benchmark(_policy_loop_run, True) > 0
-
-
-def test_schedule_policy_detached_is_free():
-    """Regression tripwire: with no schedule policy attached, the
-    verifier hooks must add zero cost to the MPI hot path.  The policed
-    run does strictly more work per message (flush events, candidate
-    sets, choice callbacks), so best-of-N detached must not exceed
-    best-of-N attached (with a generous noise allowance)."""
-    import time
-
-    def best_of(policy, reps=3):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            _policy_loop_run(policy)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    best_of(False, reps=1)  # warm up allocators and imports
-    detached = best_of(False)
-    attached = best_of(True)
-    assert detached <= attached * 1.25, \
-        f"policy-free hot path regressed: {detached:.4f}s vs " \
-        f"policy-attached {attached:.4f}s"
 
 
 def test_tracer_record_empty_meta_fast_path(benchmark):

@@ -199,25 +199,21 @@ class ClmpiRuntime:
                         env.metrics.inc("clmpi.orphaned_flows")
                     mon = env.monitor
                     if mon is not None:
-                        hook = getattr(mon, "on_fault", None)
-                        if hook is not None:
-                            hook({"kind": "clmpi_orphaned", "time": env.now,
-                                  "op": op, "peer": peer, "tag": desc.tag,
-                                  "rank": exc.rank, "node": exc.node,
-                                  "flow": getattr(exc, "flow", 0)})
+                        mon.on_fault({"kind": "clmpi_orphaned", "time": env.now,
+                                      "op": op, "peer": peer, "tag": desc.tag,
+                                      "rank": exc.rank, "node": exc.node,
+                                      "flow": getattr(exc, "flow", 0)})
                     break
                 if env.metrics is not None:
                     env.metrics.inc("clmpi.fallback_steps")
                     env.metrics.inc(f"clmpi.fallback.{mode}")
                 mon = env.monitor
                 if mon is not None:
-                    hook = getattr(mon, "on_fault", None)
-                    if hook is not None:
-                        hook({"kind": "clmpi_degrade", "time": env.now,
-                              "op": op, "peer": peer, "tag": desc.tag,
-                              "mode": mode, "attempt": attempt,
-                              "error": str(exc),
-                              "flow": getattr(exc, "flow", 0)})
+                    mon.on_fault({"kind": "clmpi_degrade", "time": env.now,
+                                  "op": op, "peer": peer, "tag": desc.tag,
+                                  "mode": mode, "attempt": attempt,
+                                  "error": str(exc),
+                                  "flow": getattr(exc, "flow", 0)})
         if isinstance(last, MpiRankFailed):
             exc = ClmpiError(
                 f"clMPI {op} with peer {peer} tag {desc.tag} "

@@ -132,9 +132,7 @@ class FaultInjector:
         if env is not None and env.metrics is not None:
             env.metrics.inc(f"faults.{kind}")
         if env is not None and env.monitor is not None:
-            hook = getattr(env.monitor, "on_fault", None)
-            if hook is not None:
-                hook(rec)
+            env.monitor.on_fault(rec)
         return rec
 
     def summary(self) -> dict:

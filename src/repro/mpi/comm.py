@@ -404,14 +404,12 @@ class Communicator:
         exc.flow = envelope.flow  # locate the failure on the timeline
         self._abort_send(envelope, completion, exc)
         if env.monitor is not None:
-            hook = getattr(env.monitor, "on_fault", None)
-            if hook is not None:
-                hook({"kind": "mpi_giveup", "time": env.now,
-                      "src": envelope.src, "dst": envelope.dst,
-                      "tag": envelope.tag, "nbytes": envelope.nbytes,
-                      "last_fate": envelope.last_fate,
-                      "rank_failed": dead_rank,
-                      "flow": envelope.flow})
+            env.monitor.on_fault({"kind": "mpi_giveup", "time": env.now,
+                                  "src": envelope.src, "dst": envelope.dst,
+                                  "tag": envelope.tag, "nbytes": envelope.nbytes,
+                                  "last_fate": envelope.last_fate,
+                                  "rank_failed": dead_rank,
+                                  "flow": envelope.flow})
 
     @staticmethod
     def _deposit(src_bytes: np.ndarray, dst_bytes: np.ndarray) -> None:
@@ -676,11 +674,9 @@ class Communicator:
         if env.metrics is not None:
             env.metrics.inc("ft.revokes")
         if env.monitor is not None:
-            hook = getattr(env.monitor, "on_fault", None)
-            if hook is not None:
-                hook({"kind": "comm_revoked", "time": env.now,
-                      "comm": state.name, "by": self._rank,
-                      "reason": state.revoke_reason})
+            env.monitor.on_fault({"kind": "comm_revoked", "time": env.now,
+                                  "comm": state.name, "by": self._rank,
+                                  "reason": state.revoke_reason})
         for endpoint in state.endpoints:
             for posted in endpoint.pending_recv_list():
                 # Marked matched so the matching tables drop the entry:
@@ -746,11 +742,9 @@ class Communicator:
             if env.metrics is not None:
                 env.metrics.inc("ft.shrinks")
             if env.monitor is not None:
-                hook = getattr(env.monitor, "on_fault", None)
-                if hook is not None:
-                    hook({"kind": "comm_shrunk", "time": env.now,
-                          "comm": state.name, "survivors": list(survivors),
-                          "failed_nodes": list(dead)})
+                env.monitor.on_fault({"kind": "comm_shrunk", "time": env.now,
+                                      "comm": state.name, "survivors": list(survivors),
+                                      "failed_nodes": list(dead)})
         return Communicator(child, survivors.index(my_node))
 
     def agree(self) -> Generator[Any, Any, tuple]:

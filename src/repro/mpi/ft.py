@@ -63,9 +63,7 @@ class FailureDetector:
             env.metrics.inc("ft.detections")
         mon = env.monitor
         if mon is not None:
-            hook = getattr(mon, "on_fault", None)
-            if hook is not None:
-                hook(rec)
+            mon.on_fault(rec)
         return True
 
     def sweep(self, env, nodes: Iterable[int]) -> None:

@@ -66,9 +66,7 @@ class MpiWorld:
             cluster_spec = system
             self.preset = None
         self.config = config or MpiConfig()
-        # The MPI layer dominates timeout churn; recycling is safe here
-        # because no rank code holds Timeout references across yields.
-        self.env = Environment(reuse_timeouts=True)
+        self.env = Environment()
         if trace:
             self.env.tracer = Tracer()
         if metrics:

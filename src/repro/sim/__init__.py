@@ -44,7 +44,7 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "ENGINES",
     "Resource",
     "Store",
-    "PriorityStore",
     "TraceRecord",
     "Tracer",
     "NORMAL",

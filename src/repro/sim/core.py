@@ -44,9 +44,8 @@ Hot-path notes (see docs/performance.md)
 A sweep spends nearly all of its real time inside this module, so the
 inner loop is written for CPython's profile rather than for symmetry:
 
-* ``succeed``/``fail``/``Timeout`` push onto the calendar directly
-  instead of going through :meth:`Environment._schedule` (one call frame
-  per event saved; ``_schedule`` remains for subclasses and tests).
+* ``succeed``/``fail``/``Timeout`` push onto the calendar directly,
+  with no scheduling helper in between (one call frame per event saved).
 * Each :class:`Process` caches its bound ``_resume`` once instead of
   materialising a fresh bound method per wait, and drops it when the
   coroutine exits (the cached method points back at its process).
@@ -57,9 +56,12 @@ inner loop is written for CPython's profile rather than for symmetry:
   they die.  Each cycle left on the hot path is work for CPython's
   cycle collector, whose collections are triggered by allocation
   counts and scan every young object each time.
-* Resuming a process that yielded an *already processed* event, and
-  bootstrapping a new process, both reuse pooled one-shot "kick" events
-  (:class:`_Kick`) rather than allocating a fresh :class:`Event`.
+* Bootstrapping a process or chain and resuming one that waits on an
+  *already processed* event go through one helper, :func:`_kick`: a
+  plain :class:`Event` pushed as one ``HIGH`` entry at ``now`` that
+  hands the outcome to the resume callback.  A waiter on a live event
+  pushes nothing.  An interrupt is a ``HIGH`` kick failed with
+  :class:`Interrupt`, so it too resumes through ``_resume``.
 * Per-message work (the MPI send and receive sides) runs as a
   :class:`Chain` — steps as callbacks on the awaited events — instead
   of a generator process.  A chain pushes one calendar entry per step,
@@ -67,18 +69,12 @@ inner loop is written for CPython's profile rather than for symmetry:
   for an already-processed target), so the heap order is unchanged.
 * ``Environment.run`` inlines :meth:`step` so the drain loop costs one
   heappop plus one callback dispatch per event.
-* ``Environment(reuse_timeouts=True)`` opts into a slotted freelist that
-  recycles :class:`Timeout` instances the moment they fire, guarded by a
-  refcount check so user-held timeouts are never reused underneath the
-  caller.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from sys import getrefcount
 
 __all__ = [
     "Environment",
@@ -109,10 +105,6 @@ LOW = 2
 PENDING = 0
 TRIGGERED = 1  # scheduled on the heap, callbacks not yet run
 PROCESSED = 2  # callbacks have run
-
-#: Upper bounds for the per-environment object pools.
-_KICK_POOL_MAX = 64
-_TIMEOUT_POOL_MAX = 256
 
 
 class SimulationError(RuntimeError):
@@ -250,23 +242,26 @@ class Timeout(Event):
         heappush(env._heap, (env._now + delay, priority, env._seq, self))
 
 
-class _Kick(Event):
-    """Pooled one-shot event used to defer a resume to the next round.
+def _kick(env: "Environment", resume: Callable,
+          target: Optional[Event] = None) -> Event:
+    """Call ``resume`` on the next scheduling round at the current time —
+    one ``HIGH`` entry after those already due now — with an event
+    carrying ``target``'s outcome (a plain success when None).
 
-    Kicks never escape the engine (no user code ever holds one), so once
-    their callbacks have run inside :meth:`Environment.run` they are reset
-    and returned to the environment's pool for reuse.
+    This is how a process or chain is bootstrapped and how it resumes on
+    a target that has already been processed.  Returns the pushed event.
     """
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment"):
-        self.env = env
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._state = PENDING
-        self._defused = False
+    kick = Event(env)
+    kick.callbacks.append(resume)
+    if target is not None:
+        kick._ok = target._ok
+        kick._value = target._value
+        if not target._ok:
+            target._defused = True
+    kick._state = TRIGGERED
+    env._seq += 1
+    heappush(env._heap, (env._now, HIGH, env._seq, kick))
+    return kick
 
 
 class Process(Event):
@@ -293,13 +288,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
-        # Bootstrap: resume the coroutine at the current time.
-        pool = env._kick_pool
-        boot = pool.pop() if pool else _Kick(env)
-        boot.callbacks.append(self._resume_cb)
-        boot._state = TRIGGERED
-        env._seq += 1
-        heappush(env._heap, (env._now, HIGH, env._seq, boot))
+        _kick(env, self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -318,8 +307,8 @@ class Process(Event):
                 pass
         self._waiting_on = None
         kick = Event(self.env)
-        kick.callbacks.append(lambda _evt: self._throw(Interrupt(cause)))
-        kick.succeed(priority=HIGH)
+        kick.callbacks.append(self._resume_cb)
+        kick.fail(Interrupt(cause), priority=HIGH)
 
     # -- coroutine stepping -------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -361,47 +350,14 @@ class Process(Event):
                 return
         self._wait_on(target)
 
-    def _throw(self, exc: BaseException) -> None:
-        self.env._active_process = self
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            self.env._active_process = None
-            self._resume_cb = None
-            if self.callbacks:
-                self.succeed(stop.value)
-            else:
-                self._value = stop.value
-                self._state = PROCESSED
-            return
-        except BaseException as err:
-            self.env._active_process = None
-            self._resume_cb = None
-            self.fail(err)
-            return
-        self.env._active_process = None
-        self._wait_on(target)
-
     def _wait_on(self, target: Any) -> None:
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; coroutines must "
                 "yield Event instances (did you forget 'yield from'?)")
         if target._state == PROCESSED:
-            # Already fired: resume on the next scheduling round, via a
-            # pooled kick (no fresh Event allocation on this path).
-            env = self.env
-            pool = env._kick_pool
-            kick = pool.pop() if pool else _Kick(env)
-            kick._ok = target._ok
-            kick._value = target._value
-            if not target._ok:
-                target._defused = True
-            kick.callbacks.append(self._resume_cb)
-            kick._state = TRIGGERED
-            env._seq += 1
-            heappush(env._heap, (env._now, HIGH, env._seq, kick))
-            self._waiting_on = kick
+            # already fired: resume on the next scheduling round
+            self._waiting_on = _kick(self.env, self._resume_cb, target)
         else:
             target.callbacks.append(self._resume_cb)
             self._waiting_on = target
@@ -453,7 +409,7 @@ class Chain(Event):
         """Run ``step`` at the current time, after the entries already
         due now (a process bootstrap)."""
         self._step = step
-        self._kick(None)
+        _kick(self.env, self._resume)
 
     def _wait(self, target: Event, step: Callable) -> None:
         """Run ``step`` when ``target`` fires."""
@@ -461,24 +417,7 @@ class Chain(Event):
         if target._state != PROCESSED:
             target.callbacks.append(self._resume)
         else:
-            self._kick(target)
-
-    def _kick(self, target: Optional[Event]) -> None:
-        """Resume on the next scheduling round at the current time
-        through a pooled kick carrying ``target``'s outcome (a plain
-        success when None), as Process bootstraps and _wait_on do."""
-        env = self.env
-        pool = env._kick_pool
-        kick = pool.pop() if pool else _Kick(env)
-        if target is not None:
-            kick._ok = target._ok
-            kick._value = target._value
-            if not target._ok:
-                target._defused = True
-        kick.callbacks.append(self._resume)
-        kick._state = TRIGGERED
-        env._seq += 1
-        heappush(env._heap, (env._now, HIGH, env._seq, kick))
+            _kick(self.env, self._resume, target)
 
     def _resume(self, event: Event) -> None:
         if not event._ok:
@@ -501,7 +440,7 @@ class Chain(Event):
         if target._state != PROCESSED:
             target.callbacks.append(self._resume)
         else:
-            self._kick(target)
+            _kick(self.env, self._resume, target)
 
 
 class _Condition(Event):
@@ -589,14 +528,6 @@ class AnyOf(_Condition):
 class Environment:
     """The simulation environment: virtual clock plus the event calendar.
 
-    ``reuse_timeouts=True`` opts into the timeout freelist: plain
-    :class:`Timeout` events created through :meth:`timeout` are recycled
-    once fired *if nothing else still references them* (checked via the
-    refcount), trading a tiny per-event check for zero allocation on the
-    dominant event type.  Off by default — holding a fired timeout and
-    reading its ``value`` later is legal API use and only guaranteed
-    stable when the freelist is off or the caller keeps a reference.
-
     ``engine`` selects the execution engine behind this facade:
     ``"coroutine"`` (default) runs generator processes on the event heap;
     ``"vectorized"`` exposes the NumPy batch engine at :attr:`vector`
@@ -607,7 +538,6 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0,
-                 reuse_timeouts: bool = False,
                  engine: str = "coroutine",
                  strict_engine: bool = False):
         if engine not in ENGINES:
@@ -626,9 +556,6 @@ class Environment:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self._kick_pool: list[_Kick] = []
-        self._timeout_pool: Optional[list[Timeout]] = \
-            [] if reuse_timeouts else None
         #: Optional tracer; hardware layers append timeline records here.
         self.tracer = None
         #: Optional correctness monitor (see :mod:`repro.analysis`); the
@@ -719,21 +646,15 @@ class Environment:
         """An event firing ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        pool = self._timeout_pool
-        if pool:
-            to = pool.pop()
-            to._value = value
-            to._state = TRIGGERED
-        else:
-            # Inline Timeout construction: this is the single hottest
-            # allocation in any sweep, so skip the __init__ call frame.
-            to = Timeout.__new__(Timeout)
-            to.env = self
-            to.callbacks = []
-            to._value = value
-            to._ok = True
-            to._state = TRIGGERED
-            to._defused = False
+        # Inline Timeout construction: this is the single hottest
+        # allocation in any sweep, so skip the __init__ call frame.
+        to = Timeout.__new__(Timeout)
+        to.env = self
+        to.callbacks = []
+        to._value = value
+        to._ok = True
+        to._state = TRIGGERED
+        to._defused = False
         self._seq += 1
         heappush(self._heap, (self._now + delay, NORMAL, self._seq, to))
         return to
@@ -759,11 +680,6 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
-    def _schedule(self, event: Event, priority: int = NORMAL,
-                  delay: float = 0.0) -> None:
-        self._seq += 1
-        heappush(self._heap, (self._now + delay, priority, self._seq, event))
-
     def step(self) -> None:
         """Process the single next event on the calendar."""
         when, _prio, _seq, event = heappop(self._heap)
@@ -785,8 +701,6 @@ class Environment:
         if self.schedule_policy is not None:
             return self._run_scheduled(until)
         heap = self._heap
-        pool = self._timeout_pool
-        kick_pool = self._kick_pool
         metrics = self.metrics
         if metrics is not None:
             # Every heappush bumps _seq exactly once, so event counts can
@@ -813,23 +727,6 @@ class Environment:
                     cb(event)
             if not event._ok and not event._defused:
                 raise event._value
-            cls = event.__class__
-            if cls is Timeout:
-                if (pool is not None and not event.callbacks
-                        and getrefcount(event) == 2
-                        and len(pool) < _TIMEOUT_POOL_MAX):
-                    # Nothing else references the fired timeout: recycle.
-                    event._state = PENDING
-                    event._value = None
-                    event._defused = False
-                    pool.append(event)
-            elif cls is _Kick:
-                event._state = PENDING
-                event._ok = True
-                event._value = None
-                event._defused = False
-                if len(kick_pool) < _KICK_POOL_MAX:
-                    kick_pool.append(event)
         if until is not None:
             self._now = until
         if metrics is not None:
@@ -858,9 +755,9 @@ class Environment:
         Same-``(time, priority)`` heap entries form a *tie batch*; with
         ``policy.explore_ties`` the policy picks which entry fires next
         (choice index 0 always reproduces the detached seq order).  This
-        loop skips the hot path's event pooling and metrics accounting —
-        only the schedule-space verifier drives it, and it pays for
-        introspection instead of throughput.
+        loop skips the hot path's metrics accounting — only the
+        schedule-space verifier drives it, and it pays for introspection
+        instead of throughput.
         """
         policy = self.schedule_policy
         heap = self._heap

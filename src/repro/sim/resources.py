@@ -7,13 +7,12 @@ FIFO mailbox used for command queues and runtime worker threads.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Generator
 
 from repro.sim.core import PENDING, Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store", "PriorityStore"]
+__all__ = ["Resource", "Store"]
 
 
 class Request(Event):
@@ -135,41 +134,3 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
-
-class PriorityStore(Store):
-    """Store delivering the smallest item first (heap order).
-
-    Items must be comparable; use ``(priority, seq, payload)`` tuples.
-    """
-
-    def __init__(self, env: Environment, name: str = ""):
-        super().__init__(env, name)
-        self._items: list[Any] = []  # type: ignore[assignment]
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            # An item only reaches a waiting getter if the heap is empty,
-            # so delivery order is still smallest-first overall.
-            self._getters.popleft().succeed(item)
-        else:
-            heapq.heappush(self._items, item)
-
-    def get(self) -> Event:
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(heapq.heappop(self._items))
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        if self._items:
-            return True, heapq.heappop(self._items)
-        return False, None

@@ -1,8 +1,12 @@
 """Unit tests of the DES engine: events, timeouts, processes, conditions."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.sim import Chain, Environment, Interrupt, SimulationError
+from repro.sim import (Chain, Environment, Interrupt, Resource,
+                       SimulationError, Store)
 
 
 class TestClock:
@@ -74,6 +78,21 @@ class TestTimeout:
         p = env.process(proc(env))
         env.run()
         assert p.value == 3.0
+
+    def test_held_timeout_keeps_value(self, env):
+        held = []
+
+        def proc(env):
+            t = env.timeout(1.0, value="precious")
+            held.append(t)
+            yield t
+            yield env.timeout(1.0)
+            yield env.timeout(1.0)
+
+        env.process(proc(env))
+        env.run()
+        # a timeout held across later waits keeps its value
+        assert held[0].value == "precious"
 
 
 class TestEvent:
@@ -474,89 +493,169 @@ class TestInterruptAfterFire:
         assert seen == ["interrupted"]
 
 
-class TestObjectPools:
-    def test_kick_pool_reuses_events(self):
+def _fire(env):
+    """Fire the calendar entry by entry; return ``(time, priority, seq,
+    tie label)`` of every fired entry."""
+    entries = []
+    while env._heap:
+        when, prio, seq, event = env._heap[0]
+        entries.append((repr(when), prio, seq, Environment._tie_label(event)))
+        env.step()
+    return entries
+
+
+class _Relay(Chain):
+    """Waits on a timeout, then on an event that has fired by then."""
+
+    __slots__ = ("gate", "log")
+
+    def first(self, _event):
+        return self.env.timeout(1.0), _Relay.second
+
+    def second(self, _event):
+        return self.gate, _Relay.third
+
+    def third(self, event):
+        self.log.append((self.name, self.env.now, event.value))
+
+
+def _heap_workload(env):
+    """Every kind of calendar entry the engine pushes, apart from
+    interrupts: process bootstraps, live and processed waits (a success
+    and a failure), held and unheld timeouts, a process waiting on a
+    process, AllOf/AnyOf over processed and pending children, resource
+    grants, store handoffs and chains waiting on processed events."""
+    log = []
+    gate = env.event()
+    broken = env.event()
+    lock = Resource(env, capacity=1, name="lock")
+    box = Store(env, name="box")
+
+    def opener(env):
+        yield env.timeout(0.5)
+        gate.succeed("open")
+        broken.fail(RuntimeError("broken"))
+        box.put("first")
+        env.timeout(0.75)  # nobody waits on this one
+        return "opened"
+
+    def early(env):
+        opened = yield gate
+        log.append(("early", env.now, opened))
+        try:
+            yield broken
+        except RuntimeError as exc:
+            log.append(("early", env.now, str(exc)))
+
+    def late(env, opener_proc):
+        yield env.timeout(1.0)
+        opened = yield gate
+        log.append(("late", env.now, opened))
+        try:
+            yield broken
+        except RuntimeError as exc:
+            log.append(("late", env.now, str(exc)))
+        result = yield opener_proc
+        log.append(("late", env.now, result))
+
+    def holder(env):
+        held = env.timeout(0.25, value="kept")
+        yield held
+        yield env.timeout(0.0)
+        yield env.timeout(0.5)
+        log.append(("holder", env.now, held.value))
+
+    def conditions(env):
+        done = env.timeout(0.0, value="now")
+        yield env.timeout(0.25)
+        both = yield env.all_of([done, gate])
+        first = yield env.any_of([env.timeout(0.5, value="a"),
+                                  env.timeout(0.25, value="b")])
+        log.append(("cond", env.now, both, first[1]))
+        try:
+            yield env.all_of([env.timeout(0.1), broken])
+        except RuntimeError as exc:
+            log.append(("cond", env.now, str(exc)))
+
+    def user(env, i):
+        grant = yield from lock.acquire()
+        yield env.timeout(0.25)
+        lock.release(grant)
+        log.append((f"user{i}", env.now))
+
+    def taker(env):
+        first = yield box.get()
+        box.put("second")
+        second = yield box.get()
+        log.append(("taker", env.now, first, second))
+
+    opener_proc = env.process(opener(env), name="opener")
+    env.process(early(env), name="early")
+    env.process(late(env, opener_proc), name="late")
+    env.process(holder(env), name="holder")
+    env.process(conditions(env), name="conditions")
+    for i in range(3):
+        env.process(user(env, i), name=f"user{i}")
+    env.process(taker(env), name="taker")
+    relay = _Relay(env, "relay")
+    relay.gate, relay.log = gate, log
+    relay._boot(_Relay.first)
+    # a chain parked from outside a step on an event that has fired
+    parked = _Relay(env, "parked")
+    parked.gate, parked.log = gate, log
+    env.timeout(2.0).callbacks.append(
+        lambda _e: parked._wait(gate, _Relay.third))
+    return log
+
+
+class TestHeapOrder:
+    """Pins every fired calendar entry of a mixed sim-layer workload:
+    ``(time, priority, seq, tie label)``.  Ties at one timestamp resolve
+    by ``(priority, sequence)`` and the schedule-space verifier
+    enumerates them by label, so a change to how the engine allocates,
+    wakes or resumes must leave these entries exactly as they were."""
+
+    #: recorded on the engine with pooled kicks and the opt-in timeout
+    #: freelist, before both were deleted
+    PINNED = ("818d85c5a85ad65b90aba13fe5d8fe9ccd2228f43a2b280c035767873b3c7db8",
+              41)
+
+    def test_fired_entries_are_pinned(self):
         env = Environment()
+        log = _heap_workload(env)
+        entries = _fire(env)
+        digest = hashlib.sha256(
+            json.dumps([entries, log]).encode()).hexdigest()
+        assert (digest, len(entries)) == self.PINNED
 
-        def proc(env):
-            done = env.event()
-            done.succeed()
-            yield done        # processed-target wait -> kick
-            yield env.timeout(0.0)
-
-        for _ in range(5):
-            env.process(proc(env))
-        env.run()
-        assert len(env._kick_pool) >= 1
-        # Pool survives across runs and is drawn down by new processes.
-        before = len(env._kick_pool)
-        env.process(proc(env))
-        assert len(env._kick_pool) == before - 1
-        env.run()
-
-    def test_timeout_freelist_recycles(self):
-        env = Environment(reuse_timeouts=True)
-
-        def proc(env):
-            for _ in range(10):
-                yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert len(env._timeout_pool) >= 1
-
-    def test_freelist_never_steals_held_timeouts(self):
-        env = Environment(reuse_timeouts=True)
-        held = []
-
-        def proc(env):
-            t = env.timeout(1.0, value="precious")
-            held.append(t)
-            yield t
-            yield env.timeout(1.0)
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        # The referenced timeout was not recycled: its value is intact.
-        assert held[0].value == "precious"
-        assert held[0] not in env._timeout_pool
-
-    def test_freelist_off_by_default(self):
+    def test_workload_covers_the_paths_it_claims(self):
         env = Environment()
-        assert env._timeout_pool is None
+        log = _heap_workload(env)
+        labels = {e[3] for e in _fire(env)}
+        assert {"opener", "early", "late", "holder", "conditions",
+                "taker", "relay", "parked", "Timeout"} <= labels
+        assert ("early", 0.5, "open") in log
+        assert ("late", 1.0, "open") in log
+        assert ("late", 1.0, "broken") in log
+        assert ("late", 1.0, "opened") in log
+        assert ("holder", 0.75, "kept") in log
+        assert ("relay", 1.0, "open") in log
+        assert ("parked", 2.0, "open") in log
 
-    def test_pooling_does_not_change_schedule(self):
-        def build(reuse):
-            env = Environment(reuse_timeouts=reuse)
-            log = []
-
-            def worker(env, i):
-                for k in range(5):
-                    yield env.timeout(0.25 * ((i + k) % 4))
-                    log.append((round(env.now, 6), i, k))
-
-            for i in range(8):
-                env.process(worker(env, i))
-            env.run()
-            return log
-
-        assert build(False) == build(True)
+    def test_run_fires_what_step_fires(self):
+        stepped, ran = Environment(), Environment()
+        stepped_log = _heap_workload(stepped)
+        _fire(stepped)
+        ran_log = _heap_workload(ran)
+        ran.run()
+        assert ran_log == stepped_log
+        assert (ran.now, ran._seq) == (stepped.now, stepped._seq)
 
 
 class TestChain:
     """A Chain pushes exactly the calendar entries a Process running the
     same waits would: same times, priorities, sequence numbers and tie
     labels."""
-
-    @staticmethod
-    def _fire(env):
-        entries = []
-        while env._heap:
-            when, prio, seq, event = env._heap[0]
-            entries.append((when, prio, seq, Environment._tie_label(event)))
-            env.step()
-        return entries
 
     @staticmethod
     def _setup(env):
@@ -608,7 +707,7 @@ class TestChain:
         for start in (as_process, as_chain):
             env, log = Environment(), []
             start(env, log)
-            runs.append((self._fire(env), log, env.now))
+            runs.append((_fire(env), log, env.now))
         assert runs[0] == runs[1]
         assert runs[1][1] == ["early", "late"]
 

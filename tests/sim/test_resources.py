@@ -1,8 +1,8 @@
-"""Unit tests of Resource / Store / PriorityStore."""
+"""Unit tests of Resource / Store."""
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, Store
+from repro.sim import Resource, Store
 from repro.sim.core import SimulationError
 
 
@@ -140,37 +140,8 @@ class TestStore:
         env.run()
         assert got == [("a", 1), ("b", 2)]
 
-    def test_try_get(self, env):
-        store = Store(env)
-        assert store.try_get() == (False, None)
-        store.put("v")
-        assert store.try_get() == (True, "v")
-        assert len(store) == 0
-
     def test_len(self, env):
         store = Store(env)
         store.put(1)
         store.put(2)
         assert len(store) == 2
-
-
-class TestPriorityStore:
-    def test_smallest_first(self, env):
-        store = PriorityStore(env)
-        for v in (3, 1, 2):
-            store.put(v)
-        got = []
-
-        def getter(env):
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(getter(env))
-        env.run()
-        assert got == [1, 2, 3]
-
-    def test_try_get_pops_smallest(self, env):
-        store = PriorityStore(env)
-        store.put((2, "b"))
-        store.put((1, "a"))
-        assert store.try_get() == (True, (1, "a"))
