@@ -4,7 +4,7 @@ Not paper results — these quantify what a sweep costs in *real* time, per
 the optimizing-code discipline: measure before trusting.  Exact guards
 beside them check that a detached run enters no observer, fault or
 schedule-policy code and leaves no hot-path object to the cycle
-collector.
+collector, and that mesoscale points never call ``numpy.unique``.
 """
 
 import gc
@@ -367,3 +367,37 @@ def test_vectorized_engine_throughput(benchmark):
         f"mesoscale engine only {speedup:.1f}x faster at 1024 ranks"
     assert benchmark(_himeno_mesoscale_point, "vectorized")[0] > 0
 
+
+def _numpy_unique_calls(run) -> int:
+    """How many times ``run()`` enters ``numpy.unique``."""
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if (event == "call" and frame.f_code.co_name == "unique"
+                and frame.f_globals.get("__name__", "").startswith("numpy")):
+            calls += 1
+
+    _run_profiled(run, profile)
+    return calls
+
+
+def test_mesoscale_points_enter_no_numpy_unique():
+    """Exact per-batch cost guard on the mesoscale engine: a 2048-rank
+    bandwidth point and a 1024-rank Himeno point check each port batch
+    for repeated ports in O(batch), so neither may enter the hashing
+    ``numpy.unique`` once.  A count, not a timing: noise cannot hide a
+    regression."""
+    from repro.apps.pingpong import bandwidth_point
+
+    spec = {"system": "ricc", "nbytes": 4 << 20, "mode": "pipelined",
+            "block": 1 << 20, "repeats": 2, "ranks": 2048,
+            "engine": "vectorized", "strict_engine": True}
+    calls = {
+        "bandwidth-2048": _numpy_unique_calls(
+            lambda: bandwidth_point(dict(spec))),
+        "himeno-1024": _numpy_unique_calls(
+            lambda: _himeno_mesoscale_point("vectorized")),
+    }
+    assert calls == {"bandwidth-2048": 0, "himeno-1024": 0}, \
+        f"mesoscale points entered numpy.unique: {calls}"

@@ -432,14 +432,14 @@ def _serial_rows(L: _Lanes) -> list[dict]:
     for _ in range(L.cfg.iterations):
         hk, qrk, ktime = kernel_blocking(h, qr, ktime, dur_f)
         h, qr = hk, qrk
-        if np.any(has_x1):
+        if has_x1.any():
             hx, qx, _ = exchange_blocking(h, qr, has_x1, p1)
             h = np.where(has_x1, hx, h)
             qr = np.where(has_x1, qx, qr)
         hk, qrk, ktime = kernel_blocking(h, qr, ktime, dur_s)
         h, qr = hk, qrk
         raced = None
-        if np.any(has_x2):
+        if has_x2.any():
             race = None
             if P % 2 == 0 and P >= 4:
                 # rank P-1 has no second exchange: its gosa read and

@@ -250,6 +250,9 @@ def _kick(env: "Environment", resume: Callable,
 
     This is how a process or chain is bootstrapped and how it resumes on
     a target that has already been processed.  Returns the pushed event.
+    A carried failure is defused on the kick too: ``resume`` is its only
+    consumer, and if an interrupt detaches ``resume`` first, the failure
+    already surfaced when ``target`` fired.
     """
     kick = Event(env)
     kick.callbacks.append(resume)
@@ -258,6 +261,7 @@ def _kick(env: "Environment", resume: Callable,
         kick._value = target._value
         if not target._ok:
             target._defused = True
+            kick._defused = True
     kick._state = TRIGGERED
     env._seq += 1
     heappush(env._heap, (env._now, HIGH, env._seq, kick))

@@ -48,6 +48,24 @@ __all__ = ["VectorEngine", "FifoPorts", "BucketCalendar", "Timings"]
 _NEG_INF = float("-inf")
 
 
+def _lanes(x, shape):
+    """``x`` with one value per lane: broadcast (as a view) if needed."""
+    return x if x.shape == shape else np.broadcast_to(x, shape)
+
+
+def _operand(x, shape):
+    """A float64 per-message operand: a scalar stays a 0-d array (the
+    elementwise ops broadcast it, with the same IEEE results), anything
+    else gets one value per lane."""
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.ndim == 0 else _lanes(x, shape)
+
+
+def _pick(x, m):
+    """``x[m]`` for a per-lane operand; a 0-d scalar is every lane's."""
+    return x if x.ndim == 0 else x[m]
+
+
 class Timings:
     """Scalar timing constants of one :class:`SystemPreset`, unpacked.
 
@@ -113,12 +131,38 @@ class FifoPorts:
     tie-break would resolve arbitrarily.  We refuse such batches with
     :class:`EngineError` instead of guessing (the caller reruns on the
     coroutine engine); this is the engine's graceful-degradation edge.
+
+    :meth:`use` serves a batch one of two ways, with identical results:
+
+    * **one request per port** (the common case: every wire round, every
+      per-rank kernel or DMA batch) — elementwise in input order, in
+      O(batch): ``grant = max(req, free[idx])``, ``done = grant + dur``,
+      then ``free`` and ``last_req`` take the elementwise max.  Whether a
+      batch qualifies is itself an O(batch) test (:meth:`_once`), not a
+      hash or a sort.
+    * **a port repeated** — requests are sorted by ``(port, time)`` and
+      each port's requests are chained, ``grant_i = max(req_i,
+      done_{i-1})``; results go back to input order.
     """
 
     def __init__(self, n: int, what: str = "port"):
         self.free = np.zeros(n, dtype=np.float64)
         self.last_req = np.full(n, _NEG_INF, dtype=np.float64)
         self.what = what
+        # scratch for _once: the batch position last written per port
+        self._slot = np.zeros(n, dtype=np.intp)
+
+    def _once(self, idx) -> bool:
+        """True when no port index repeats in ``idx`` (O(len(idx))).
+
+        Each request writes its position into its port's slot; a port
+        used twice keeps only one of the positions, so some request
+        reads back a position other than its own.
+        """
+        pos = np.arange(idx.size)
+        slot = self._slot
+        slot[idx] = pos
+        return bool((slot[idx] == pos).all())
 
     def use(self, idx, req, dur, allow_ties: bool = False):
         """Service one batch; returns ``(grant, done)`` in input order.
@@ -138,26 +182,25 @@ class FifoPorts:
         """
         idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
         req = np.atleast_1d(np.asarray(req, dtype=np.float64))
+        if idx.shape == req.shape and self._once(idx):
+            return self._serve_once(idx, req, dur, allow_ties)
         dur = np.broadcast_to(np.asarray(dur, dtype=np.float64), req.shape)
         order = np.lexsort((req, idx))
         si, sr = idx[order], req[order]
         sd = dur[order]
         late = sr < self.last_req[si] if allow_ties \
             else sr <= self.last_req[si]
-        if np.any(late):
-            raise EngineError(
-                f"vectorized {self.what} service out of FIFO order: a "
-                "request is not strictly later than one already granted "
-                "(same-time arbitration is a coroutine-engine tie)")
+        if late.any():
+            self._refuse_late()
         same = si[1:] == si[:-1]
-        if not allow_ties and np.any(same & (sr[1:] == sr[:-1])):
+        if not allow_ties and (same & (sr[1:] == sr[:-1])).any():
             raise EngineError(
                 f"vectorized {self.what} service hit an equal-time "
                 "arbitration tie within one batch; the coroutine engine "
                 "resolves this by heap sequence — refusing to guess")
         grant = np.maximum(sr, self.free[si])
         done = grant + sd
-        if np.any(same):
+        if same.any():
             # chain duplicates: grant_i = max(req_i, done_{i-1}); group
             # sizes are tiny, so fixed-point passes converge immediately
             while True:
@@ -174,6 +217,25 @@ class FifoPorts:
         out_g[order] = grant
         out_d[order] = done
         return out_g, out_d
+
+    def _serve_once(self, idx, req, dur, allow_ties: bool):
+        """:meth:`use` for a batch that names each port at most once."""
+        last = self.last_req[idx]
+        late = req < last if allow_ties else req <= last
+        if late.any():
+            self._refuse_late()
+        free = self.free[idx]
+        grant = np.maximum(req, free)
+        done = grant + np.asarray(dur, dtype=np.float64)
+        self.free[idx] = np.maximum(free, done)
+        self.last_req[idx] = np.maximum(last, req)
+        return grant, done
+
+    def _refuse_late(self):
+        raise EngineError(
+            f"vectorized {self.what} service out of FIFO order: a "
+            "request is not strictly later than one already granted "
+            "(same-time arbitration is a coroutine-engine tie)")
 
 
 class BucketCalendar:
@@ -266,40 +328,40 @@ class VectorEngine:
     def wire(self, src, dst, req, nbytes, rate=None):
         """Arrival time of one message batch (≤1 tx/rx use per node).
 
-        ``rate`` is the effective rate cap per message (NaN = none).
-        Loopback messages bypass the ports, exactly as the fabric does.
+        ``nbytes`` and ``rate`` (the effective rate cap per message, NaN
+        or None = none) are scalars or one value per message.  Loopback
+        messages bypass the ports, exactly as the fabric does.
         """
         t = self._need_bind()
         src = np.atleast_1d(np.asarray(src, dtype=np.intp))
         dst = np.atleast_1d(np.asarray(dst, dtype=np.intp))
         req = np.atleast_1d(np.asarray(req, dtype=np.float64))
-        nb = np.broadcast_to(np.asarray(nbytes, dtype=np.float64), req.shape)
-        rate = (np.full(req.shape, np.nan) if rate is None
-                else np.broadcast_to(np.asarray(rate, dtype=np.float64),
-                                     req.shape))
+        nb = _operand(nbytes, req.shape)
+        rate = None if rate is None else _operand(rate, req.shape)
         arr = np.empty_like(req)
         loop = src == dst
-        if np.any(loop):
-            arr[loop] = req[loop] + nb[loop] / t.loopback_bw
-        cross = ~loop
-        if np.any(cross):
-            cs, cd = src[cross], dst[cross]
-            if (np.unique(cs).size != cs.size
-                    or np.unique(cd).size != cd.size):
-                raise EngineError(
-                    "vectorized wire batch uses a NIC port twice; ports "
-                    "are held until arrival, so callers must split such "
-                    "batches into sequential rounds")
-            tx_grant, _ = self.tx.use(src[cross], req[cross], 0.0)
-            rx_grant, _ = self.rx.use(dst[cross], tx_grant, 0.0)
-            bw = np.where(np.isnan(rate[cross]) | (rate[cross] >= t.nic_bw),
-                          t.nic_bw, rate[cross])
-            a = rx_grant + ((t.nic_lat + nb[cross] / bw) + t.switch_lat)
-            # both ports stay held until the arrival releases them
-            np.maximum.at(self.tx.free, src[cross], a)
-            np.maximum.at(self.rx.free, dst[cross], a)
-            arr[cross] = a
-        self.events += 4 * req.size
+        cross = ...
+        if loop.any():
+            arr[loop] = req[loop] + _pick(nb, loop) / t.loopback_bw
+            cross = ~loop
+            src, dst, req = src[cross], dst[cross], req[cross]
+            nb = _pick(nb, cross)
+            rate = None if rate is None else _pick(rate, cross)
+        if not (self.tx._once(src) and self.rx._once(dst)):
+            raise EngineError(
+                "vectorized wire batch uses a NIC port twice; ports "
+                "are held until arrival, so callers must split such "
+                "batches into sequential rounds")
+        tx_grant, _ = self.tx._serve_once(src, req, 0.0, False)
+        rx_grant, _ = self.rx._serve_once(dst, tx_grant, 0.0, False)
+        bw = t.nic_bw if rate is None else np.where(
+            np.isnan(rate) | (rate >= t.nic_bw), t.nic_bw, rate)
+        a = rx_grant + ((t.nic_lat + nb / bw) + t.switch_lat)
+        # both ports stay held until the arrival releases them
+        self.tx.free[src] = np.maximum(self.tx.free[src], a)
+        self.rx.free[dst] = np.maximum(self.rx.free[dst], a)
+        arr[cross] = a
+        self.events += 4 * arr.size
         return arr
 
     # ------------------------------------------------------------------
@@ -318,34 +380,44 @@ class VectorEngine:
         ts1 = np.atleast_1d(np.asarray(ts1, dtype=np.float64))
         tr1 = np.atleast_1d(np.asarray(tr1, dtype=np.float64))
         shape = ts1.shape
-        src = np.broadcast_to(np.atleast_1d(np.asarray(src, np.intp)), shape)
-        dst = np.broadcast_to(np.atleast_1d(np.asarray(dst, np.intp)), shape)
-        nb = np.broadcast_to(np.asarray(nbytes, dtype=np.float64), shape)
-        srate = (np.full(shape, np.nan) if send_rate is None
-                 else np.broadcast_to(np.asarray(send_rate, np.float64),
-                                      shape))
-        rrate = (np.full(shape, np.nan) if recv_rate is None
-                 else np.broadcast_to(np.asarray(recv_rate, np.float64),
-                                      shape))
+        src = _lanes(np.atleast_1d(np.asarray(src, np.intp)), shape)
+        dst = _lanes(np.atleast_1d(np.asarray(dst, np.intp)), shape)
+        nb = _operand(nbytes, shape)
+        srate = None if send_rate is None else _operand(send_rate, shape)
+        rrate = None if recv_rate is None else _operand(recv_rate, shape)
+        eager = nb <= t.eager_threshold
+        if eager.all():         # one protocol for the whole batch
+            m_eager, m_rdv = ..., None
+        elif eager.any():
+            m_eager, m_rdv = eager, ~eager
+        else:
+            m_eager, m_rdv = None, ...
         send_c = np.empty(shape)
         recv_c = np.empty(shape)
-        eager = nb <= t.eager_threshold
-        if np.any(eager):
-            m = eager
-            t2 = ts1[m] + (t.pmo + nb[m] / t.mbw)
-            a = self.wire(src[m], dst[m], t2, nb[m], srate[m])
+        if m_eager is not None:
+            m = m_eager
+            nbm = _pick(nb, m)
+            t2 = ts1[m] + (t.pmo + nbm / t.mbw)
+            a = self.wire(src[m], dst[m], t2, nbm,
+                          None if srate is None else _pick(srate, m))
             unexpected = ts1[m] < tr1[m]
             buffered = unexpected & (a < tr1[m])
             send_c[m] = a
-            recv_c[m] = np.where(buffered, tr1[m] + nb[m] / t.mbw, a)
-        if not np.all(eager):
-            m = ~eager
+            recv_c[m] = np.where(buffered, tr1[m] + nbm / t.mbw, a)
+        if m_rdv is not None:
+            m = m_rdv
             tm = np.maximum(ts1[m], tr1[m])
             tc = tm + (t.nic_lat + t.switch_lat)
-            rate = np.where(np.isnan(rrate[m]), srate[m],
-                            np.where(np.isnan(srate[m]), rrate[m],
-                                     np.minimum(srate[m], rrate[m])))
-            a = self.wire(src[m], dst[m], tc, nb[m], rate)
+            if rrate is None:
+                rate = None if srate is None else _pick(srate, m)
+            elif srate is None:
+                rate = _pick(rrate, m)
+            else:
+                sr, rr = _pick(srate, m), _pick(rrate, m)
+                rate = np.where(np.isnan(rr), sr,
+                                np.where(np.isnan(sr), rr,
+                                         np.minimum(sr, rr)))
+            a = self.wire(src[m], dst[m], tc, _pick(nb, m), rate)
             send_c[m] = a
             recv_c[m] = a
         self.events += 6 * ts1.size
@@ -560,7 +632,7 @@ class VectorEngine:
                 ts1[live] = t[live] + tt.co
                 t2 = ts1[live] + stage
                 n = nodes[live]
-                if np.any(t2 <= self.tx.last_req[n]):
+                if (t2 <= self.tx.last_req[n]).any():
                     raise EngineError(
                         "vectorized nic-tx service out of FIFO order "
                         "during reduce (cross-phase arbitration tie)")
@@ -649,7 +721,7 @@ class VectorEngine:
             lsb = ranks & -ranks
             can_send = (ranks == 0) | (lsb > m)
             senders = can_send & (ranks + m < P)
-            if np.any(senders):
+            if senders.any():
                 s = ranks[senders]
                 c = s + m
                 ts1 = t[s] + tt.co

@@ -492,6 +492,40 @@ class TestInterruptAfterFire:
         env.run()
         assert seen == ["interrupted"]
 
+    def test_interrupt_while_resuming_on_processed_failure(self, env):
+        """A process that yields an already-failed, processed event waits
+        on a kick carrying that failure; interrupting it before the kick
+        fires delivers the Interrupt, and the stale failure (already
+        handled by another waiter) is not raised out of run()."""
+        bad = env.event()
+        seen = []
+
+        def catcher(env):
+            try:
+                yield bad
+            except ValueError:
+                seen.append("caught")
+
+        def late(env):
+            yield env.timeout(1.0)
+            try:
+                yield bad
+            except Interrupt as i:
+                seen.append(("interrupt", i.cause))
+            except ValueError:
+                seen.append("old failure")
+
+        env.process(catcher(env))
+        p = env.process(late(env))
+        bad.fail(ValueError("old failure"))
+        env.run(until=0.5)
+        env.step()          # the timeout: `late` now waits on the kick
+        assert bad.processed and env.now == 1.0
+        p.interrupt("stop")
+        env.run()
+        assert seen == ["caught", ("interrupt", "stop")]
+        assert not p.is_alive and p.ok
+
 
 def _fire(env):
     """Fire the calendar entry by entry; return ``(time, priority, seq,
