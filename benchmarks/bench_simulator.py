@@ -319,20 +319,6 @@ def test_timing_only_himeno_iteration_cost(benchmark):
 
 # -- mesoscale (vectorized) engine ------------------------------------------
 
-def test_vectorized_lane_throughput(benchmark):
-    """Vectorized twin of :func:`test_engine_event_throughput`: the same
-    5 x 10k timeout ticks, batched as array lanes through the bucket
-    calendar instead of 50k heap events."""
-    def run():
-        env = Environment(engine="vectorized")
-        env.vector.bind(cichlid(), 5)
-        return env.vector.tick_lanes(5, 10_000, 1e-6)
-
-    # same virtual clock the coroutine ticker benchmark ends at
-    result = benchmark(run)
-    assert result > 0
-
-
 def _himeno_mesoscale_point(engine: str):
     """The 1024-rank Himeno point both engines must agree on."""
     from repro.apps.himeno import HimenoConfig, run_himeno
@@ -368,18 +354,25 @@ def test_vectorized_engine_throughput(benchmark):
     assert benchmark(_himeno_mesoscale_point, "vectorized")[0] > 0
 
 
-def _numpy_unique_calls(run) -> int:
-    """How many times ``run()`` enters ``numpy.unique``."""
+def _calls_into(run, hit) -> int:
+    """How many function calls ``run()`` makes whose frame ``hit``
+    accepts."""
     calls = 0
 
     def profile(frame, event, _arg):
         nonlocal calls
-        if (event == "call" and frame.f_code.co_name == "unique"
-                and frame.f_globals.get("__name__", "").startswith("numpy")):
+        if event == "call" and hit(frame):
             calls += 1
 
     _run_profiled(run, profile)
     return calls
+
+
+def _numpy_unique_calls(run) -> int:
+    """How many times ``run()`` enters ``numpy.unique``."""
+    return _calls_into(run, lambda frame: (
+        frame.f_code.co_name == "unique"
+        and frame.f_globals.get("__name__", "").startswith("numpy")))
 
 
 def test_mesoscale_points_enter_no_numpy_unique():
@@ -401,3 +394,31 @@ def test_mesoscale_points_enter_no_numpy_unique():
     }
     assert calls == {"bandwidth-2048": 0, "himeno-1024": 0}, \
         f"mesoscale points entered numpy.unique: {calls}"
+
+
+def _vectorized_calls(run) -> int:
+    """How many times ``run()`` enters a function of
+    :mod:`repro.sim.vectorized`."""
+    return _calls_into(run, lambda frame: (
+        frame.f_globals.get("__name__") == "repro.sim.vectorized"))
+
+
+def test_mesoscale_collectives_run_in_array_rounds():
+    """Exact per-round cost guard on the mesoscale collectives: the
+    1024-rank Himeno point and a 1024-rank collective-load point must
+    each enter the engine module fewer than 1,500 times.  A barrier
+    round is one rotation of the port arrays and a reduce drains a
+    whole tree level at once; draining the reduce tree parent by parent
+    again enters it thousands of times per point."""
+    from repro.apps.collective_load import collective_load_point
+
+    spec = {"system": "ricc", "ranks": 1024, "engine": "vectorized",
+            "strict_engine": True}
+    calls = {
+        "himeno-1024": _vectorized_calls(
+            lambda: _himeno_mesoscale_point("vectorized")),
+        "collective-1024": _vectorized_calls(
+            lambda: collective_load_point(dict(spec))),
+    }
+    assert all(n < 1500 for n in calls.values()), \
+        f"mesoscale collectives entered repro.sim.vectorized {calls} times"

@@ -15,7 +15,7 @@ planes (per-block DMA interleaves with the other queues' DMA in ways
 that need genuine event interleaving), and odd-rank mapped-mode clmpi
 runs (the reduce tree's tied 8-byte messages are ordered by the
 coroutine heap's global event sequence there, which no static rule
-reproduces — see ``_reduce_drain``).  ``hand-optimized`` /
+reproduces — see ``VectorEngine._drain_level``).  ``hand-optimized`` /
 ``gpu-aware-mpi`` have no vectorized model — the driver falls back to
 the coroutine engine with a warning.
 

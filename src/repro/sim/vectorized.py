@@ -24,8 +24,9 @@ The primitives here encode those chains once:
   order of the coroutine heap would have resolved arbitrarily.
 * :class:`VectorEngine` — the per-environment facade: wire transfers
   (eager / rendezvous exactly as :mod:`repro.mpi.comm` models them),
-  dissemination barriers, binomial reduce/bcast, PCIe link service, and
-  a bucketed :class:`BucketCalendar` for homogeneous event lanes.
+  PCIe link service, and the small collectives — dissemination barriers
+  served as rank rotations on the port arrays, binomial reduces drained
+  one tree level at a time, binomial broadcasts.
 
 What the vectorized engine deliberately does **not** support (it refuses
 with :class:`~repro.sim.EngineError` or the caller falls back to the
@@ -36,14 +37,13 @@ and tracing — all of these need the per-event coroutine substrate.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.sim.core import EngineError
 
-__all__ = ["VectorEngine", "FifoPorts", "BucketCalendar", "Timings"]
+__all__ = ["VectorEngine", "FifoPorts", "Timings"]
 
 _NEG_INF = float("-inf")
 
@@ -238,46 +238,6 @@ class FifoPorts:
             "(same-time arbitration is a coroutine-engine tie)")
 
 
-class BucketCalendar:
-    """Bucketed calendar queue for homogeneous event lanes.
-
-    Where the coroutine calendar pays one heap push/pop per event, lanes
-    of *independent, homogeneous* events (the regime of timing-only
-    sweeps) are scheduled as whole arrays into coarse time buckets and
-    drained bucket-by-bucket — the classic calendar-queue structure with
-    array payloads.  Used by :meth:`VectorEngine.tick_lanes` and
-    available to batch models that need genuine event interleaving.
-    """
-
-    def __init__(self, width: float = 1e-3):
-        if width <= 0:
-            raise EngineError("bucket width must be positive")
-        self.width = width
-        self._buckets: dict[int, list[np.ndarray]] = {}
-        self.scheduled = 0
-
-    def schedule(self, times: np.ndarray) -> None:
-        """Schedule one lane's event times (any order within the lane)."""
-        times = np.asarray(times, dtype=np.float64)
-        if times.size == 0:
-            return
-        keys = np.floor_divide(times, self.width).astype(np.int64)
-        for k in np.unique(keys):
-            self._buckets.setdefault(int(k), []).append(times[keys == k])
-        self.scheduled += times.size
-
-    def drain(self) -> tuple[int, float]:
-        """Fire every bucket in time order; returns ``(count, last_t)``."""
-        fired, last = 0, 0.0
-        for k in sorted(self._buckets):
-            for arr in self._buckets[k]:
-                fired += arr.size
-                if arr.size:
-                    last = max(last, float(arr.max()))
-        self._buckets.clear()
-        return fired, last
-
-
 class VectorEngine:
     """Array-lane engine bound to one vectorized :class:`Environment`.
 
@@ -292,7 +252,6 @@ class VectorEngine:
         self.env = env
         self.t: Optional[Timings] = None
         self.nodes = 0
-        self.events = 0  # batched "events" accounted (for benchmarks)
 
     # ------------------------------------------------------------------
     # binding
@@ -361,7 +320,6 @@ class VectorEngine:
         self.tx.free[src] = np.maximum(self.tx.free[src], a)
         self.rx.free[dst] = np.maximum(self.rx.free[dst], a)
         arr[cross] = a
-        self.events += 4 * arr.size
         return arr
 
     # ------------------------------------------------------------------
@@ -420,7 +378,6 @@ class VectorEngine:
             a = self.wire(src[m], dst[m], tc, _pick(nb, m), rate)
             send_c[m] = a
             recv_c[m] = a
-        self.events += 6 * ts1.size
         return send_c, recv_c
 
     # ------------------------------------------------------------------
@@ -530,28 +487,61 @@ class VectorEngine:
     # ------------------------------------------------------------------
     # collectives (replay of repro.mpi.collectives over 8..small payloads)
     # ------------------------------------------------------------------
-    def barrier(self, t, nodes=None):
-        """Dissemination barrier; ``t`` per-rank entry → exit times."""
+    def barrier(self, t):
+        """Dissemination barrier; ``t`` per-rank entry → exit times.
+
+        Rank ``r`` runs on node ``r``, one rank per bound node.  In the
+        round of distance ``k`` rank ``r`` sendrecvs one eager byte to
+        ``r + k`` (mod P), so the round is a rotation of the whole port
+        arrays: the tx side is served in rank order, the rx side sees the
+        tx grants rotated by ``k`` (node ``d`` hears from ``d - k``), and
+        the arrivals rotate back to complete the sends.  Each float
+        operation is the one :meth:`transfer` and :meth:`wire` apply to
+        the same message, in the same order; a rotation with ``k < P``
+        uses every port once and none as loopback, so their batch checks
+        have nothing to find.
+        """
         tt = self._need_bind()
         t = np.array(t, dtype=np.float64, copy=True)
         P = t.size
+        if P != self.nodes:
+            raise EngineError(
+                f"barrier over {P} lanes on {self.nodes} bound nodes; the "
+                "rotation rounds need one rank per node")
         if P == 1:
             return t
-        ranks = np.arange(P)
-        nodes = ranks if nodes is None else np.asarray(nodes, dtype=np.intp)
+        nb = 1.0
+        if nb > tt.eager_threshold:
+            raise EngineError("barrier replays the eager exchange only")
+        stage = tt.pmo + nb / tt.mbw           # eager host staging copy
+        copy = nb / tt.mbw                     # unexpected-message copy
+        hold = (tt.nic_lat + nb / tt.nic_bw) + tt.switch_lat
+        tx, rx = self.tx, self.rx
         k = 1
         while k < P:
-            dest = (ranks + k) % P
-            src = (ranks - k) % P
             ts1 = t + tt.co             # sendrecv: isend first
             tr1 = ts1 + tt.co           # then irecv, one api_call later
-            # message m_r: rank r -> dest[r]; its receiver posted at
-            # tr1[dest[r]]
-            send_c, recv_c = self.transfer(nodes, nodes[dest], ts1,
-                                           tr1[dest], 1.0)
+            t2 = ts1 + stage
+            if (t2 <= tx.last_req).any():
+                tx._refuse_late()
+            txg = np.maximum(t2, tx.free)
+            np.maximum(tx.last_req, t2, out=tx.last_req)
+            # node d serves rank d - k's message: rotated by slice copies
+            req = np.concatenate((txg[P - k:], txg[:P - k]))
+            if (req <= rx.last_req).any():
+                rx._refuse_late()
+            a = np.maximum(req, rx.free) + hold
+            np.maximum(rx.last_req, req, out=rx.last_req)
+            # both ports stay held until the arrival releases them
+            np.maximum(rx.free, a, out=rx.free)
+            send_c = np.concatenate((a[k:], a[:k]))  # arrival at r + k
+            np.maximum(tx.free, send_c, out=tx.free)
+            sent = np.concatenate((ts1[P - k:], ts1[:P - k]))  # d - k's
+            buffered = (sent < tr1) & (a < tr1)
+            recv_c = np.where(buffered, tr1 + copy, a)
             # _blocking_wait drains recv then send; the resume time is
             # the max of both completions, plus one sync wake-up
-            t = np.maximum(recv_c[src], send_c) + tt.so
+            t = np.maximum(recv_c, send_c) + tt.so
             k *= 2
         return t
 
@@ -577,22 +567,23 @@ class VectorEngine:
         self.rx.free[dst] = max(float(self.rx.free[dst]), arr)
         self.tx.last_req[src] = max(float(self.tx.last_req[src]), t2)
         self.rx.last_req[dst] = max(float(self.rx.last_req[dst]), txg)
-        self.events += 4
         return ts1, txg, arr
 
-    def reduce_small(self, t, nbytes=8.0, nodes=None, pre=None):
+    def reduce_small(self, t, nbytes=8.0, pre=None):
         """Binomial-tree reduce to rank 0 of a sub-ring payload.
 
         Payloads must stay below the eager threshold (the gosa pattern).
+        Rank ``r`` runs on node ``r``.
 
         Round-batched port service would be wrong here: with
         heterogeneous entry times a round-2 child's eager message can
         hit the parent's NIC receive port *before* the round-1 child's
         message, and the coroutine fabric serves true request order.
         Each rank's send time only depends on its own subtree, so the
-        tree is replayed parent-by-parent: all of a parent's incoming
-        messages are serviced as one request-ordered FIFO chain while
-        the parent's blocking-receive chain stays in mask order.
+        tree is replayed one level at a time: at level ``mask`` every
+        parent whose lowest set bit is ``mask`` has a complete subtree,
+        and :meth:`_drain_level` serves all their incoming messages at
+        once before they post their own isends.
 
         ``pre`` maps sender ranks whose isend *and* wire service already
         happened (via :meth:`eager_wire_single`, to interleave with
@@ -606,100 +597,103 @@ class VectorEngine:
             return t
         if nbytes > tt.eager_threshold:
             raise EngineError("reduce_small replays the eager tree only")
-        ranks = np.arange(P)
-        nodes = ranks if nodes is None else np.asarray(nodes, dtype=np.intp)
-        pre = pre or {}
         nb = float(nbytes)
         stage = tt.pmo + nb / tt.mbw           # eager host staging copy
-        hold = (tt.nic_lat + nb / tt.nic_bw) + tt.switch_lat
         ts1 = np.zeros(P)                      # per-sender isend time
         txg = np.zeros(P)                      # per-sender tx-port grant
         arr = np.zeros(P)                      # per-sender wire arrival
-        for r, (p_ts1, p_txg, p_arr) in pre.items():
+        live = np.ones(P, dtype=bool)          # senders not in ``pre``
+        for r, (p_ts1, p_txg, p_arr) in (pre or {}).items():
             ts1[r], txg[r], arr[r] = p_ts1, p_txg, p_arr
+            live[r] = False
+        tx = self.tx
         mask = 1
         while mask < P:
-            senders = np.nonzero(((ranks & (mask - 1)) == 0)
-                                 & ((ranks & mask) != 0))[0]
-            for s in senders:
-                # a sender's own receive chain (its subtree) is complete
-                # before it sends — drain it now, then post the isend
-                self._reduce_drain(int(s), mask, t, ts1, txg, arr,
-                                   nodes, nb, hold, pre)
-            live = np.array([s for s in senders if s not in pre],
-                            dtype=np.intp)
-            if live.size:
-                ts1[live] = t[live] + tt.co
-                t2 = ts1[live] + stage
-                n = nodes[live]
-                if (t2 <= self.tx.last_req[n]).any():
+            senders = np.arange(mask, P, 2 * mask)
+            # a sender's own receive chain (its subtree) is complete
+            # before it sends — drain it now, then post the isends
+            self._drain_level(senders, mask, t, ts1, txg, arr, live, nb)
+            s = senders[live[senders]]
+            if s.size:
+                ts1[s] = t[s] + tt.co
+                t2 = ts1[s] + stage
+                last = tx.last_req[s]
+                if (t2 <= last).any():
                     raise EngineError(
                         "vectorized nic-tx service out of FIFO order "
                         "during reduce (cross-phase arbitration tie)")
-                txg[live] = np.maximum(t2, self.tx.free[n])
-                np.maximum.at(self.tx.last_req, n, t2)
+                txg[s] = np.maximum(t2, tx.free[s])
+                tx.last_req[s] = np.maximum(last, t2)
             mask <<= 1
-        self._reduce_drain(0, mask, t, ts1, txg, arr, nodes, nb, hold,
-                           pre)
+        self._drain_level(np.zeros(1, dtype=np.intp), mask, t, ts1, txg,
+                          arr, live, nb)
         # senders: blocked wait on the send completion (= eager wire
         # arrival), plus one sync wake-up; they do nothing afterwards
         t[1:] = arr[1:] + tt.so
-        self.events += 6 * (P - 1)
         return t
 
-    def _reduce_drain(self, p: int, lsb_p: int, t, ts1, txg, arr,
-                      nodes, nb: float, hold: float, pre) -> None:
-        """Serve parent ``p``'s incoming reduce messages.
+    def _drain_level(self, par, mask: int, t, ts1, txg, arr, live,
+                     nb: float) -> None:
+        """Serve the incoming reduce messages of the parents ``par``.
 
-        ``lsb_p`` bounds the child masks (children are ``p + 2**k`` for
-        ``2**k < lsb_p``).  The receive port is FIFO in tx-grant order;
-        equal-time requests (symmetric subtrees finishing together) are
-        served in *descending* child-rank order — calibrated against the
-        coroutine heap's sequence resolution and held to it by the
-        cross-engine equivalence suite.  The parent's blocking receives
-        then complete in mask order.  Children in ``pre`` already went
-        through the wire; their arrivals are used as-is.
+        Parent ``p``'s children are ``p + 2**j`` for ``2**j < mask``
+        (those below P), one column ``j`` of the child matrix each.  No
+        two parents share a child or a port, so every step is one array
+        operation over the level.  A receive port is FIFO in tx-grant
+        order; equal-time requests (symmetric subtrees finishing
+        together) are served in *descending* child-rank order —
+        calibrated against the coroutine heap's sequence resolution and
+        held to it by the cross-engine equivalence suite.  The parents'
+        blocking receives then complete in mask order.  Children not
+        ``live`` (in ``pre``) already went through the wire; their
+        arrivals are used as-is.
         """
-        tt = self.t
-        P = t.size
-        kids = []
-        m = 1
-        while m < lsb_p and p + m < P:
-            kids.append(p + m)
-            m <<= 1
-        if not kids:
+        tt, rx = self.t, self.rx
+        J = mask.bit_length() - 1
+        if J == 0:
             return
-        n_p = int(nodes[p])
-        todo = [c for c in kids if c not in pre]
-        order = sorted(todo[::-1], key=lambda c: txg[c])
-        free = float(self.rx.free[n_p])
-        before = float(self.rx.last_req[n_p])        # pre-reduce traffic
-        last = before
-        for c in order:
-            req = float(txg[c])
-            if req <= before:
-                raise EngineError(
-                    "vectorized nic-rx service out of FIFO order during "
-                    "reduce: a request does not postdate earlier "
-                    "non-reduce traffic on the port — refusing to guess")
-            last = req
-            a = max(req, free) + hold       # port held until arrival
-            free = a
-            arr[c] = a
-            n_c = int(nodes[c])
-            if a > self.tx.free[n_c]:
-                self.tx.free[n_c] = a
-        if order:
-            self.rx.free[n_p] = free
-            self.rx.last_req[n_p] = last
-        for c in kids:                      # blocking recvs in mask order
-            tr1 = t[p] + tt.co
+        P = t.size
+        kids = par[:, None] + (1 << np.arange(J))
+        has = kids < P
+        kids[~has] = 0                         # any valid index; masked
+        todo = has & live[kids]
+        req = np.where(todo, txg[kids], np.inf)
+        # each row in service order: tx grant, then descending child
+        order = np.lexsort((-kids, req), axis=-1)
+        req = np.take_along_axis(req, order, 1)
+        served = np.take_along_axis(todo, order, 1)
+        before = rx.last_req[par]                # pre-reduce traffic
+        if (req <= before[:, None]).any():
+            raise EngineError(
+                "vectorized nic-rx service out of FIFO order during "
+                "reduce: a request does not postdate earlier non-reduce "
+                "traffic on the port — refusing to guess")
+        hold = (tt.nic_lat + nb / tt.nic_bw) + tt.switch_lat
+        free = rx.free[par]
+        a = np.empty(req.shape)
+        for j in range(J):
+            a[:, j] = np.maximum(req[:, j], free) + hold
+            free = np.where(served[:, j], a[:, j], free)
+        c = np.take_along_axis(kids, order, 1)[served]
+        a = a[served]
+        arr[c] = a
+        tx_free = self.tx.free[c]               # port held until arrival
+        self.tx.free[c] = np.where(a > tx_free, a, tx_free)
+        rx.free[par] = free
+        rx.last_req[par] = np.maximum(
+            before, np.where(served, req, _NEG_INF).max(axis=1))
+        copy = nb / tt.mbw
+        tp = t[par]
+        for j in range(J):                     # blocking recvs, mask order
+            c = kids[:, j]
+            tr1 = tp + tt.co
             a = arr[c]
-            buffered = (ts1[c] < tr1) and (a < tr1)
-            recv_c = tr1 + nb / tt.mbw if buffered else a
-            t[p] = recv_c + tt.so
+            buffered = (ts1[c] < tr1) & (a < tr1)
+            recv_c = np.where(buffered, tr1 + copy, a)
+            tp = np.where(has[:, j], recv_c + tt.so, tp)
+        t[par] = tp
 
-    def bcast_small(self, t, nbytes=8.0, nodes=None):
+    def bcast_small(self, t, nbytes=8.0):
         """Binomial-tree broadcast from rank 0 (eager payloads only)."""
         tt = self._need_bind()
         t = np.array(t, dtype=np.float64, copy=True)
@@ -709,7 +703,7 @@ class VectorEngine:
         if nbytes > tt.eager_threshold:
             raise EngineError("bcast_small replays the eager tree only")
         ranks = np.arange(P)
-        nodes = ranks if nodes is None else np.asarray(nodes, dtype=np.intp)
+        lsb = ranks & -ranks
         entry = t.copy()                 # each rank's recv posts at entry
         top = 1
         while top < P:
@@ -718,7 +712,6 @@ class VectorEngine:
         while m > 0:
             # rank p sends at level m iff its own receive happened at a
             # higher level (or p is the root) and the child exists
-            lsb = ranks & -ranks
             can_send = (ranks == 0) | (lsb > m)
             senders = can_send & (ranks + m < P)
             if senders.any():
@@ -726,47 +719,19 @@ class VectorEngine:
                 c = s + m
                 ts1 = t[s] + tt.co
                 tr1 = entry[c] + tt.co      # child's blocking recv
-                send_c, recv_c = self.transfer(nodes[s], nodes[c], ts1,
-                                               tr1, nbytes)
+                send_c, recv_c = self.transfer(s, c, ts1, tr1, nbytes)
                 t[s] = send_c + tt.so
                 t[c] = recv_c + tt.so
             m >>= 1
         return t
 
-    def allreduce_small(self, t, nbytes=8.0, nodes=None, pre=None):
+    def allreduce_small(self, t, nbytes=8.0, pre=None):
         """reduce-to-root + broadcast (the small-payload allreduce).
 
         ``pre`` is forwarded to :meth:`reduce_small` (pre-serviced
         raced-ahead senders).
         """
-        return self.bcast_small(self.reduce_small(t, nbytes, nodes, pre),
-                                nbytes, nodes)
-
-    # ------------------------------------------------------------------
-    # homogeneous event lanes (the raw-throughput regime)
-    # ------------------------------------------------------------------
-    def tick_lanes(self, lanes: int, steps: int, dt: float) -> float:
-        """Advance ``lanes`` virtual processes through ``steps``
-        sequential timeouts of ``dt`` each — the vectorized equivalent
-        of the coroutine engine's ticker benchmark.
-
-        The per-lane clock is the *sequential* float accumulation
-        ``((0 + dt) + dt) + ...`` (``np.cumsum`` accumulates left to
-        right in C), so the final clock is bit-identical to running
-        ``steps`` coroutine timeouts.  Scheduling goes through a real
-        :class:`BucketCalendar` drain so the benchmark measures batch
-        calendar throughput, not a closed-form shortcut.
-        """
-        if lanes < 1 or steps < 1:
-            raise EngineError("tick_lanes needs lanes >= 1 and steps >= 1")
-        ticks = np.cumsum(np.full(steps, float(dt)))
-        cal = BucketCalendar(width=max(float(dt) * 64.0, 1e-12))
-        for _ in range(lanes):
-            cal.schedule(ticks)
-        fired, last = cal.drain()
-        self.events += fired
-        self.env.advance_to(last)
-        return self.env.now
+        return self.bcast_small(self.reduce_small(t, nbytes, pre), nbytes)
 
     # ------------------------------------------------------------------
     # clock
