@@ -9,7 +9,7 @@ machinery (no extra reps, no sampling arithmetic on the hot path).
 
 from __future__ import annotations
 
-import time
+import threading
 
 from repro.harness.queue import JobQueue
 from repro.harness.service import SweepService
@@ -53,29 +53,47 @@ def test_journal_replay_1k_points(once, tmp_path):
     assert replayed.get(job.job_id).status == "done"
 
 
+#: the adaptive-repetition machinery a measured point runs through
+#: (``t_critical`` is left out: building any policy validates its
+#: confidence level with it)
+_MEASUREMENT = {("repro.harness.stats", name) for name in (
+    "rep_spec", "sample_of", "should_stop", "summarize_samples")} \
+    | {("repro.harness.parallel", "_measure_point")}
+
+
+def _measurement_calls(root, options) -> list[str]:
+    """The measurement functions a one-point service job enters, in
+    the daemon's slot threads (where points are computed and their
+    repetitions merged)."""
+    hits: list[str] = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and (frame.f_globals.get("__name__"),
+                                frame.f_code.co_name) in _MEASUREMENT:
+            hits.append(frame.f_code.co_name)
+
+    threading.setprofile(profile)
+    try:
+        out = _run_job(root, [SPEC], options)
+    finally:
+        threading.setprofile(None)
+    assert out["errors"] == 0
+    return hits
+
+
 def test_stats_collection_is_zero_cost_when_single_shot(tmp_path):
-    """Regression tripwire: a single-repetition spec must not touch the
-    measurement machinery.  The measured run (2 reps + CI arithmetic)
-    does strictly more work, so best-of-N single-shot time must not
-    exceed best-of-N measured time (generous noise allowance) — and the
-    policy object itself must short-circuit.
+    """Exact guard: a single-repetition job must not touch the
+    measurement machinery — no extra repetitions, no sampling or
+    confidence-interval arithmetic — and the policy object itself must
+    short-circuit.  A call count, not a timing: noise cannot hide a
+    regression.  The measured job is the control that shows the
+    profile hook sees the threads the points run on.
     """
     assert MeasurePolicy.from_dict(None).single_shot
     assert not MeasurePolicy.from_dict({"max_reps": 2}).single_shot
-
-    def best_of(options, sub, reps=3):
-        times = []
-        for r in range(reps):
-            root = tmp_path / f"{sub}{r}"
-            t0 = time.perf_counter()
-            out = _run_job(root, [SPEC], options)
-            times.append(time.perf_counter() - t0)
-            assert out["errors"] == 0
-        return min(times)
-
-    best_of(None, "warm", reps=1)  # warm up imports and forks
-    single = best_of(None, "s")
-    measured = best_of({"measure": {"min_reps": 2, "max_reps": 2}}, "m")
-    assert single <= measured * 1.25, \
-        f"single-shot service path regressed: {single:.4f}s vs " \
-        f"measured {measured:.4f}s"
+    single = _measurement_calls(tmp_path / "s", None)
+    measured = _measurement_calls(
+        tmp_path / "m", {"measure": {"min_reps": 2, "max_reps": 2}})
+    assert single == [], \
+        f"single-shot service path entered the measurement code: {single}"
+    assert "summarize_samples" in measured

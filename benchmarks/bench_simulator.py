@@ -422,3 +422,31 @@ def test_mesoscale_collectives_run_in_array_rounds():
     }
     assert all(n < 1500 for n in calls.values()), \
         f"mesoscale collectives entered repro.sim.vectorized {calls} times"
+
+
+def test_mesoscale_fixed_port_rounds_run_on_lane_local_state():
+    """Exact per-block cost guard on the mesoscale engine: a 2048-rank
+    RICC 64 MiB pipelined point in 1 MiB blocks must enter the engine
+    module fewer than 200 times, and a 1024-rank collective-load point
+    fewer than 400.  A pipelined transfer checks and gathers its lanes'
+    ports once and runs every block on lane-local arrays, and a
+    broadcast level is one round on strided views of the port arrays;
+    serving each block or level as a generic ``transfer`` batch again
+    enters it thousands of times per point."""
+    from repro.apps.collective_load import collective_load_point
+    from repro.apps.pingpong import bandwidth_point
+
+    pipelined = {"system": "ricc", "nbytes": 64 << 20, "mode": "pipelined",
+                 "block": 1 << 20, "repeats": 4, "ranks": 2048,
+                 "engine": "vectorized", "strict_engine": True}
+    collective = {"system": "ricc", "ranks": 1024, "engine": "vectorized",
+                  "strict_engine": True}
+    calls = {
+        "pipelined-2048": _vectorized_calls(
+            lambda: bandwidth_point(dict(pipelined))),
+        "collective-1024": _vectorized_calls(
+            lambda: collective_load_point(dict(collective))),
+    }
+    assert calls["pipelined-2048"] < 200 and calls["collective-1024"] < 400, \
+        f"mesoscale fixed-port rounds entered repro.sim.vectorized " \
+        f"{calls} times"

@@ -465,9 +465,12 @@ class SweepService:
         to ``holder``, up to ``limit`` grants.
         """
         granted: list[dict] = []
-        if self._draining.is_set() or self._stop.is_set():
-            return granted
         with self._claim_lock:
+            # tested under the lock that :meth:`drain` sets it under: a
+            # lease is either journaled before the drain starts (and
+            # waited for) or never
+            if self._draining.is_set() or self._stop.is_set():
+                return granted
             for job in self.queue.open_jobs():
                 for index in job.pending_indices():
                     if len(granted) >= limit:
@@ -553,7 +556,8 @@ class SweepService:
         the journal.  The caller then :meth:`stop`\\ s and exits 0;
         anything still open is journaled and resumes on restart.
         """
-        self._draining.set()
+        with self._claim_lock:
+            self._draining.set()
         deadline = time.monotonic() + max(0.0, grace_s)
         while time.monotonic() < deadline:
             self.queue.expire_due_leases(time.time())

@@ -24,9 +24,22 @@ The primitives here encode those chains once:
   order of the coroutine heap would have resolved arbitrarily.
 * :class:`VectorEngine` — the per-environment facade: wire transfers
   (eager / rendezvous exactly as :mod:`repro.mpi.comm` models them),
-  PCIe link service, and the small collectives — dissemination barriers
-  served as rank rotations on the port arrays, binomial reduces drained
-  one tree level at a time, binomial broadcasts.
+  PCIe link service, the clMPI transfer engines, and the small
+  collectives — dissemination barriers served as rank rotations on the
+  port arrays, binomial reduces drained one tree level at a time,
+  binomial broadcasts served one tree level at a time on strided views
+  of the port arrays.
+
+Where a call's port pairing is fixed, it is checked once rather than per
+round: a pipelined clMPI transfer gathers its lanes' port state once,
+replays every block on those lane-local arrays and scatters once, and a
+broadcast level or barrier round is correct by construction (every port
+used once, none as loopback).  Only the generic :meth:`VectorEngine.wire`
+and :meth:`FifoPorts.use` batches re-check their ports on every call.
+On a 2-vCPU host a 2048-rank RICC 64 MiB Fig 8 point in 1 MiB blocks
+takes 8 ms this way instead of 55 ms, and enters this module 48 times
+instead of 4,900; a 1024-rank collective-load point takes 15 ms instead
+of 30 ms.
 
 What the vectorized engine deliberately does **not** support (it refuses
 with :class:`~repro.sim.EngineError` or the caller falls back to the
@@ -46,6 +59,9 @@ from repro.sim.core import EngineError
 __all__ = ["VectorEngine", "FifoPorts", "Timings"]
 
 _NEG_INF = float("-inf")
+_NIC_PORT_TWICE = ("vectorized wire batch uses a NIC port twice; ports are "
+                   "held until arrival, so callers must split such batches "
+                   "into sequential rounds")
 
 
 def _lanes(x, shape):
@@ -307,10 +323,7 @@ class VectorEngine:
             nb = _pick(nb, cross)
             rate = None if rate is None else _pick(rate, cross)
         if not (self.tx._once(src) and self.rx._once(dst)):
-            raise EngineError(
-                "vectorized wire batch uses a NIC port twice; ports "
-                "are held until arrival, so callers must split such "
-                "batches into sequential rounds")
+            raise EngineError(_NIC_PORT_TWICE)
         tx_grant, _ = self.tx._serve_once(src, req, 0.0, False)
         rx_grant, _ = self.rx._serve_once(dst, tx_grant, 0.0, False)
         bw = t.nic_bw if rate is None else np.where(
@@ -434,49 +447,116 @@ class VectorEngine:
 
     def _clmpi_pipelined(self, src, dst, start_s, start_r, nbytes: int,
                          block: Optional[int], base: str):
-        """Replay of the pipelined engine (per-block DMA ∥ wire)."""
+        """Replay of the pipelined engine (per-block DMA ∥ wire).
+
+        Lane ``i`` is one transfer ``src[i] → dst[i]`` and keeps its
+        ports for the whole call, so the pairing is checked once and the
+        ports' ``free``/``last_req`` are gathered once into lane-local
+        arrays; every block then runs the staging chain, the wire
+        service and the h2d drain on those arrays, and one scatter
+        writes them back.  Each float operation is the one
+        :meth:`FifoPorts.use`, :meth:`transfer` and :meth:`wire` apply
+        to the same block, in the same order, with the same FIFO
+        refusals.  Their ``max`` updates of the port state reduce to
+        plain assignments here: a request that passed its FIFO check is
+        later than ``last_req``, and a completion (a DMA done time, a
+        wire arrival holding both NIC ports) is never earlier than the
+        grant it follows, which is never earlier than ``free``.
+        """
         t = self._need_bind()
         if block is None or block <= 0:
             raise EngineError("pipelined transfer needs a block size")
-        ranges = [(lo, min(lo + block, nbytes))
-                  for lo in range(0, nbytes, block)]
         mapped_base = base == "mapped"
-        rate = t.mapped_bw if mapped_base else None
-        T = start_s + t.map_overhead if mapped_base else start_s.copy()
-        R = start_r + t.map_overhead if mapped_base else start_r.copy()
+        shape = start_s.shape
+        src, dst = _lanes(src, shape), _lanes(dst, shape)
+        tx, rx, d2h, h2d = self.tx, self.rx, self.d2h, self.h2d
+        if not (tx._once(src) and rx._once(dst)):
+            raise EngineError(_NIC_PORT_TWICE)
+        if (src == dst).any():
+            raise EngineError(
+                "vectorized pipelined transfer has a loopback lane; its "
+                "blocks are replayed on the NIC ports only")
+        if not mapped_base and h2d is d2h:
+            # a node that both stages and drains interleaves the two
+            # directions block by block on its one DMA engine
+            slot = d2h._slot
+            lane = np.arange(src.size)
+            slot[src] = lane
+            slot[dst] = -1
+            if not (slot[src] == lane).all():
+                raise EngineError(
+                    "vectorized pipelined transfer on a shared DMA engine "
+                    "has a node that both sends and receives; its d2h "
+                    "and h2d blocks interleave — refusing to guess")
+        blocks = [min(block, nbytes - lo) for lo in range(0, nbytes, block)]
+        # the wire's rate cap: the mapped rate, where it is the slower
+        bw = min(t.mapped_bw, t.nic_bw) if mapped_base else t.nic_bw
+        rdv = t.nic_lat + t.switch_lat
+        T = start_s + t.map_overhead if mapped_base else start_s
+        R = start_r + t.map_overhead if mapped_base else start_r
         # receiver pre-posts every block's irecv: one api_call each
         tr1 = []
-        pos = R.copy()
-        for _ in ranges:
+        pos = R
+        for _ in blocks:
             pos = pos + t.co
-            tr1.append(pos.copy())
+            tr1.append(pos)
         # sender: staging chain (d2h per block, or instant when mapped)
-        staged = []
+        st = T
         if mapped_base:
-            staged = [T.copy() for _ in ranges]
-            staged_last = T.copy()
+            staged = [T] * len(blocks)
         else:
-            st = T.copy()
-            for lo, hi in ranges:
-                dur = t.copy_latency + (hi - lo) / t.pinned_bw
-                _, st = self.d2h.use(src, st, dur)
+            staged = []
+            d2h_free, d2h_last = d2h.free[src], d2h.last_req[src]
+            for nb in blocks:
+                if (st <= d2h_last).any():
+                    d2h._refuse_late()
+                d2h_last = st
+                st = np.maximum(st, d2h_free) + (t.copy_latency
+                                                 + nb / t.pinned_bw)
+                d2h_free = st
                 staged.append(st)
-            staged_last = staged[-1]
+            h2d_free, h2d_last = h2d.free[dst], h2d.last_req[dst]
         # wire coroutine: strictly sequential blocking sends; the
         # receiver drains blocks in order, overlapping the next block
-        cur = T.copy()
+        tx_free, tx_last = tx.free[src], tx.last_req[src]
+        rx_free, rx_last = rx.free[dst], rx.last_req[dst]
+        cur = T
         drain = pos  # receiver host position after the pre-posting loop
-        for i, (lo, hi) in enumerate(ranges):
-            ts1 = np.maximum(cur, staged[i]) + t.co
-            send_c, recv_c = self.transfer(src, dst, ts1, tr1[i],
-                                           hi - lo, send_rate=rate,
-                                           recv_rate=rate)
-            cur = send_c
-            drain = np.maximum(drain, recv_c)
+        for nb, staged_i, tr1_i in zip(blocks, staged, tr1):
+            ts1 = np.maximum(cur, staged_i) + t.co
+            eager = nb <= t.eager_threshold
+            if eager:
+                req = ts1 + (t.pmo + nb / t.mbw)
+            else:
+                req = np.maximum(ts1, tr1_i) + rdv
+            if (req <= tx_last).any():
+                tx._refuse_late()
+            txg = np.maximum(req, tx_free)
+            tx_last = req
+            if (txg <= rx_last).any():
+                rx._refuse_late()
+            a = np.maximum(txg, rx_free) + ((t.nic_lat + nb / bw)
+                                            + t.switch_lat)
+            rx_last = txg
+            tx_free = rx_free = a   # both held until the arrival
+            cur = a
+            if eager:
+                buffered = (ts1 < tr1_i) & (a < tr1_i)
+                a = np.where(buffered, tr1_i + nb / t.mbw, a)
+            drain = np.maximum(drain, a)
             if not mapped_base:
-                dur = t.copy_latency + (hi - lo) / t.pinned_bw
-                _, drain = self.h2d.use(dst, drain, dur)
-        send_done = np.maximum(staged_last, cur)
+                if (drain <= h2d_last).any():
+                    h2d._refuse_late()
+                h2d_last = drain
+                drain = np.maximum(drain, h2d_free) + (t.copy_latency
+                                                       + nb / t.pinned_bw)
+                h2d_free = drain
+        tx.free[src], tx.last_req[src] = tx_free, tx_last
+        rx.free[dst], rx.last_req[dst] = rx_free, rx_last
+        if not mapped_base:
+            d2h.free[src], d2h.last_req[src] = d2h_free, d2h_last
+            h2d.free[dst], h2d.last_req[dst] = h2d_free, h2d_last
+        send_done = np.maximum(st, cur)
         recv_done = drain
         if mapped_base:
             send_done = send_done + t.map_overhead
@@ -694,34 +774,58 @@ class VectorEngine:
         t[par] = tp
 
     def bcast_small(self, t, nbytes=8.0):
-        """Binomial-tree broadcast from rank 0 (eager payloads only)."""
+        """Binomial-tree broadcast from rank 0 (eager payloads only).
+
+        Rank ``r`` runs on node ``r``.  Rank ``p`` sends at level ``m``
+        iff its own receive happened at a higher level (or ``p`` is the
+        root) and the child ``p + m`` exists: the senders are ``0, 2m,
+        4m, …`` below ``P - m`` and the receivers the same stride
+        shifted by ``m``.  So each level is one eager round on strided
+        views of the port arrays, every port used once and none as
+        loopback; each float operation is the one :meth:`transfer` and
+        :meth:`wire` apply to the same message, in the same order.
+        """
         tt = self._need_bind()
         t = np.array(t, dtype=np.float64, copy=True)
         P = t.size
         if P == 1:
             return t
+        if P > self.nodes:
+            raise EngineError(
+                f"bcast over {P} lanes on {self.nodes} bound nodes; the "
+                "tree needs one rank per node")
         if nbytes > tt.eager_threshold:
             raise EngineError("bcast_small replays the eager tree only")
-        ranks = np.arange(P)
-        lsb = ranks & -ranks
+        nb = float(nbytes)
+        stage = tt.pmo + nb / tt.mbw           # eager host staging copy
+        copy = nb / tt.mbw                     # unexpected-message copy
+        hold = (tt.nic_lat + nb / tt.nic_bw) + tt.switch_lat
+        tx, rx = self.tx, self.rx
         entry = t.copy()                 # each rank's recv posts at entry
-        top = 1
-        while top < P:
-            top <<= 1
-        m = top >> 1
+        m = 1
+        while m < P:
+            m <<= 1
+        m >>= 1
         while m > 0:
-            # rank p sends at level m iff its own receive happened at a
-            # higher level (or p is the root) and the child exists
-            can_send = (ranks == 0) | (lsb > m)
-            senders = can_send & (ranks + m < P)
-            if senders.any():
-                s = ranks[senders]
-                c = s + m
-                ts1 = t[s] + tt.co
-                tr1 = entry[c] + tt.co      # child's blocking recv
-                send_c, recv_c = self.transfer(s, c, ts1, tr1, nbytes)
-                t[s] = send_c + tt.so
-                t[c] = recv_c + tt.so
+            s = slice(0, P - m, 2 * m)
+            c = slice(m, P, 2 * m)
+            ts1 = t[s] + tt.co
+            tr1 = entry[c] + tt.co      # child's blocking recv
+            t2 = ts1 + stage
+            if (t2 <= tx.last_req[s]).any():
+                tx._refuse_late()
+            txg = np.maximum(t2, tx.free[s])
+            tx.last_req[s] = t2
+            if (txg <= rx.last_req[c]).any():
+                rx._refuse_late()
+            a = np.maximum(txg, rx.free[c]) + hold
+            rx.last_req[c] = txg
+            # both ports stay held until the arrival releases them
+            tx.free[s] = a
+            rx.free[c] = a
+            buffered = (ts1 < tr1) & (a < tr1)
+            t[s] = a + tt.so
+            t[c] = np.where(buffered, tr1 + copy, a) + tt.so
             m >>= 1
         return t
 

@@ -9,11 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.launcher import ClusterApp
 from repro.mpi.world import MpiWorld
 from repro.sim import Environment, Tracer
 from repro.systems import cichlid, ricc
+
+
+# Hypothesis profiles.  ``tier1`` (the default) draws the same examples
+# on every run: the random source is derived from each test, and no
+# example database replays earlier failures.  ``deep`` explores freshly
+# each run and raises the example count of tests that do not fix their
+# own; select it with REPRO_HYPOTHESIS_PROFILE=deep.  A test's own
+# ``max_examples`` holds under both.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("deep", max_examples=1000)
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "tier1"))
 
 
 def _live_children() -> list[str]:

@@ -244,6 +244,54 @@ class TestCompaction:
         finally:
             svc.stop()
 
+    def test_grant_racing_a_drain_journals_nothing_after_the_snapshot(
+            self, tmp_path):
+        """A claim parked just before it takes the claim lock, while
+        the service drains and compacts, must lease nothing: the
+        compacted journal stays the snapshot line alone."""
+        svc = SweepService(tmp_path / "svc", jobs=0)
+        svc.submit("slow", [{"i": 1}],
+                   {"worker": "tests.harness.test_service:slow_point"})
+        lock = _ParkingLock(svc._claim_lock, "racing-claim")
+        svc._claim_lock = lock
+        granted = []
+        claim = threading.Thread(
+            target=lambda: granted.extend(svc._grant("agent", 1)),
+            name="racing-claim")
+        claim.start()
+        try:
+            assert lock.parked.wait(10.0)
+            svc.drain(grace_s=0.0)
+        finally:
+            lock.release.set()
+            claim.join(10.0)
+            svc.stop()
+        lines = (svc.root / "journal.jsonl").read_text().splitlines()
+        assert [json.loads(line)["event"] for line in lines] == ["snapshot"]
+        assert granted == []
+
+
+class _ParkingLock:
+    """A lock wrapper that parks one named thread just before it takes
+    the lock, until ``release`` is set; other threads pass straight
+    through."""
+
+    def __init__(self, lock, thread_name: str):
+        self._lock = lock
+        self._thread_name = thread_name
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread().name == self._thread_name \
+                and not self.parked.is_set():
+            self.parked.set()
+            self.release.wait(10.0)
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
 
 class TestIdempotentSubmit:
     def test_queue_token_dedupes(self, tmp_path):

@@ -1,9 +1,11 @@
 """The mesoscale engine's small collectives against a per-message replay.
 
 :meth:`VectorEngine.barrier` serves each dissemination round as one
-rotation of the whole port arrays, and :meth:`VectorEngine.reduce_small`
-drains one tree level at a time.  The reference functions below replay
-the same collectives message by message — each barrier round as a
+rotation of the whole port arrays, :meth:`VectorEngine.reduce_small`
+drains one tree level at a time, and :meth:`VectorEngine.bcast_small`
+serves each tree level on strided views of the port arrays.  The
+reference functions below replay the same collectives message by
+message — each barrier round and broadcast level as a
 :meth:`VectorEngine.transfer` batch, each reduce parent drained on its
 own in Python — and serve as the oracle: on random entry times,
 pre-warmed ports and raced-ahead reduce senders, both must return the
@@ -99,6 +101,37 @@ def _ref_reduce(v, t, nbytes=8.0, pre=None):
         mask <<= 1
     _ref_drain(v, 0, mask, t, ts1, txg, arr, nb, hold, pre)
     t[1:] = arr[1:] + tt.so
+    return t
+
+
+def _ref_bcast(v, t, nbytes=8.0):
+    """Binomial broadcast from rank 0, one :meth:`transfer` batch per
+    tree level."""
+    tt = v.t
+    t = np.array(t, dtype=np.float64, copy=True)
+    P = t.size
+    if P == 1:
+        return t
+    if nbytes > tt.eager_threshold:
+        raise EngineError("bcast_small replays the eager tree only")
+    ranks = np.arange(P)
+    lsb = ranks & -ranks
+    entry = t.copy()
+    top = 1
+    while top < P:
+        top <<= 1
+    m = top >> 1
+    while m > 0:
+        senders = ((ranks == 0) | (lsb > m)) & (ranks + m < P)
+        if senders.any():
+            s = ranks[senders]
+            c = s + m
+            ts1 = t[s] + tt.co
+            tr1 = entry[c] + tt.co
+            send_c, recv_c = v.transfer(s, c, ts1, tr1, nbytes)
+            t[s] = send_c + tt.so
+            t[c] = recv_c + tt.so
+        m >>= 1
     return t
 
 
@@ -241,6 +274,61 @@ def test_collectives_match_per_message_replay(data):
         t = a
 
 
+def _tied_root(data, engines, t, nbytes):
+    """Earlier eager messages sent at the root's first broadcast isend
+    time: from the root itself to a node outside its first hop (a tie
+    on its transmit port), or from a third node into that hop's
+    receive port."""
+    P = t.size
+    if P < 3:
+        return
+    hop = 1 << ((P - 1).bit_length() - 1)   # the root's first child
+    ts1 = t[0] + engines[0].t.co
+    for _ in range(data.draw(st.integers(0, 2), label="tied")):
+        other = data.draw(st.sampled_from(
+            [r for r in range(1, P) if r != hop]), label="tied_node")
+        src, dst = data.draw(st.sampled_from([(0, other), (other, hop)]),
+                             label="tied_pair")
+        got = [_outcome(lambda v=v: v.eager_wire_single(src, dst, ts1,
+                                                        nbytes))
+               for v in engines]
+        assert got[0] == got[1]
+
+
+@seed(2013)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bcast_matches_per_level_replay(data):
+    P = data.draw(st.one_of(st.integers(2, 80),
+                            st.sampled_from([2, 4, 8, 16, 32, 64, 128])),
+                  label="ranks")
+    system = data.draw(st.sampled_from(["cichlid", "ricc"]), label="system")
+    new, ref = _engine(system, P), _engine(system, P)
+    # pre-warm: one earlier wire batch, each port at most once
+    m = data.draw(st.integers(0, P), label="warm")
+    src = data.draw(st.permutations(range(P)), label="warm_src")[:m]
+    dst = data.draw(st.permutations(range(P)), label="warm_dst")[:m]
+    req = data.draw(st.lists(_GRID, min_size=m, max_size=m),
+                    label="warm_req")
+    for v in (new, ref):
+        v.wire(src, dst, req, 8.0)
+    t = np.full(P, 16e-6)
+    for _ in range(data.draw(st.integers(1, 3), label="ops")):
+        t = t + np.array(data.draw(st.lists(_GRID, min_size=P, max_size=P),
+                                   label="entry"))
+        nbytes = data.draw(st.sampled_from([8.0, 1.0, 4096.0]),
+                           label="nbytes")
+        _tied_root(data, (new, ref), t, nbytes)
+        a = _outcome(lambda: new.bcast_small(t, nbytes))
+        b = _outcome(lambda: _ref_bcast(ref, t, nbytes))
+        if isinstance(a, str) or isinstance(b, str):
+            assert a == b
+            return
+        assert a.tobytes() == b.tobytes()
+        assert _ports(new) == _ports(ref)
+        t = a
+
+
 # -- refusal pins (the same messages from both replays) ---------------------
 
 def test_reduce_over_the_eager_threshold_is_refused():
@@ -250,6 +338,14 @@ def test_reduce_over_the_eager_threshold_is_refused():
         with pytest.raises(EngineError) as exc:
             reduce(v, np.zeros(4), v.t.eager_threshold + 1.0)
         assert str(exc.value) == "reduce_small replays the eager tree only"
+
+
+def test_bcast_over_the_eager_threshold_is_refused():
+    for bcast in (lambda v, t, nb: v.bcast_small(t, nb), _ref_bcast):
+        v = _engine("ricc", 4)
+        with pytest.raises(EngineError) as exc:
+            bcast(v, np.zeros(4), v.t.eager_threshold + 1.0)
+        assert str(exc.value) == "bcast_small replays the eager tree only"
 
 
 def test_reduce_tx_cross_phase_tie_is_refused():
