@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.launcher import ClusterApp, RankContext
+from repro.sim import Environment, try_vectorized
 from repro.systems.presets import SystemPreset
 
 __all__ = ["collective_load", "collective_load_point",
@@ -53,8 +54,6 @@ def _collective_main(ctx: RankContext, rounds: int,
 def _vectorized_per_rank(system: SystemPreset, ranks: int, rounds: int,
                          jitter: float) -> list[float]:
     """Mesoscale replay of :func:`_collective_main`, all ranks at once."""
-    from repro.sim import Environment
-
     env = Environment(engine="vectorized")
     v = env.vector.bind(system, ranks)
     entry = v.barrier(np.zeros(ranks, dtype=np.float64))
@@ -83,14 +82,11 @@ def collective_load(system: SystemPreset, ranks: int, rounds: int = 8,
         raise ConfigurationError("collective_load needs at least 2 ranks")
     if rounds < 1:
         raise ConfigurationError("rounds must be positive")
-    if engine == "vectorized":
-        per_rank = _vectorized_per_rank(system, ranks, rounds, jitter)
-    else:
-        from repro.sim import ENGINES, EngineError
-
-        if engine not in ENGINES:
-            raise EngineError(
-                f"unknown engine {engine!r}; choose from {ENGINES}")
+    # no fallback: a point the mesoscale model refuses raises
+    per_rank = try_vectorized(
+        engine, lambda: _vectorized_per_rank(system, ranks, rounds, jitter),
+        strict=True)
+    if per_rank is None:
         app = ClusterApp(system, ranks, functional=False)
         per_rank = app.run(_collective_main, rounds, jitter)
     return {"system": system.name, "ranks": ranks, "rounds": rounds,

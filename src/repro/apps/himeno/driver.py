@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,7 +18,7 @@ from repro.apps.himeno.vectorized import (
 )
 from repro.errors import ConfigurationError
 from repro.launcher import ClusterApp
-from repro.sim import ENGINES, EngineError
+from repro.sim import try_vectorized
 from repro.systems.presets import SystemPreset
 
 __all__ = ["IMPLEMENTATIONS", "HimenoResult", "run_himeno"]
@@ -97,53 +96,22 @@ def run_himeno(system: SystemPreset, nodes: int, implementation: str,
             f"unknown implementation {implementation!r}; choose from "
             f"{sorted(IMPLEMENTATIONS)}") from None
     config = config or HimenoConfig()
-    if engine not in ENGINES:
-        raise EngineError(
-            f"unknown engine {engine!r}; choose from {ENGINES}")
-    if engine == "vectorized":
-        if functional:
-            raise EngineError(
-                "engine='vectorized' is timing-only; functional Himeno "
-                "runs need engine='coroutine' (pass functional=False "
-                "for mesoscale sweeps)")
-        unsupported = []
-        if trace:
-            unsupported.append("trace")
-        if faults is not None:
-            unsupported.append("faults")
-        if metrics:
-            unsupported.append("metrics")
-        if implementation not in VECTORIZED_IMPLEMENTATIONS:
-            unsupported.append(f"implementation={implementation!r}")
-        if force_mode == "pipelined":
-            unsupported.append("force_mode='pipelined'")
-        if unsupported:
-            if strict_engine:
-                raise EngineError(
-                    "engine='vectorized' does not support "
-                    f"{', '.join(unsupported)} (strict_engine=True "
-                    "forbids the coroutine fallback)")
-            warnings.warn(
-                "engine='vectorized' does not support "
-                f"{', '.join(unsupported)}; falling back to the "
-                "coroutine engine", RuntimeWarning, stacklevel=2)
-        else:
-            try:
-                results, env = vectorized_rows(
-                    system, nodes, implementation, config,
-                    force_mode=force_mode, force_block=force_block)
-            except EngineError as exc:
-                # e.g. odd-rank mapped-mode clmpi — the refusal names it
-                if strict_engine:
-                    raise
-                warnings.warn(
-                    f"engine='vectorized' refused this run ({exc}); "
-                    "falling back to the coroutine engine",
-                    RuntimeWarning, stacklevel=2)
-            else:
-                return _finish(system, nodes, implementation, config,
-                               results, tracer=None, metrics_reg=None,
-                               env=env)
+    replayed = try_vectorized(
+        engine,
+        lambda: vectorized_rows(system, nodes, implementation, config,
+                                force_mode=force_mode,
+                                force_block=force_block),
+        functional=functional,
+        unsupported={"trace": trace, "faults": faults is not None,
+                     "metrics": metrics,
+                     f"implementation={implementation!r}":
+                         implementation not in VECTORIZED_IMPLEMENTATIONS,
+                     "force_mode='pipelined'": force_mode == "pipelined"},
+        strict=strict_engine)
+    if replayed is not None:
+        results, env = replayed
+        return _finish(system, nodes, implementation, config, results,
+                       tracer=None, metrics_reg=None, env=env)
     app = ClusterApp(system, nodes, functional=functional,
                      force_mode=force_mode, force_block=force_block,
                      trace=trace, faults=faults, metrics=metrics)

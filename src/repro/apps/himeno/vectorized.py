@@ -123,13 +123,13 @@ def _gosa_and_allreduce(L: _Lanes, h, q_ready, raced=None):
     sub = h + t.co
     disp = np.maximum(q_ready, sub)
     if raced is None:
-        _, done = v.d2h.use(L.ranks, disp, t.dma_duration(GOSA_BYTES))
+        _, done = v.d2h.use(L.ranks, disp, t.pcie.dma_time(GOSA_BYTES))
         pre = None
     else:
         r, done_r, pre_t = raced
         sel = L.ranks[L.ranks != r]
         done = np.empty(L.P)
-        _, dsel = v.d2h.use(sel, disp[sel], t.dma_duration(GOSA_BYTES))
+        _, dsel = v.d2h.use(sel, disp[sel], t.pcie.dma_time(GOSA_BYTES))
         done[sel] = dsel
         done[r] = done_r
         pre = {r: pre_t}
@@ -150,11 +150,11 @@ def _race_ahead(L: _Lanes, r: int, h_r: float, q_ready_r: float):
     sub = h_r + t.co
     disp = max(q_ready_r, sub)
     _, d = v.d2h.use(np.array([r]), np.array([disp]),
-                     t.dma_duration(GOSA_BYTES))
+                     t.pcie.dma_time(GOSA_BYTES))
     done = float(d[0])
     entry = done + t.so
     ts1 = entry + t.co
-    t2 = ts1 + (t.pmo + float(GOSA_BYTES) / t.mbw)
+    t2 = ts1 + t.cluster.eager_stage_time(float(GOSA_BYTES))
     return done, ts1, t2
 
 
@@ -169,9 +169,9 @@ def _reduce_isend_first(L: _Lanes, r: int, t2_r: float,
     """
     t, v = L.t, L.v
     if L.plane <= t.eager_threshold:
-        wreq = halo_ts1 + (t.pmo + L.plane / t.mbw)
+        wreq = halo_ts1 + t.cluster.eager_stage_time(L.plane)
     else:
-        wreq = max(halo_ts1, halo_tr1) + (t.nic_lat + t.switch_lat)
+        wreq = max(halo_ts1, halo_tr1) + t.fabric.control_time()
     halo_txg = max(wreq, float(v.tx.free[r - 2]))
     my_txg = max(t2_r, float(v.tx.free[r]))
     if my_txg == halo_txg:
@@ -214,7 +214,7 @@ def _clmpi_rows(L: _Lanes, mode: str, block: Optional[int],
     dur_f = L.kdur(L.rows_first)
     dur_s = L.kdur(L.rows_second)
     plane = L.plane
-    pdur = t.dma_duration(plane)
+    pdur = t.pcie.dma_time(plane)
 
     entry = v.barrier(np.zeros(P, dtype=np.float64))
     t0 = entry
@@ -375,7 +375,7 @@ def _serial_rows(L: _Lanes) -> list[dict]:
     dur_f = L.kdur(L.rows_first)
     dur_s = L.kdur(L.rows_second)
     plane = L.plane
-    pdur = t.dma_duration(plane)
+    pdur = t.pcie.dma_time(plane)
 
     entry = v.barrier(np.zeros(P, dtype=np.float64))
     t0 = entry

@@ -13,6 +13,7 @@ from typing import Any, Generator, Optional
 from repro import clmpi
 from repro.errors import ConfigurationError, MpiError, MpiRankFailed
 from repro.launcher import ClusterApp, RankContext
+from repro.sim import EngineError, Environment, try_vectorized
 from repro.systems.presets import SystemPreset
 
 __all__ = ["BandwidthResult", "measure_bandwidth", "bandwidth_sweep",
@@ -145,7 +146,6 @@ def _vectorized_seconds(system: SystemPreset, nbytes: int,
     import numpy as np
 
     from repro.clmpi.selector import TransferSelector
-    from repro.sim import Environment, EngineError
 
     if ranks < 2 or ranks % 2:
         raise EngineError(
@@ -238,60 +238,19 @@ def measure_bandwidth(system: SystemPreset, nbytes: int,
         raise ConfigurationError("pingpong needs at least 2 ranks")
     if ft is None:
         ft = _wants_ft(faults)
-    if engine == "vectorized":
-        from repro.sim import EngineError
-
-        if functional:
-            raise EngineError(
-                "engine='vectorized' is timing-only: functional "
-                "(payload-moving) runs need engine='coroutine'")
-        unsupported = []
-        if faults is not None:
-            unsupported.append("fault injection ('faults')")
-        if obs:
-            unsupported.append("observability hooks ('obs': "
-                               "tracer + metrics)")
-        if ft:
-            unsupported.append("ULFM recovery ('ft')")
-        if unsupported:
-            detail = ", ".join(unsupported)
-            if strict_engine:
-                raise EngineError(
-                    f"engine='vectorized' does not support {detail} "
-                    "(strict_engine=True forbids the coroutine "
-                    "fallback)")
-            import warnings
-
-            warnings.warn(
-                f"engine='vectorized' does not support {detail}; "
-                "falling back to the coroutine engine for this point",
-                RuntimeWarning, stacklevel=2)
-        else:
-            try:
-                seconds = _vectorized_seconds(system, nbytes, mode,
-                                              block, repeats, ranks)
-            except EngineError as exc:
-                # e.g. an odd rank count the pairwise mapped model
-                # cannot lay out — the refusal message names it
-                if strict_engine:
-                    raise
-                import warnings
-
-                warnings.warn(
-                    f"engine='vectorized' refused this point ({exc}); "
-                    "falling back to the coroutine engine",
-                    RuntimeWarning, stacklevel=2)
-            else:
-                return BandwidthResult(system=system.name,
-                                       mode=mode or "auto",
-                                       block=block, nbytes=nbytes,
-                                       repeats=repeats, seconds=seconds,
-                                       ranks=ranks)
-    elif engine != "coroutine":
-        from repro.sim import ENGINES, EngineError
-
-        raise EngineError(
-            f"unknown engine {engine!r}; choose from {sorted(ENGINES)}")
+    seconds = try_vectorized(
+        engine,
+        lambda: _vectorized_seconds(system, nbytes, mode, block, repeats,
+                                    ranks),
+        functional=functional,
+        unsupported={"fault injection ('faults')": faults is not None,
+                     "observability hooks ('obs': tracer + metrics)": obs,
+                     "ULFM recovery ('ft')": ft},
+        strict=strict_engine)
+    if seconds is not None:
+        return BandwidthResult(system=system.name, mode=mode or "auto",
+                               block=block, nbytes=nbytes, repeats=repeats,
+                               seconds=seconds, ranks=ranks)
     app = ClusterApp(system, ranks, functional=functional,
                      force_mode=mode, force_block=block, faults=faults,
                      trace=obs, metrics=obs or ft)

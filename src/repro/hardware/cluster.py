@@ -25,6 +25,13 @@ class ClusterSpec:
         if self.max_nodes < 1:
             raise ConfigurationError(f"{self.name}: max_nodes must be >= 1")
 
+    def eager_stage_time(self, nbytes):
+        """Sender-side cost of an eager message of ``nbytes``: the NIC's
+        per-message initiation plus the host copy into the eager buffer
+        (a float or a float64 array, shared by both engines)."""
+        return (self.fabric.nic.per_message_overhead
+                + self.node.host.memcpy_time(nbytes))
+
     def describe(self) -> dict:
         """Summary for the Table I harness."""
         info = {"System": self.name, "Nodes": self.max_nodes,

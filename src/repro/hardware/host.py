@@ -57,10 +57,9 @@ class HostSpec:
             raise ValueError("negative flops")
         return flops / (self.sustained_gflops * 1e9)
 
-    def memcpy_time(self, nbytes: int) -> float:
-        """Duration of a host-memory copy."""
-        if nbytes < 0:
-            raise ValueError("negative size")
+    def memcpy_time(self, nbytes):
+        """Duration of a host-memory copy of ``nbytes`` (a float or a
+        float64 array: plain arithmetic, shared by both engines)."""
         return nbytes / self.memcpy_bandwidth
 
 
@@ -106,6 +105,8 @@ class HostModel:
     def memcpy(self, nbytes: int,
                label: str = "memcpy") -> Generator[Any, Any, float]:
         """Coroutine: host-memory copy of ``nbytes``."""
+        if nbytes < 0:
+            raise ValueError("negative size")
         grant = yield from self.cores.acquire()
         start = self.env.now
         try:

@@ -65,7 +65,15 @@ class Link:
                  category: str = "net",
                  derate: float = 1.0,
                  flow: int = 0) -> Generator[Any, Any, float]:
-        """Coroutine: occupy one channel for the modelled duration.
+        """Coroutine: :meth:`occupy` a channel for ``spec.time(nbytes)``."""
+        return self.occupy(self.spec.time(nbytes), nbytes, label, category,
+                           derate, flow)
+
+    def occupy(self, cost: float, nbytes: int, label: str = "xfer",
+               category: str = "net",
+               derate: float = 1.0,
+               flow: int = 0) -> Generator[Any, Any, float]:
+        """Coroutine: occupy one channel for ``cost`` seconds.
 
         ``derate`` (>= 1) stretches the transfer — used by fault
         injection to model straggling buses.  ``flow`` links the trace
@@ -80,7 +88,6 @@ class Link:
         grant = yield from self.resource.acquire()
         start = self.env.now
         try:
-            cost = self.spec.time(nbytes)
             if derate > 1.0:
                 cost *= derate
             yield self.env.timeout(cost)

@@ -49,12 +49,6 @@ class NicSpec:
         if self.latency < 0 or self.per_message_overhead < 0:
             raise ConfigurationError(f"{self.name}: negative latency")
 
-    def wire_time(self, nbytes: int) -> float:
-        """Unloaded one-way time for a message of ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError("negative message size")
-        return self.latency + nbytes / self.bandwidth
-
 
 class Nic:
     """One node's network interface: independent tx and rx ports."""
@@ -70,7 +64,10 @@ class Nic:
 
 @dataclass(frozen=True)
 class FabricSpec:
-    """Fabric-wide parameters (applies to every NIC pair)."""
+    """Fabric-wide parameters (applies to every NIC pair), and the
+    fabric's timing rules, stated once for both engines as plain
+    arithmetic over a float or a float64 array (one value per message).
+    """
 
     nic: NicSpec
     #: extra per-hop switch latency
@@ -83,6 +80,19 @@ class FabricSpec:
             raise ConfigurationError("negative switch latency")
         if self.loopback_bandwidth <= 0:
             raise ConfigurationError("non-positive loopback bandwidth")
+
+    def wire_time(self, nbytes, bandwidth):
+        """How long a data frame of ``nbytes`` holds both NIC ports when
+        streamed at ``bandwidth`` (the NIC's, or a slower rate cap)."""
+        return (self.nic.latency + nbytes / bandwidth) + self.switch_latency
+
+    def control_time(self):
+        """One-way time of a control packet (rendezvous RTS/CTS, acks)."""
+        return self.nic.latency + self.switch_latency
+
+    def loopback_time(self, nbytes):
+        """An intra-node "transfer" of ``nbytes``: a memcpy."""
+        return nbytes / self.loopback_bandwidth
 
 
 class Fabric:
@@ -109,22 +119,6 @@ class Fabric:
                 f"[0, {len(self.nics)})")
         return idx
 
-    def unloaded_time(self, nbytes: int, src: int, dst: int,
-                      rate_limit: float | None = None) -> float:
-        """Contention-free one-way message time.
-
-        ``rate_limit`` caps the effective streaming bandwidth below the
-        NIC's — used when an endpoint feeds the wire from a slower source
-        (e.g. NIC reads out of mapped device memory over PCIe).
-        """
-        if src == dst:
-            return nbytes / self.spec.loopback_bandwidth
-        bw = self.spec.nic.bandwidth
-        if rate_limit is not None:
-            bw = min(bw, rate_limit)
-        return (self.spec.nic.latency + nbytes / bw
-                + self.spec.switch_latency)
-
     def send(self, src: int, dst: int, nbytes: int,
              label: str = "msg",
              rate_limit: float | None = None,
@@ -135,9 +129,12 @@ class Fabric:
         the bytes have landed (its ``fate`` says whether a fault
         injector lost them; see :meth:`FabricChain._wire`).  Protocol
         layers drive the same step from their own chains instead.
+        Raises ValueError for a negative ``nbytes``.
         """
         src = self._check_node(src, "src")
         dst = self._check_node(dst, "dst")
+        if nbytes < 0:
+            raise ValueError("negative message size")
         chain = FabricChain(self, "fabric.send")
         chain._wait(*chain._wire(src, dst, nbytes, label, rate_limit, flow,
                                  FabricChain._sent))
@@ -175,15 +172,16 @@ class Fabric:
 class FabricChain(Chain):
     """A chain that moves bytes over a :class:`Fabric`.
 
-    The fabric's two timing rules live here, once: :meth:`_wire` (a
+    The fabric's two protocol steps live here, once: :meth:`_wire` (a
     data frame holding the ports) and :meth:`_control` (a control
-    packet).  Both are called from inside a step, return what that step
-    should wait for, and run a continuation step when done, leaving the
-    outcome in :attr:`fate` — so protocol chains (the MPI send path)
-    put them in sequence without a generator frame or an event of their
-    own.  Node ids must already be valid indices: :meth:`Fabric.send`
-    and :meth:`Fabric.control_message` check theirs, protocol layers
-    pass the cluster's own.
+    packet), each priced by its :class:`FabricSpec` rule.  Both are
+    called from inside a step, return what that step should wait for,
+    and run a continuation step when done, leaving the outcome in
+    :attr:`fate` — so protocol chains (the MPI send path) put them in
+    sequence without a generator frame or an event of their own.  Node
+    ids must already be valid indices: :meth:`Fabric.send` and
+    :meth:`Fabric.control_message` check theirs, protocol layers pass
+    the cluster's own.
     """
 
     __slots__ = ("fabric", "fate", "_src", "_dst", "_nbytes", "_label",
@@ -228,7 +226,7 @@ class FabricChain(Chain):
         self._start = env._now
         if src == dst:
             self.fate = "ok"
-            return env.timeout(nbytes / fabric.spec.loopback_bandwidth), then
+            return env.timeout(fabric.spec.loopback_time(nbytes)), then
         faults = env.faults
         fate = ("ok" if faults is None
                 else faults.link_fate(src, dst, nbytes, label, flow=flow))
@@ -248,9 +246,7 @@ class FabricChain(Chain):
         try:
             bw = fabric._effective_bandwidth(self._src, self._dst,
                                              self._rate)
-            wire = self.env.timeout(fabric.spec.nic.latency
-                                    + self._nbytes / bw
-                                    + fabric.spec.switch_latency)
+            wire = self.env.timeout(fabric.spec.wire_time(self._nbytes, bw))
         except BaseException:
             self._release()
             raise
@@ -296,8 +292,7 @@ class FabricChain(Chain):
         faults = env.faults
         self.fate = ("ok" if faults is None
                      else faults.control_fate(src, dst))
-        return (env.timeout(fabric.spec.nic.latency
-                            + fabric.spec.switch_latency), then)
+        return env.timeout(fabric.spec.control_time()), then
 
     # -- standalone endings (Fabric.send / Fabric.control_message) -----
     def _sent(self, event: Event) -> Next:

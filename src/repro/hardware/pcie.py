@@ -51,6 +51,11 @@ class PcieSpec:
         if min(self.copy_latency, self.map_overhead, self.mapped_latency) < 0:
             raise ConfigurationError("PcieSpec latencies must be non-negative")
 
+    def dma_time(self, nbytes):
+        """One explicit DMA copy of ``nbytes`` at the pinned rate (a float
+        or a float64 array: plain arithmetic, shared by both engines)."""
+        return self.copy_latency + nbytes / self.pinned_bandwidth
+
 
 class PcieModel:
     """A :class:`PcieSpec` bound to the simulator.
@@ -66,6 +71,7 @@ class PcieModel:
         self.spec = spec
         self.lane = lane
         self.node_id = node_id
+        # the DMA links are priced by PcieSpec.dma_time (see _copy)
         if copy_engines == 2:
             self._d2h = Link(env, LinkSpec(spec.copy_latency,
                                            spec.pinned_bandwidth, "pcie.d2h"),
@@ -108,15 +114,14 @@ class PcieModel:
               category: str, flow: int = 0) -> Generator[Any, Any, float]:
         if nbytes < 0:
             raise ValueError("negative copy size")
-        if pinned:
-            return (yield from link.transfer(nbytes, label, category,
-                                             derate=self._derate(),
-                                             flow=flow))
-        # Pageable copies bounce through the driver's staging buffer:
-        # model as the same engine at reduced bandwidth.
-        scale = self.spec.pinned_bandwidth / self.spec.pageable_bandwidth
-        return (yield from link.transfer(int(nbytes * scale), label, category,
-                                         derate=self._derate(), flow=flow))
+        if not pinned:
+            # Pageable copies bounce through the driver's staging buffer:
+            # model as the same engine at reduced bandwidth.
+            scale = self.spec.pinned_bandwidth / self.spec.pageable_bandwidth
+            nbytes = int(nbytes * scale)
+        return (yield from link.occupy(self.spec.dma_time(nbytes), nbytes,
+                                       label, category,
+                                       derate=self._derate(), flow=flow))
 
     # -- mapped access -------------------------------------------------------------
     def map_buffer(self) -> Generator[Any, Any, float]:

@@ -156,7 +156,7 @@ class Communicator:
         self._home = home
         self._call_overhead = home.host.spec.call_overhead
         self._sync_overhead = home.host.spec.sync_overhead
-        self._memcpy_bw = home.host.spec.memcpy_bandwidth
+        self._cluster_spec = state.cluster.spec
 
     # -- identity -----------------------------------------------------------
     @property
@@ -702,8 +702,8 @@ class Communicator:
         ceil(log2(P)) wire rounds — plus the blocked-host wake-up."""
         fabric = self._state.cluster.fabric
         rounds = max(1, (max(participants, 1) - 1).bit_length())
-        per_round = fabric.spec.nic.latency + fabric.spec.switch_latency
-        yield self.env.timeout(rounds * per_round + self._sync_overhead)
+        yield self.env.timeout(rounds * fabric.spec.control_time()
+                               + self._sync_overhead)
 
     def shrink(self) -> Generator[Any, Any, "Communicator"]:
         """ULFM ``MPI_Comm_shrink``: return a communicator of survivors.
@@ -900,11 +900,13 @@ class _SendChain(FabricChain):
         self._src = state.node_id(envelope.src)
         self._dst = state.node_id(envelope.dst)
         if envelope.protocol == "eager":
-            overhead = self.fabric.spec.nic.per_message_overhead
-            if not envelope.is_object:
+            if envelope.is_object:
+                overhead = self.fabric.spec.nic.per_message_overhead
+            else:
                 # NIC initiation + staging copy into the eager buffer:
                 # one fused delay (nothing observes the boundary).
-                overhead += envelope.nbytes / comm._memcpy_bw
+                overhead = comm._cluster_spec.eager_stage_time(
+                    envelope.nbytes)
             return env.timeout(overhead), _SendChain._staged
         return envelope.cts, _SendChain._cleared
 
@@ -1052,7 +1054,7 @@ class _RecvChain(Chain):
                 state = self.comm._state
                 node = state.cluster[state.node_id(envelope.dst)]
                 return (env.timeout(
-                    envelope.nbytes / node.host.spec.memcpy_bandwidth),
+                    node.host.spec.memcpy_time(envelope.nbytes)),
                     _RecvChain._copied)
             return self._copied(event)
         status = Status(envelope.src, envelope.tag, envelope.nbytes)

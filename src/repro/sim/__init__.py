@@ -43,6 +43,7 @@ from repro.sim.core import (
     Process,
     SimulationError,
     Timeout,
+    try_vectorized,
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.trace import Tracer, TraceRecord
@@ -59,6 +60,7 @@ __all__ = [
     "SimulationError",
     "EngineError",
     "ENGINES",
+    "try_vectorized",
     "Resource",
     "Store",
     "TraceRecord",

@@ -73,6 +73,7 @@ inner loop is written for CPython's profile rather than for symmetry:
 
 from __future__ import annotations
 
+import warnings
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -88,6 +89,7 @@ __all__ = [
     "SimulationError",
     "EngineError",
     "ENGINES",
+    "try_vectorized",
     "NORMAL",
     "HIGH",
     "LOW",
@@ -119,6 +121,54 @@ class EngineError(SimulationError):
     the vectorized engine for a functional (payload-moving) run, or
     requesting an unknown engine name.
     """
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise EngineError(
+            f"unknown engine {engine!r}; choose from {ENGINES}")
+
+
+def try_vectorized(engine: str, replay: Callable[[], Any], *,
+                   functional: bool = False,
+                   unsupported: dict[str, bool] | None = None,
+                   strict: bool = False) -> Any:
+    """The apps' engine-selection policy: ``replay()`` (a mesoscale
+    model of the point) when ``engine`` is ``"vectorized"``, else None.
+
+    None also means a fallback to the coroutine engine, with a
+    :class:`RuntimeWarning`, when the point requests one of the caller's
+    ``unsupported`` features (name → requested) or ``replay`` raises
+    :class:`EngineError`; under ``strict`` both raise instead.
+    """
+    _check_engine(engine)
+    if engine != "vectorized":
+        return None
+    if functional:
+        raise EngineError(
+            "engine='vectorized' is timing-only: functional "
+            "(payload-moving) runs need engine='coroutine' (pass "
+            "functional=False for mesoscale sweeps)")
+    asked = [name for name, on in (unsupported or {}).items() if on]
+    if asked:
+        detail = ", ".join(asked)
+        if strict:
+            raise EngineError(
+                f"engine='vectorized' does not support {detail} "
+                "(strict_engine=True forbids the coroutine fallback)")
+        warnings.warn(
+            f"engine='vectorized' does not support {detail}; falling "
+            "back to the coroutine engine", RuntimeWarning, stacklevel=3)
+        return None
+    try:
+        return replay()
+    except EngineError as exc:
+        if strict:
+            raise
+        warnings.warn(
+            f"engine='vectorized' refused this run ({exc}); falling back "
+            "to the coroutine engine", RuntimeWarning, stacklevel=3)
+        return None
 
 
 class Interrupt(Exception):
@@ -542,19 +592,9 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0,
-                 engine: str = "coroutine",
-                 strict_engine: bool = False):
-        if engine not in ENGINES:
-            raise EngineError(
-                f"unknown engine {engine!r}; choose from {ENGINES}")
+                 engine: str = "coroutine"):
+        _check_engine(engine)
         self.engine = engine
-        #: When True, callers that would silently fall back from the
-        #: requested engine to the coroutine engine (because a feature —
-        #: fault injection, tracing, pipelined planes, an odd mapped
-        #: rank count — is outside the vectorized model) must raise
-        #: :class:`EngineError` instead.  The flag lives here so every
-        #: layer that builds models on this environment sees one policy.
-        self.strict_engine = bool(strict_engine)
         self._vector = None
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []

@@ -36,10 +36,10 @@ replays every block on those lane-local arrays and scatters once, and a
 broadcast level or barrier round is correct by construction (every port
 used once, none as loopback).  Only the generic :meth:`VectorEngine.wire`
 and :meth:`FifoPorts.use` batches re-check their ports on every call.
-On a 2-vCPU host a 2048-rank RICC 64 MiB Fig 8 point in 1 MiB blocks
-takes 8 ms this way instead of 55 ms, and enters this module 48 times
-instead of 4,900; a 1024-rank collective-load point takes 15 ms instead
-of 30 ms.
+
+The per-message timing rules are not restated here: both engines call
+the one statement on the hardware spec that owns each rule's constants
+(see :class:`Timings`).
 
 What the vectorized engine deliberately does **not** support (it refuses
 with :class:`~repro.sim.EngineError` or the caller falls back to the
@@ -83,20 +83,26 @@ def _pick(x, m):
 
 
 class Timings:
-    """Scalar timing constants of one :class:`SystemPreset`, unpacked.
+    """Timing constants and rules of one :class:`SystemPreset`, unpacked.
 
-    One attribute per constant the replay formulas use, so model code
-    reads ``v.co`` instead of chasing the preset's nested dataclasses.
-    The cluster is homogeneous (every node shares one NodeSpec), which is
-    what lets one scalar serve all lanes.
+    The shared per-message rules are called on the preset's own specs
+    (:attr:`fabric`, :attr:`host`, :attr:`pcie`, :attr:`cluster`); the
+    scalars are its constants, so model code reads ``v.co`` instead of
+    chasing nested dataclasses (the tests' independent replays restate
+    the rules from ``pmo``, ``mbw``, ``nic_lat``, ...).  The cluster is
+    homogeneous, which is what lets one scalar serve all lanes.
     """
 
     def __init__(self, preset) -> None:
         cluster = preset.cluster
         node = cluster.node
         host, gpu, pcie = node.host, node.gpu, node.pcie
-        nic = cluster.fabric.nic
-        self.preset = preset
+        fabric = cluster.fabric
+        nic = fabric.nic
+        self.cluster = cluster
+        self.fabric = fabric
+        self.host = host
+        self.pcie = pcie
         #: host API-call overhead (every enqueue/isend/irecv)
         self.co = float(host.call_overhead)
         #: host sync wake-up (every blocking wait that actually blocked)
@@ -106,11 +112,10 @@ class Timings:
         self.nic_bw = float(nic.bandwidth)
         self.nic_lat = float(nic.latency)
         self.pmo = float(nic.per_message_overhead)
-        self.switch_lat = float(cluster.fabric.switch_latency)
-        self.loopback_bw = float(cluster.fabric.loopback_bandwidth)
+        self.switch_lat = float(fabric.switch_latency)
+        self.loopback_bw = float(fabric.loopback_bandwidth)
         self.eager_threshold = int(preset.mpi_eager_threshold)
         self.pinned_bw = float(pcie.pinned_bandwidth)
-        self.pageable_bw = float(pcie.pageable_bandwidth)
         self.mapped_bw = float(pcie.mapped_bandwidth)
         self.copy_latency = float(pcie.copy_latency)
         self.map_overhead = float(pcie.map_overhead)
@@ -121,17 +126,11 @@ class Timings:
         self.gpu_mem_bw = float(gpu.mem_bandwidth)
 
     def kernel_duration(self, flops, mem_bytes):
-        """Replay of :meth:`GpuSpec.kernel_time` (elementwise)."""
+        """Replay of :meth:`GpuSpec.kernel_time` (elementwise), the one
+        rule not shared: the spec's builtin ``max`` keeps the coroutine
+        engine's kernel times floats, where ``np.maximum`` would not."""
         return self.gpu_launch + np.maximum(
             flops / (self.gpu_gflops * 1e9), mem_bytes / self.gpu_mem_bw)
-
-    def dma_duration(self, nbytes, pinned: bool = True):
-        """Replay of :meth:`LinkSpec.time` for one PCIe copy."""
-        if not pinned:
-            # driver bounce buffers: the coroutine engine pushes the
-            # scaled byte count through the pinned-rate link
-            nbytes = np.floor(nbytes * (self.pinned_bw / self.pageable_bw))
-        return self.copy_latency + nbytes / self.pinned_bw
 
 
 class FifoPorts:
@@ -317,7 +316,7 @@ class VectorEngine:
         loop = src == dst
         cross = ...
         if loop.any():
-            arr[loop] = req[loop] + _pick(nb, loop) / t.loopback_bw
+            arr[loop] = req[loop] + t.fabric.loopback_time(_pick(nb, loop))
             cross = ~loop
             src, dst, req = src[cross], dst[cross], req[cross]
             nb = _pick(nb, cross)
@@ -328,7 +327,7 @@ class VectorEngine:
         rx_grant, _ = self.rx._serve_once(dst, tx_grant, 0.0, False)
         bw = t.nic_bw if rate is None else np.where(
             np.isnan(rate) | (rate >= t.nic_bw), t.nic_bw, rate)
-        a = rx_grant + ((t.nic_lat + nb / bw) + t.switch_lat)
+        a = rx_grant + t.fabric.wire_time(nb, bw)
         # both ports stay held until the arrival releases them
         self.tx.free[src] = np.maximum(self.tx.free[src], a)
         self.rx.free[dst] = np.maximum(self.rx.free[dst], a)
@@ -368,17 +367,18 @@ class VectorEngine:
         if m_eager is not None:
             m = m_eager
             nbm = _pick(nb, m)
-            t2 = ts1[m] + (t.pmo + nbm / t.mbw)
+            t2 = ts1[m] + t.cluster.eager_stage_time(nbm)
             a = self.wire(src[m], dst[m], t2, nbm,
                           None if srate is None else _pick(srate, m))
             unexpected = ts1[m] < tr1[m]
             buffered = unexpected & (a < tr1[m])
             send_c[m] = a
-            recv_c[m] = np.where(buffered, tr1[m] + nbm / t.mbw, a)
+            recv_c[m] = np.where(buffered, tr1[m] + t.host.memcpy_time(nbm),
+                                 a)
         if m_rdv is not None:
             m = m_rdv
             tm = np.maximum(ts1[m], tr1[m])
-            tc = tm + (t.nic_lat + t.switch_lat)
+            tc = tm + t.fabric.control_time()
             if rrate is None:
                 rate = None if srate is None else _pick(srate, m)
             elif srate is None:
@@ -417,7 +417,7 @@ class VectorEngine:
         src = np.atleast_1d(np.asarray(src, dtype=np.intp))
         dst = np.atleast_1d(np.asarray(dst, dtype=np.intp))
         if mode == "pinned":
-            dur = t.copy_latency + nbytes / t.pinned_bw
+            dur = t.pcie.dma_time(nbytes)
             _, d2h_done = self.d2h.use(src, start_s, dur)
             ts1 = d2h_done + t.co
             tr1 = start_r + t.co
@@ -488,10 +488,21 @@ class VectorEngine:
                     "vectorized pipelined transfer on a shared DMA engine "
                     "has a node that both sends and receives; its d2h "
                     "and h2d blocks interleave — refusing to guess")
-        blocks = [min(block, nbytes - lo) for lo in range(0, nbytes, block)]
         # the wire's rate cap: the mapped rate, where it is the slower
         bw = min(t.mapped_bw, t.nic_bw) if mapped_base else t.nic_bw
-        rdv = t.nic_lat + t.switch_lat
+        rdv = t.fabric.control_time()
+        # each rule once per distinct block size (a full block, a tail):
+        # (eager?, DMA copy, eager staging, wire hold, unexpected copy)
+        rules = {}
+        blocks = []
+        for lo in range(0, nbytes, block):
+            nb = min(block, nbytes - lo)
+            if nb not in rules:
+                rules[nb] = (nb <= t.eager_threshold, t.pcie.dma_time(nb),
+                             t.cluster.eager_stage_time(nb),
+                             t.fabric.wire_time(nb, bw),
+                             t.host.memcpy_time(nb))
+            blocks.append(rules[nb])
         T = start_s + t.map_overhead if mapped_base else start_s
         R = start_r + t.map_overhead if mapped_base else start_r
         # receiver pre-posts every block's irecv: one api_call each
@@ -507,12 +518,11 @@ class VectorEngine:
         else:
             staged = []
             d2h_free, d2h_last = d2h.free[src], d2h.last_req[src]
-            for nb in blocks:
+            for _, dma, _, _, _ in blocks:
                 if (st <= d2h_last).any():
                     d2h._refuse_late()
                 d2h_last = st
-                st = np.maximum(st, d2h_free) + (t.copy_latency
-                                                 + nb / t.pinned_bw)
+                st = np.maximum(st, d2h_free) + dma
                 d2h_free = st
                 staged.append(st)
             h2d_free, h2d_last = h2d.free[dst], h2d.last_req[dst]
@@ -522,11 +532,11 @@ class VectorEngine:
         rx_free, rx_last = rx.free[dst], rx.last_req[dst]
         cur = T
         drain = pos  # receiver host position after the pre-posting loop
-        for nb, staged_i, tr1_i in zip(blocks, staged, tr1):
+        for (eager, dma, stage, hold, copy), staged_i, tr1_i in zip(
+                blocks, staged, tr1):
             ts1 = np.maximum(cur, staged_i) + t.co
-            eager = nb <= t.eager_threshold
             if eager:
-                req = ts1 + (t.pmo + nb / t.mbw)
+                req = ts1 + stage
             else:
                 req = np.maximum(ts1, tr1_i) + rdv
             if (req <= tx_last).any():
@@ -535,21 +545,19 @@ class VectorEngine:
             tx_last = req
             if (txg <= rx_last).any():
                 rx._refuse_late()
-            a = np.maximum(txg, rx_free) + ((t.nic_lat + nb / bw)
-                                            + t.switch_lat)
+            a = np.maximum(txg, rx_free) + hold
             rx_last = txg
             tx_free = rx_free = a   # both held until the arrival
             cur = a
             if eager:
                 buffered = (ts1 < tr1_i) & (a < tr1_i)
-                a = np.where(buffered, tr1_i + nb / t.mbw, a)
+                a = np.where(buffered, tr1_i + copy, a)
             drain = np.maximum(drain, a)
             if not mapped_base:
                 if (drain <= h2d_last).any():
                     h2d._refuse_late()
                 h2d_last = drain
-                drain = np.maximum(drain, h2d_free) + (t.copy_latency
-                                                       + nb / t.pinned_bw)
+                drain = np.maximum(drain, h2d_free) + dma
                 h2d_free = drain
         tx.free[src], tx.last_req[src] = tx_free, tx_last
         rx.free[dst], rx.last_req[dst] = rx_free, rx_last
@@ -593,9 +601,9 @@ class VectorEngine:
         nb = 1.0
         if nb > tt.eager_threshold:
             raise EngineError("barrier replays the eager exchange only")
-        stage = tt.pmo + nb / tt.mbw           # eager host staging copy
-        copy = nb / tt.mbw                     # unexpected-message copy
-        hold = (tt.nic_lat + nb / tt.nic_bw) + tt.switch_lat
+        stage = tt.cluster.eager_stage_time(nb)   # eager host staging copy
+        copy = tt.host.memcpy_time(nb)            # unexpected-message copy
+        hold = tt.fabric.wire_time(nb, tt.nic_bw)
         tx, rx = self.tx, self.rx
         k = 1
         while k < P:
@@ -635,14 +643,14 @@ class VectorEngine:
         arr)`` suitable for :meth:`reduce_small`'s ``pre`` argument.
         """
         tt = self._need_bind()
-        t2 = ts1 + (tt.pmo + nbytes / tt.mbw)
+        t2 = ts1 + tt.cluster.eager_stage_time(nbytes)
         txg = max(t2, float(self.tx.free[src]))
         if t2 <= self.tx.last_req[src] or txg <= self.rx.last_req[dst]:
             raise EngineError(
                 "vectorized eager wire service out of FIFO order: the "
                 "raced-ahead message does not postdate earlier traffic")
         rxg = max(txg, float(self.rx.free[dst]))
-        arr = rxg + ((tt.nic_lat + nbytes / tt.nic_bw) + tt.switch_lat)
+        arr = rxg + tt.fabric.wire_time(nbytes, tt.nic_bw)
         self.tx.free[src] = max(float(self.tx.free[src]), arr)
         self.rx.free[dst] = max(float(self.rx.free[dst]), arr)
         self.tx.last_req[src] = max(float(self.tx.last_req[src]), t2)
@@ -678,7 +686,9 @@ class VectorEngine:
         if nbytes > tt.eager_threshold:
             raise EngineError("reduce_small replays the eager tree only")
         nb = float(nbytes)
-        stage = tt.pmo + nb / tt.mbw           # eager host staging copy
+        stage = tt.cluster.eager_stage_time(nb)   # eager host staging copy
+        copy = tt.host.memcpy_time(nb)            # unexpected-message copy
+        hold = tt.fabric.wire_time(nb, tt.nic_bw)
         ts1 = np.zeros(P)                      # per-sender isend time
         txg = np.zeros(P)                      # per-sender tx-port grant
         arr = np.zeros(P)                      # per-sender wire arrival
@@ -692,7 +702,8 @@ class VectorEngine:
             senders = np.arange(mask, P, 2 * mask)
             # a sender's own receive chain (its subtree) is complete
             # before it sends — drain it now, then post the isends
-            self._drain_level(senders, mask, t, ts1, txg, arr, live, nb)
+            self._drain_level(senders, mask, t, ts1, txg, arr, live, hold,
+                              copy)
             s = senders[live[senders]]
             if s.size:
                 ts1[s] = t[s] + tt.co
@@ -706,14 +717,14 @@ class VectorEngine:
                 tx.last_req[s] = np.maximum(last, t2)
             mask <<= 1
         self._drain_level(np.zeros(1, dtype=np.intp), mask, t, ts1, txg,
-                          arr, live, nb)
+                          arr, live, hold, copy)
         # senders: blocked wait on the send completion (= eager wire
         # arrival), plus one sync wake-up; they do nothing afterwards
         t[1:] = arr[1:] + tt.so
         return t
 
     def _drain_level(self, par, mask: int, t, ts1, txg, arr, live,
-                     nb: float) -> None:
+                     hold: float, copy: float) -> None:
         """Serve the incoming reduce messages of the parents ``par``.
 
         Parent ``p``'s children are ``p + 2**j`` for ``2**j < mask``
@@ -748,7 +759,6 @@ class VectorEngine:
                 "vectorized nic-rx service out of FIFO order during "
                 "reduce: a request does not postdate earlier non-reduce "
                 "traffic on the port — refusing to guess")
-        hold = (tt.nic_lat + nb / tt.nic_bw) + tt.switch_lat
         free = rx.free[par]
         a = np.empty(req.shape)
         for j in range(J):
@@ -762,7 +772,6 @@ class VectorEngine:
         rx.free[par] = free
         rx.last_req[par] = np.maximum(
             before, np.where(served, req, _NEG_INF).max(axis=1))
-        copy = nb / tt.mbw
         tp = t[par]
         for j in range(J):                     # blocking recvs, mask order
             c = kids[:, j]
@@ -797,9 +806,9 @@ class VectorEngine:
         if nbytes > tt.eager_threshold:
             raise EngineError("bcast_small replays the eager tree only")
         nb = float(nbytes)
-        stage = tt.pmo + nb / tt.mbw           # eager host staging copy
-        copy = nb / tt.mbw                     # unexpected-message copy
-        hold = (tt.nic_lat + nb / tt.nic_bw) + tt.switch_lat
+        stage = tt.cluster.eager_stage_time(nb)   # eager host staging copy
+        copy = tt.host.memcpy_time(nb)            # unexpected-message copy
+        hold = tt.fabric.wire_time(nb, tt.nic_bw)
         tx, rx = self.tx, self.rx
         entry = t.copy()                 # each rank's recv posts at entry
         m = 1

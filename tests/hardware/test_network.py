@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.network import Fabric, FabricSpec, NicSpec
+from repro.sim import Environment
 
 
 def nic(**kw):
@@ -21,15 +22,31 @@ def fabric(env, nodes=4, **kw):
 
 class TestNicSpec:
     def test_wire_time(self):
-        assert nic().wire_time(1_000_000) == pytest.approx(10e-6 + 1e-3)
+        """A frame holds a NIC for latency + size/bandwidth; the wire
+        rule on FabricSpec adds only the switch hop on top of that."""
+        n = nic()
+        assert FabricSpec(n, switch_latency=0.0).wire_time(
+            1_000_000, n.bandwidth) == pytest.approx(10e-6 + 1e-3)
+        assert FabricSpec(n).wire_time(1_000_000, n.bandwidth) == \
+            pytest.approx(10e-6 + 1e-3 + 1e-6)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             nic(bandwidth=0)
         with pytest.raises(ConfigurationError):
             nic(latency=-1)
-        with pytest.raises(ValueError):
-            nic().wire_time(-5)
+
+
+def _lone_send(f, src, dst, nbytes, rate_limit=None):
+    """Elapsed virtual time of one uncontended :meth:`Fabric.send`."""
+    env = f.env
+
+    def proc(env):
+        return (yield f.send(src, dst, nbytes, rate_limit=rate_limit))
+
+    p = env.process(proc(env))
+    env.run()
+    return p.value
 
 
 class TestFabric:
@@ -37,26 +54,40 @@ class TestFabric:
         with pytest.raises(ConfigurationError):
             fabric(env, nodes=0)
 
-    def test_unloaded_time(self, env):
-        f = fabric(env)
-        assert f.unloaded_time(1_000_000, 0, 1) == pytest.approx(
-            10e-6 + 1e-3 + 1e-6)
+    def test_unloaded_time(self):
+        """An uncontended send takes exactly what the FabricSpec rule
+        says (the statement the mesoscale engine replays): cross-node,
+        loopback and under a rate cap.  A negative size is refused.
+        Each send starts at t=0 on a fresh clock, so the elapsed time is
+        the rule's value bit for bit."""
+        spec = fabric(Environment()).spec
+        cross = _lone_send(fabric(Environment()), 0, 1, 1_000_000)
+        assert cross == spec.wire_time(1_000_000, spec.nic.bandwidth)
+        assert cross == pytest.approx(10e-6 + 1e-3 + 1e-6)
+        loop = _lone_send(fabric(Environment()), 2, 2, 4_000_000)
+        assert loop == spec.loopback_time(4_000_000)
+        assert loop == pytest.approx(1e-3)
+        capped = _lone_send(fabric(Environment()), 0, 1, 1_000_000,
+                            rate_limit=0.5e9)
+        assert capped == spec.wire_time(1_000_000, 0.5e9)
+        assert capped == pytest.approx(10e-6 + 2e-3 + 1e-6)
+        with pytest.raises(ValueError):
+            _lone_send(fabric(Environment()), 0, 1, -5)
 
     def test_loopback_cheap(self, env):
         f = fabric(env)
-        assert f.unloaded_time(4_000_000, 2, 2) == pytest.approx(1e-3)
+        assert _lone_send(f, 2, 2, 4_000_000) < \
+            _lone_send(fabric(env), 1, 2, 4_000_000)
 
     def test_rate_limit_caps_bandwidth(self, env):
-        f = fabric(env)
-        slow = f.unloaded_time(1_000_000, 0, 1, rate_limit=0.5e9)
-        fast = f.unloaded_time(1_000_000, 0, 1)
+        slow = _lone_send(fabric(env), 0, 1, 1_000_000, rate_limit=0.5e9)
+        fast = _lone_send(fabric(env), 0, 1, 1_000_000)
         assert slow == pytest.approx(10e-6 + 2e-3 + 1e-6)
         assert slow > fast
 
     def test_rate_limit_above_nic_ignored(self, env):
-        f = fabric(env)
-        assert f.unloaded_time(1_000_000, 0, 1, rate_limit=10e9) == \
-            f.unloaded_time(1_000_000, 0, 1)
+        assert _lone_send(fabric(env), 0, 1, 1_000_000, rate_limit=10e9) \
+            == _lone_send(fabric(env), 0, 1, 1_000_000)
 
     def test_send_moves_clock(self, env):
         f = fabric(env)

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.apps.collective_load import collective_load
 from repro.apps.himeno import HimenoConfig, run_himeno
 from repro.apps.pingpong import bandwidth_point, measure_bandwidth
 from repro.sim import EngineError
-from repro.systems import get_system
+from repro.systems import custom, get_system
+from repro.systems import presets
 
 pytestmark = pytest.mark.engine_smoke
 
@@ -57,6 +60,62 @@ def test_pingpong_rows_identical(system, ranks):
             a = bandwidth_point(dict(spec))
             b = bandwidth_point(dict(spec, engine="vectorized"))
             assert canon(a) == canon(b), (system, ranks, nbytes, mode)
+
+
+# -- pingpong on generated presets ------------------------------------------
+
+@st.composite
+def _generated_preset(draw):
+    """A valid ``systems.custom()`` preset with drawn wire and PCIe
+    constants: the shared timing rules under arbitrary operands."""
+    p = custom("gen",
+               net_bandwidth=draw(st.floats(5e7, 5e9), label="net_bw"),
+               net_latency=draw(st.floats(1e-7, 1e-4), label="net_lat"),
+               gpu_gflops=50.0,
+               pinned_bandwidth=draw(st.floats(5e8, 8e9), label="pinned"),
+               mapped_bandwidth=draw(st.floats(1e8, 6e9), label="mapped"),
+               copy_engines=draw(st.sampled_from([1, 2]), label="engines"))
+    pcie = replace(p.cluster.node.pcie,
+                   copy_latency=draw(st.floats(0.0, 5e-5), label="copy_lat"),
+                   mapped_latency=draw(st.floats(0.0, 1e-5),
+                                       label="mapped_lat"))
+    fabric = replace(p.cluster.fabric,
+                     switch_latency=draw(st.floats(0.0, 5e-6),
+                                         label="switch_lat"))
+    cluster = replace(p.cluster, fabric=fabric,
+                      node=replace(p.cluster.node, pcie=pcie))
+    return replace(p, cluster=cluster)
+
+
+@seed(2013)
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_pingpong_rows_identical_on_generated_presets(data):
+    """Both engines' ``bandwidth_point`` rows serialize identically on a
+    generated system, or the mesoscale engine refuses the point."""
+    preset = data.draw(_generated_preset(), label="preset")
+    threshold = preset.mpi_eager_threshold
+    nbytes = data.draw(st.one_of(st.integers(1, threshold),
+                                 st.integers(threshold + 1, 4 * threshold)),
+                       label="nbytes")
+    mode = data.draw(st.sampled_from([None, "pinned", "mapped",
+                                      "pipelined"]), label="mode")
+    block = None
+    if mode == "pipelined":
+        block = data.draw(st.integers(-(-nbytes // 6), nbytes),
+                          label="block")
+    spec = {"system": preset.name, "nbytes": nbytes, "mode": mode,
+            "block": block, "repeats": data.draw(st.integers(1, 2)),
+            "ranks": data.draw(st.integers(2, 8), label="ranks")}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(presets.SYSTEMS, preset.name, lambda **_: preset)
+        a = bandwidth_point(dict(spec))
+        try:
+            b = bandwidth_point(dict(spec, engine="vectorized",
+                                     strict_engine=True))
+        except EngineError:
+            return
+    assert canon(a) == canon(b), spec
 
 
 # -- himeno -----------------------------------------------------------------
@@ -184,13 +243,6 @@ def test_strict_engine_never_fires_on_supported_points():
     r = measure_bandwidth(get_system("cichlid"), 1 << 16, "pinned",
                           engine="vectorized", strict_engine=True)
     assert r.seconds > 0
-
-
-def test_environment_carries_strict_engine_flag():
-    from repro.sim import Environment
-
-    assert Environment().strict_engine is False
-    assert Environment(strict_engine=True).strict_engine is True
 
 
 def test_bandwidth_point_threads_strict_engine():
