@@ -11,6 +11,7 @@ import gc
 import sys
 
 import numpy as np
+import pytest
 
 from repro.mpi import MpiWorld
 from repro.sim import Environment, Resource
@@ -108,7 +109,7 @@ def _run_profiled(run, profile) -> None:
 
 
 def test_metrics_detached_event_throughput(benchmark):
-    """Event throughput with ``env.metrics is None`` — the configuration
+    """Event throughput with ``env.probe is None`` — the configuration
     every figure run uses unless --metrics/--report is passed."""
     assert benchmark(_event_loop_run, False) > 0
 
@@ -154,10 +155,35 @@ def test_ft_attached_message_rate(benchmark):
     assert benchmark(_mpi_loop_run, True) > 0
 
 
+def _clmpi_point_run(point: str, profile=None) -> float:
+    """One timing-only coroutine point through OpenCL, PCIe, GPU and
+    clMPI: a pipelined Fig 8 bandwidth point (``"pipelined"``) or a
+    4-rank clMPI Himeno point (``"himeno"``), nothing attached.
+
+    ``profile`` is installed with ``sys.setprofile`` around the run
+    itself (cluster construction excluded).
+    """
+    from repro.apps.himeno import IMPLEMENTATIONS, HimenoConfig
+    from repro.apps.pingpong import _pingpong_main
+    from repro.launcher import ClusterApp
+
+    if point == "pipelined":
+        app = ClusterApp(cichlid(), 2, functional=False,
+                         force_mode="pipelined", force_block=1 << 20)
+        args = (_pingpong_main, 4 << 20, 2)
+    else:
+        app = ClusterApp(cichlid(), 4, functional=False)
+        args = (IMPLEMENTATIONS["clmpi"],
+                HimenoConfig(size="S", iterations=2), False)
+    _run_profiled(lambda: app.run(*args), profile)
+    return app.env.now
+
+
 #: observer, fault and failure-detector modules a detached run must
 #: never enter
 _ATTACHMENT_MODULES = ("repro.obs", "repro.analysis", "repro.faults",
-                       "repro.mpi.ft", "repro.sim.trace")
+                       "repro.mpi.ft", "repro.sim.trace",
+                       "repro.sim.probe")
 
 #: the paths only a schedule policy routes through, as
 #: ``module.function``: the policed run loop and deferred matching
@@ -203,6 +229,15 @@ def test_event_loop_detached_enters_no_attachment_code():
     entered = _attachment_calls(lambda profile: _event_loop_run(
         False, profile=profile))
     assert not entered, f"detached event loop entered {entered}"
+
+
+@pytest.mark.parametrize("point", ["pipelined", "himeno"])
+def test_clmpi_points_detached_enter_no_attachment_code(point):
+    """The same guard over the OpenCL event/queue, PCIe, GPU and clMPI
+    instrumentation sites, which the MPI loop never reaches."""
+    entered = _attachment_calls(lambda profile: _clmpi_point_run(
+        point, profile=profile))
+    assert not entered, f"detached {point} point entered {entered}"
 
 
 def _cyclic_garbage(run) -> list:

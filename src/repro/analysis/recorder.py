@@ -1,8 +1,9 @@
-"""The live monitor installed on ``Environment.monitor``.
+"""The sanitizer's consumer of the probe hooks (``env.probe``).
 
-The :class:`Recorder` implements every ``on_*`` hook the instrumented
-layers call (``repro.ocl``, ``repro.mpi``, ``repro.clmpi``,
-``repro.launcher``) and turns the stream of lifecycle notifications into
+The :class:`Recorder` implements the lifecycle hooks of
+:class:`~repro.sim.probe.Probe` that the ``repro.ocl``, ``repro.mpi``,
+``repro.clmpi`` and ``repro.launcher`` layers call, and turns the stream
+of notifications into
 
 * an :class:`~repro.analysis.graph.ExecutionGraph` with happens-before
   edges (wait lists, in-order queue position, host sync points, MPI
@@ -25,12 +26,17 @@ from typing import Any, Optional
 from repro.analysis import graph as G
 from repro.analysis.graph import ExecutionGraph
 from repro.analysis.report import Finding, WARNING
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.probe import Probe
 
 __all__ = ["Recorder"]
 
 
-class Recorder:
+class Recorder(Probe):
     """Builds the execution model of one environment's run."""
+
+    #: MPI chains get descriptive names for the witness chains
+    names = True
 
     def __init__(self, env):
         self.env = env
@@ -380,7 +386,7 @@ class Recorder:
             "requests": len(self._requests),
             "faults": len(self.fault_records),
         }
-        metrics = getattr(self.env, "metrics", None)
+        metrics = self.env.observer(MetricsRegistry)
         if metrics is not None:
             out["metrics"] = metrics.snapshot()
         return out

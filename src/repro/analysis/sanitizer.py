@@ -71,6 +71,21 @@ def analyze(recorder: Recorder, deadlocks: bool = True, races: bool = True,
     return report
 
 
+def analyze_all(recorders, **detectors) -> tuple[Report, list[Report]]:
+    """:func:`analyze` each recording; return the merged report
+    (findings concatenated, integer stats summed, ``environments``
+    counted) and the per-recording reports."""
+    reports = [analyze(rec, **detectors) for rec in recorders]
+    merged = Report()
+    for rep in reports:
+        merged.findings.extend(rep.findings)
+        for key, value in rep.stats.items():
+            if isinstance(value, int):
+                merged.stats[key] = merged.stats.get(key, 0) + value
+    merged.stats["environments"] = len(reports)
+    return merged, reports
+
+
 def _env_of(target) -> Environment:
     if isinstance(target, Environment):
         return target
@@ -93,14 +108,14 @@ class Sanitizer:
         self.report: Optional[Report] = None
 
     def __enter__(self) -> "Sanitizer":
-        if self.env.monitor is not None:
-            raise ReproError("environment already has a monitor attached")
-        self.recorder = Recorder(self.env)
-        self.env.monitor = self.recorder
+        if self.env.observer(Recorder) is not None:
+            raise ReproError("environment already has a monitor (sanitizer "
+                             "recorder) attached")
+        self.recorder = self.env.attach(Recorder(self.env))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.env.monitor = None
+        self.env.detach(self.recorder)
         self.report = analyze(self.recorder, **self._opts)
         return False  # never swallow the run's exception
 
@@ -129,20 +144,37 @@ class _AutoSession:
         self.report = Report()
 
     def _finalize(self) -> None:
-        merged = Report()
-        for rec in self.recorders:
-            rep = analyze(rec, **self._opts)
-            self.reports.append(rep)
-            merged.findings.extend(rep.findings)
-            for key, value in rep.stats.items():
-                if isinstance(value, int):
-                    merged.stats[key] = merged.stats.get(key, 0) + value
-        merged.stats["environments"] = len(self.recorders)
-        self.report = merged
+        self.report, self.reports = analyze_all(self.recorders, **self._opts)
 
     @property
     def ok(self) -> bool:
         return self.report.ok
+
+
+@contextlib.contextmanager
+def recording(setup=None):
+    """Attach a fresh :class:`Recorder` to every :class:`Environment`
+    created inside the block (after ``setup(env)``, if given).
+
+    Yields the list the recorders are appended to; on exit each is
+    detached from its environment.
+    """
+    recorders: list[Recorder] = []
+    original = Environment.__init__
+
+    def patched(env, *args, **kwargs):
+        original(env, *args, **kwargs)
+        if setup is not None:
+            setup(env)
+        recorders.append(env.attach(Recorder(env)))
+
+    Environment.__init__ = patched
+    try:
+        yield recorders
+    finally:
+        Environment.__init__ = original
+        for rec in recorders:
+            rec.env.detach(rec)
 
 
 @contextlib.contextmanager
@@ -151,25 +183,12 @@ def autosanitize(deadlocks: bool = True, races: bool = True,
     """Record every :class:`Environment` created inside the block.
 
     Yields a session whose ``report`` (available after the block) merges
-    the findings of all environments.  Environments that already carry a
-    monitor are left alone.
+    the findings of all environments.
     """
     session = _AutoSession(dict(deadlocks=deadlocks, races=races,
                                 leaks=leaks))
-    original = Environment.__init__
-
-    def patched(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        recorder = Recorder(self)
-        self.monitor = recorder
-        session.recorders.append(recorder)
-
-    Environment.__init__ = patched
     try:
-        yield session
+        with recording() as session.recorders:
+            yield session
     finally:
-        Environment.__init__ = original
-        for rec in session.recorders:
-            if rec.env.monitor is rec:
-                rec.env.monitor = None
         session._finalize()

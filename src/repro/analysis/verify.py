@@ -46,8 +46,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis import graph as G
 from repro.analysis.recorder import Recorder
-from repro.analysis.report import ERROR, Report
-from repro.analysis.sanitizer import analyze
+from repro.analysis.report import ERROR
+from repro.analysis.sanitizer import analyze_all, recording
 from repro.analysis.schedule import (Choice, RecordingPolicy, Schedule,
                                      ScheduleDivergence)
 from repro.errors import ReproError
@@ -75,22 +75,13 @@ def _execute(program: Callable[[], object], prefix: Sequence[Choice],
     from repro.faults.injector import injected
 
     policy = RecordingPolicy(prefix, explore_ties=explore_ties)
-    recorders: list[Recorder] = []
-    envs: list[Environment] = []
-    original = Environment.__init__
 
-    def patched(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        self.schedule_policy = policy
-        envs.append(self)
-        recorder = Recorder(self)
-        self.monitor = recorder
-        recorders.append(recorder)
+    def setup(env: Environment) -> None:
+        env.schedule_policy = policy
 
-    Environment.__init__ = patched
     error: Optional[BaseException] = None
     diverged = False
-    try:
+    with recording(setup) as recorders:
         try:
             program()
         except ScheduleDivergence:
@@ -100,25 +91,13 @@ def _execute(program: Callable[[], object], prefix: Sequence[Choice],
                 error = exc
         except Exception as exc:
             error = exc
-    finally:
-        Environment.__init__ = original
-        for env in envs:
-            env.schedule_policy = None
-        for recorder in recorders:
-            if recorder.env.monitor is recorder:
-                recorder.env.monitor = None
+    for recorder in recorders:
+        recorder.env.schedule_policy = None
 
     if not diverged and not policy.followed_prefix:
         diverged = True
 
-    report = Report()
-    for recorder in recorders:
-        rep = analyze(recorder, **detectors)
-        report.findings.extend(rep.findings)
-        for key, value in rep.stats.items():
-            if isinstance(value, int):
-                report.stats[key] = report.stats.get(key, 0) + value
-    report.stats["environments"] = len(recorders)
+    report, _ = analyze_all(recorders, **detectors)
 
     return {
         "trace": [c.to_dict() for c in policy.trace],

@@ -18,7 +18,8 @@ from repro.apps.himeno.vectorized import (
 )
 from repro.errors import ConfigurationError
 from repro.launcher import ClusterApp
-from repro.sim import try_vectorized
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import Tracer, try_vectorized
 from repro.systems.presets import SystemPreset
 
 __all__ = ["IMPLEMENTATIONS", "HimenoResult", "run_himeno"]
@@ -110,20 +111,16 @@ def run_himeno(system: SystemPreset, nodes: int, implementation: str,
         strict=strict_engine)
     if replayed is not None:
         results, env = replayed
-        return _finish(system, nodes, implementation, config, results,
-                       tracer=None, metrics_reg=None, env=env)
+        return _finish(system, nodes, implementation, config, results, env)
     app = ClusterApp(system, nodes, functional=functional,
                      force_mode=force_mode, force_block=force_block,
                      trace=trace, faults=faults, metrics=metrics)
     results = app.run(main, config, collect)
-    return _finish(system, nodes, implementation, config, results,
-                   tracer=app.tracer, metrics_reg=app.metrics,
-                   env=app.env)
+    return _finish(system, nodes, implementation, config, results, app.env)
 
 
 def _finish(system: SystemPreset, nodes: int, implementation: str,
-            config: HimenoConfig, results: list[dict], *, tracer,
-            metrics_reg, env) -> HimenoResult:
+            config: HimenoConfig, results: list[dict], env) -> HimenoResult:
     """Shape per-rank result rows into a :class:`HimenoResult`."""
     time = max(r["time"] for r in results)
     gosa_series = results[0]["gosa_per_iter"]
@@ -139,7 +136,7 @@ def _finish(system: SystemPreset, nodes: int, implementation: str,
         kernel_times=[r["kernel_time"] for r in results],
         p_locals=[r["p_local"] for r in results],
     )
-    res.tracer = tracer  # type: ignore[attr-defined]
-    res.metrics = metrics_reg  # type: ignore[attr-defined]
+    res.tracer = env.observer(Tracer)  # type: ignore[attr-defined]
+    res.metrics = env.observer(MetricsRegistry)  # type: ignore[attr-defined]
     res.env = env  # type: ignore[attr-defined]
     return res

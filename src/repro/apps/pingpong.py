@@ -275,10 +275,7 @@ def measure_bandwidth(system: SystemPreset, nbytes: int,
         spec = {"system": system.name, "nbytes": nbytes,
                 "mode": mode or "auto", "block": block,
                 "repeats": repeats, "ft": bool(ft)}
-        report = build_report(
-            "bandwidth", spec, app.env,
-            faults=(app.faults.summary()["by_kind"]
-                    if app.faults is not None else None)).to_dict()
+        report = build_report("bandwidth", spec, app.env).to_dict()
     return BandwidthResult(system=system.name, mode=mode or "auto",
                            block=block, nbytes=nbytes, repeats=repeats,
                            seconds=seconds,

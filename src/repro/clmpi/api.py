@@ -115,13 +115,13 @@ def event_from_mpi_request(context, request: Request,
         message = (f"request {request.label!r} was already consumed by "
                    "wait/test (MPI_REQUEST_NULL); create the event before "
                    "waiting on the request")
-        if env.monitor is not None:
-            env.monitor.on_misuse("bridge-consumed-request", message,
-                                  entity=request)
+        if env.probe is not None:
+            env.probe.on_misuse("bridge-consumed-request", message,
+                                entity=request)
         raise ClmpiError(message)
     uev = context.create_user_event(label)
-    if env.monitor is not None:
-        env.monitor.on_event_bridge(request, uev)
+    if env.probe is not None:
+        env.probe.on_event_bridge(request, uev)
 
     def _fire(ev):
         if ev.ok:
@@ -158,8 +158,8 @@ def isend(runtime: ClmpiRuntime, array: Optional[np.ndarray], dest: int,
         runtime.do_send(side, dest, tag, comm),
         name=f"clmpi.host-send r{comm.rank}->r{dest}")
     req = Request(runtime.env, proc, kind="clmpi-send")
-    if runtime.env.monitor is not None:
-        runtime.env.monitor.on_clmpi_host_transfer(
+    if runtime.env.probe is not None:
+        runtime.env.probe.on_clmpi_host_transfer(
             req, proc, "send", comm, dest, tag, size)
     return req
 
@@ -177,8 +177,8 @@ def irecv(runtime: ClmpiRuntime, array: Optional[np.ndarray], source: int,
         runtime.do_recv(side, source, tag, comm),
         name=f"clmpi.host-recv r{comm.rank}<-r{source}")
     req = Request(runtime.env, proc, kind="clmpi-recv")
-    if runtime.env.monitor is not None:
-        runtime.env.monitor.on_clmpi_host_transfer(
+    if runtime.env.probe is not None:
+        runtime.env.probe.on_clmpi_host_transfer(
             req, proc, "recv", comm, source, tag, size)
     return req
 

@@ -133,11 +133,8 @@ class ClmpiRuntime:
         """Sender endpoint of one clMPI transfer."""
         side.rt = self.rt_comm(comm)
         desc = self.describe(side.nbytes, tag)
-        if self.env.metrics is not None:
-            self.env.metrics.inc(f"clmpi.transfer.{desc.mode}")
-            self.env.metrics.inc("clmpi.bytes", desc.nbytes)
-        if self.env.monitor is not None:
-            self.env.monitor.on_transfer("send", dest, tag, desc)
+        if self.env.probe is not None:
+            self.env.probe.on_transfer("send", dest, tag, desc)
         if self.env.faults is None:
             send_fn, _ = TRANSFER_MODES[desc.mode]
             yield from send_fn(side, dest, desc)
@@ -149,8 +146,8 @@ class ClmpiRuntime:
         """Receiver endpoint of one clMPI transfer."""
         side.rt = self.rt_comm(comm)
         desc = self.describe(side.nbytes, tag)
-        if self.env.monitor is not None:
-            self.env.monitor.on_transfer("recv", source, tag, desc)
+        if self.env.probe is not None:
+            self.env.probe.on_transfer("recv", source, tag, desc)
         if self.env.faults is None:
             _, recv_fn = TRANSFER_MODES[desc.mode]
             yield from recv_fn(side, source, desc)
@@ -195,25 +192,20 @@ class ClmpiRuntime:
                     # dead peer — the transfer is *orphaned*, not
                     # degradable.  Stop here so the failure surfaces
                     # while the communicator can still be revoked/shrunk.
-                    if env.metrics is not None:
-                        env.metrics.inc("clmpi.orphaned_flows")
-                    mon = env.monitor
-                    if mon is not None:
-                        mon.on_fault({"kind": "clmpi_orphaned", "time": env.now,
-                                      "op": op, "peer": peer, "tag": desc.tag,
-                                      "rank": exc.rank, "node": exc.node,
-                                      "flow": getattr(exc, "flow", 0)})
+                    if env.probe is not None:
+                        env.probe.on_fault({
+                            "kind": "clmpi_orphaned", "time": env.now,
+                            "op": op, "peer": peer, "tag": desc.tag,
+                            "rank": exc.rank, "node": exc.node,
+                            "flow": getattr(exc, "flow", 0)})
                     break
-                if env.metrics is not None:
-                    env.metrics.inc("clmpi.fallback_steps")
-                    env.metrics.inc(f"clmpi.fallback.{mode}")
-                mon = env.monitor
-                if mon is not None:
-                    mon.on_fault({"kind": "clmpi_degrade", "time": env.now,
-                                  "op": op, "peer": peer, "tag": desc.tag,
-                                  "mode": mode, "attempt": attempt,
-                                  "error": str(exc),
-                                  "flow": getattr(exc, "flow", 0)})
+                if env.probe is not None:
+                    env.probe.on_fault({
+                        "kind": "clmpi_degrade", "time": env.now,
+                        "op": op, "peer": peer, "tag": desc.tag,
+                        "mode": mode, "attempt": attempt,
+                        "error": str(exc),
+                        "flow": getattr(exc, "flow", 0)})
         if isinstance(last, MpiRankFailed):
             exc = ClmpiError(
                 f"clMPI {op} with peer {peer} tag {desc.tag} "

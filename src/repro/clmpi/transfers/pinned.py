@@ -29,8 +29,8 @@ def send(side: Side, peer: int,
     """Sender half: d2h into pinned staging, then MPI send."""
     # The staging copy, wire message, and receiver-side drain share one
     # causal flow id so the exported trace links the stages end-to-end.
-    tracer = side.rt.env.tracer
-    flow = tracer.new_flow() if tracer is not None else 0
+    probe = side.rt.env.probe
+    flow = probe.new_flow() if probe is not None else 0
     if side.pcie is not None:
         yield from side.pcie.d2h(desc.nbytes, pinned=True,
                                  label=f"clmpi.pinned d2h {desc.nbytes}B",

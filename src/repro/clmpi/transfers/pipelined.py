@@ -52,8 +52,8 @@ def send(side: Side, peer: int,
     # receiver-side h2d drain all share a flow id (the receiver reads it
     # off the matched envelope), so the exported trace connects every
     # pipeline stage end-to-end.
-    tracer = env.tracer
-    flows = ([tracer.new_flow() for _ in ranges] if tracer is not None
+    probe = env.probe
+    flows = ([probe.new_flow() for _ in ranges] if probe is not None
              else [0] * len(ranges))
 
     def stager():

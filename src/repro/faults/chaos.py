@@ -130,10 +130,7 @@ def _evaluate(app, report_obj, error, outcomes, ft: bool) -> dict:
             if app.faults is not None else set()
         if not survivors and len(crashed) < app.size:
             violations.append("no-survivors")
-    run_report = build_report(
-        "chaos", {}, app.env,
-        faults=(app.faults.summary()["by_kind"]
-                if app.faults is not None else None)).to_dict()
+    run_report = build_report("chaos", {}, app.env).to_dict()
     if app.faults is not None:
         counted = {k: v for k, v in
                    run_report["metrics"]["counters"].items()
@@ -158,6 +155,23 @@ def _evaluate(app, report_obj, error, outcomes, ft: bool) -> dict:
     }
 
 
+def _case_app(workload: str, plan: FaultPlan):
+    """A case's cluster (the plan and a metrics registry attached) and a
+    thunk that runs the workload on it."""
+    from repro.launcher import ClusterApp
+    from repro.systems import cichlid
+
+    app = ClusterApp(cichlid(), WORKLOADS[workload]["nodes"],
+                     functional=False, faults=plan, metrics=True)
+    if workload == "pingpong":
+        from repro.apps.pingpong import _pingpong_ft_main
+        return app, lambda: app.run(_pingpong_ft_main, 1 << 16, 3)
+    from repro.apps.himeno import HimenoConfig
+    from repro.apps.himeno.driver import IMPLEMENTATIONS
+    cfg = HimenoConfig(size="XXS", iterations=2)
+    return app, lambda: app.run(IMPLEMENTATIONS["clmpi"], cfg, False)
+
+
 def chaos_case(spec: dict) -> dict:
     """Sweep worker: run one ``{"workload": W, "plan": P}`` chaos case.
 
@@ -166,34 +180,23 @@ def chaos_case(spec: dict) -> dict:
     over worker processes and cache exactly like figure sweeps.
     """
     from repro.analysis.sanitizer import Sanitizer
-    from repro.launcher import ClusterApp
-    from repro.systems import cichlid
 
     workload = spec["workload"]
-    try:
-        wl = WORKLOADS[workload]
-    except KeyError:
+    if workload not in WORKLOADS:
         raise ConfigurationError(
             f"unknown chaos workload {workload!r}; choose from "
-            f"{sorted(WORKLOADS)}") from None
+            f"{sorted(WORKLOADS)}")
     plan = FaultPlan.from_dict(spec["plan"])
-    app = ClusterApp(cichlid(), wl["nodes"], functional=False,
-                     faults=plan, metrics=True)
+    app, run = _case_app(workload, plan)
     error: Optional[BaseException] = None
     outcomes: Any = None
     with Sanitizer(app) as san:
         try:
-            if workload == "pingpong":
-                from repro.apps.pingpong import _pingpong_ft_main
-                outcomes = app.run(_pingpong_ft_main, 1 << 16, 3)
-            else:
-                from repro.apps.himeno import HimenoConfig
-                from repro.apps.himeno.driver import IMPLEMENTATIONS
-                cfg = HimenoConfig(size="XXS", iterations=2)
-                outcomes = app.run(IMPLEMENTATIONS["clmpi"], cfg, False)
+            outcomes = run()
         except BaseException as exc:  # invariants judge *any* escape
             error = exc
-    out = _evaluate(app, san.report, error, outcomes, wl["ft"])
+    out = _evaluate(app, san.report, error, outcomes,
+                    WORKLOADS[workload]["ft"])
     out["workload"] = workload
     out["plan"] = plan.to_dict()
     return out
@@ -215,24 +218,11 @@ def verify_case(workload: str, plan: FaultPlan, bound: int = 1,
     :func:`chaos_case`.
     """
     from repro.analysis.verify import verify
-    from repro.launcher import ClusterApp
-    from repro.systems import cichlid
 
-    wl = WORKLOADS[workload]
     plan_dict = plan.to_dict()
 
     def program() -> None:
-        app = ClusterApp(cichlid(), wl["nodes"], functional=False,
-                         faults=FaultPlan.from_dict(plan_dict),
-                         metrics=True)
-        if workload == "pingpong":
-            from repro.apps.pingpong import _pingpong_ft_main
-            app.run(_pingpong_ft_main, 1 << 16, 3)
-        else:
-            from repro.apps.himeno import HimenoConfig
-            from repro.apps.himeno.driver import IMPLEMENTATIONS
-            cfg = HimenoConfig(size="XXS", iterations=2)
-            app.run(IMPLEMENTATIONS["clmpi"], cfg, False)
+        _case_app(workload, FaultPlan.from_dict(plan_dict))[1]()
 
     result = verify(program, bound=bound, max_schedules=max_schedules)
     return {

@@ -1,8 +1,9 @@
 """Runtime fault injection (:class:`FaultInjector`).
 
-The injector is an *attachment*, exactly like ``env.tracer`` and
-``env.monitor``: hardware and transport layers consult ``env.faults``
+The injector is an *attachment* beside the observer slot
+(``env.probe``): hardware and transport layers consult ``env.faults``
 only when it is not ``None``, so a fault-free simulation pays nothing.
+It makes decisions rather than observing, so it is not a probe.
 
 All randomness comes from one ``random.Random(plan.seed)`` stream.  The
 DES calendar is deterministic, so the layers consult the injector in a
@@ -65,8 +66,8 @@ class FaultInjector:
     * :meth:`check_gpu` — raises an :class:`OclError` (marked with
       ``exc.injected = True``) when the plan fails a GPU command here.
 
-    Every injected fault appends a record to :attr:`log` and notifies
-    ``env.monitor.on_fault`` when a monitor with that hook is attached.
+    Every injected fault appends a record to :attr:`log` and reaches
+    ``env.probe.on_fault`` when an observer is attached.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -129,10 +130,8 @@ class FaultInjector:
         if len(self.log) < _LOG_MAX:
             self.log.append(rec)
         env = self.env
-        if env is not None and env.metrics is not None:
-            env.metrics.inc(f"faults.{kind}")
-        if env is not None and env.monitor is not None:
-            env.monitor.on_fault(rec)
+        if env is not None and env.probe is not None:
+            env.probe.on_fault(rec)
         return rec
 
     def summary(self) -> dict:

@@ -117,11 +117,7 @@ class GpuModel:
             yield self.env.timeout(duration)
         finally:
             self.compute.release(grant)
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc("gpu.kernels")
-            metrics.inc("gpu.busy_s", self.env.now - start)
-        if self.env.tracer is not None:
-            self.env.tracer.record(self.lane, label, start, self.env.now,
-                                   "compute")
+        if self.env.probe is not None:
+            self.env.probe.on_lane_busy("gpu", self.lane, label, start,
+                                        self.env.now, "compute")
         return self.env.now - start

@@ -81,44 +81,22 @@ class HostModel:
         self.node_id = node_id
         self.cores = Resource(env, capacity=cores, name=f"{spec.name}.cores")
 
-    def _derate(self) -> float:
-        faults = self.env.faults
-        return 1.0 if faults is None else faults.slowdown("cpu", self.node_id)
-
     def compute(self, flops: float,
                 label: str = "host-compute") -> Generator[Any, Any, float]:
         """Coroutine: occupy one core for a compute phase."""
         grant = yield from self.cores.acquire()
         start = self.env.now
+        faults = self.env.faults
         try:
-            yield self.env.timeout(self.spec.compute_time(flops)
-                                   * self._derate())
+            cost = self.spec.compute_time(flops)
+            if faults is not None:
+                cost *= faults.slowdown("cpu", self.node_id)
+            yield self.env.timeout(cost)
         finally:
             self.cores.release(grant)
-        if self.env.metrics is not None:
-            self.env.metrics.inc("host.busy_s", self.env.now - start)
-        if self.env.tracer is not None:
-            self.env.tracer.record(self.lane, label, start, self.env.now,
-                                   "host")
-        return self.env.now - start
-
-    def memcpy(self, nbytes: int,
-               label: str = "memcpy") -> Generator[Any, Any, float]:
-        """Coroutine: host-memory copy of ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError("negative size")
-        grant = yield from self.cores.acquire()
-        start = self.env.now
-        try:
-            yield self.env.timeout(self.spec.memcpy_time(nbytes)
-                                   * self._derate())
-        finally:
-            self.cores.release(grant)
-        if self.env.metrics is not None:
-            self.env.metrics.inc("host.busy_s", self.env.now - start)
-        if self.env.tracer is not None:
-            self.env.tracer.record(self.lane, label, start, self.env.now,
-                                   "host", nbytes=nbytes)
+        if self.env.probe is not None:
+            self.env.probe.on_lane_busy("host", self.lane, label, start,
+                                        self.env.now, "host")
         return self.env.now - start
 
     def api_call(self) -> Generator[Any, Any, None]:

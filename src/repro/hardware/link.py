@@ -78,13 +78,13 @@ class Link:
         ``derate`` (>= 1) stretches the transfer — used by fault
         injection to model straggling buses.  ``flow`` links the trace
         record into a causal chain (see :class:`~repro.sim.trace.
-        TraceRecord`).  Returns the transfer duration.  Records a trace
-        interval when the environment has a tracer attached.
+        TraceRecord`).  Returns the transfer duration.  Reports the
+        busy interval to the probe when an observer is attached.
         """
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.gauge(f"hw.{self.spec.name}.queue_depth",
-                          self.resource.queue_len + self.resource.count)
+        probe = self.env.probe
+        if probe is not None:
+            probe.on_link_queue(self.spec.name,
+                                self.resource.queue_len + self.resource.count)
         grant = yield from self.resource.acquire()
         start = self.env.now
         try:
@@ -93,10 +93,7 @@ class Link:
             yield self.env.timeout(cost)
         finally:
             self.resource.release(grant)
-        if metrics is not None:
-            metrics.inc(f"hw.{category}.bytes", nbytes)
-            metrics.inc(f"hw.{category}.busy_s", self.env.now - start)
-        if self.env.tracer is not None:
-            self.env.tracer.record(self.lane, label, start, self.env.now,
-                                   category, flow=flow, nbytes=nbytes)
+        if probe is not None:
+            probe.on_lane_busy("link", self.lane, label, start, self.env.now,
+                               category, nbytes=nbytes, flow=flow)
         return self.env.now - start

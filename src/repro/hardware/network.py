@@ -260,18 +260,13 @@ class FabricChain(Chain):
     def _landed(self, event: Event) -> Next:
         self._release()
         env = self.env
-        nbytes = self._nbytes
-        metrics = env.metrics
-        if metrics is not None:
-            metrics.inc("net.messages")
-            metrics.inc("net.bytes", nbytes)
-        if env.tracer is not None:
-            fate = self.fate
-            label = self._label
-            env.tracer.record(self.fabric.nics[self._src].lane + ".tx",
-                              label if fate == "ok" else f"{label}!{fate}",
-                              self._start, env.now, "net", flow=self._flow,
-                              nbytes=nbytes, dst=self._dst)
+        if env.probe is not None:
+            fate, label = self.fate, self._label
+            env.probe.on_lane_busy(
+                "net", self.fabric.nics[self._src].lane + ".tx",
+                label if fate == "ok" else f"{label}!{fate}", self._start,
+                env.now, "net", nbytes=self._nbytes, flow=self._flow,
+                dst=self._dst)
         return self._then(self, event)
 
     def _control(self, src: int, dst: int, then: Callable) -> Next:

@@ -136,10 +136,3 @@ class PcieModel:
         return (yield from self._mapped.transfer(nbytes, label, "d2h",
                                                  derate=self._derate(),
                                                  flow=flow))
-
-    def mapped_write(self, nbytes: int, label: str = "mapped-write",
-                     flow: int = 0) -> Generator[Any, Any, float]:
-        """Stream ``nbytes`` into a mapped device buffer."""
-        return (yield from self._mapped.transfer(nbytes, label, "h2d",
-                                                 derate=self._derate(),
-                                                 flow=flow))

@@ -57,9 +57,9 @@ class StorageModel:
             yield self.env.timeout(cost)
         finally:
             self._dev.release(grant)
-        if self.env.tracer is not None:
-            self.env.tracer.record(self.lane, label, start, self.env.now,
-                                   "host", nbytes=nbytes)
+        if self.env.probe is not None:
+            self.env.probe.on_lane_busy("disk", self.lane, label, start,
+                                        self.env.now, "host", nbytes=nbytes)
         return self.env.now - start
 
     def read(self, nbytes: int, label: str = "disk-read",

@@ -56,11 +56,7 @@ def himeno_point(spec: dict) -> dict:
 
         rspec = {k: spec[k] for k in ("system", "nodes", "impl", "size",
                                       "iterations")}
-        injector = res.env.faults
-        row["report"] = build_report(
-            "himeno", rspec, res.env,
-            faults=(injector.summary()["by_kind"]
-                    if injector is not None else None)).to_dict()
+        row["report"] = build_report("himeno", rspec, res.env).to_dict()
     return row
 
 

@@ -87,7 +87,7 @@ class ClusterApp:
         A :class:`~repro.faults.FaultPlan` (or plan dict / prebuilt
         :class:`~repro.faults.FaultInjector`) to inject into the run.
     metrics:
-        Attach a :class:`~repro.obs.MetricsRegistry` (``env.metrics``).
+        Attach a :class:`~repro.obs.MetricsRegistry`.
     """
 
     def __init__(self, system: SystemPreset, num_nodes: int,
@@ -120,11 +120,11 @@ class ClusterApp:
 
     @property
     def tracer(self):
-        return self.env.tracer
+        return self.world.tracer
 
     @property
     def metrics(self):
-        return self.env.metrics
+        return self.world.metrics
 
     def run(self, main: Callable, *args,
             until: Optional[float] = None, **kwargs) -> list[Any]:
@@ -137,8 +137,8 @@ class ClusterApp:
         for ctx in self.contexts:
             proc = self.env.process(main(ctx, *args, **kwargs),
                                     name=f"rank{ctx.rank}.main")
-            if self.env.monitor is not None:
-                self.env.monitor.on_rank_process(ctx.rank, proc)
+            if self.env.probe is not None:
+                self.env.probe.on_rank_process(ctx.rank, proc)
             procs.append(proc)
         self.env.run(until=until)
         stuck = [p.name for p in procs if p.is_alive]

@@ -300,15 +300,11 @@ class Communicator:
             nbytes = payload.nbytes
 
         eager = nbytes <= state.config.eager_threshold or is_object
-        if flow == 0 and env.tracer is not None:
+        probe = env.probe
+        if flow == 0 and probe is not None:
             # Every traced message gets a causal chain, so send->recv
             # pairs stay linked even when no caller threaded a flow in.
-            flow = env.tracer.new_flow()
-        metrics = env.metrics
-        if metrics is not None:
-            metrics.inc("mpi.messages")
-            metrics.observe("mpi.msg_bytes", nbytes)
-            metrics.inc("mpi.eager" if eager else "mpi.rndv")
+            flow = probe.new_flow()
         envelope = Envelope(
             src=self._rank, dst=dest, tag=tag, comm_id=state.comm_id,
             nbytes=nbytes, seq=state.next_seq(),
@@ -337,14 +333,14 @@ class Communicator:
             matched = None
             state.endpoints[dest].defer_envelope(envelope)
             self._schedule_flush(dest)
-        # The descriptive per-message name is only built when a monitor is
-        # attached (the sanitizer's witness chains want it); detached runs
+        # The descriptive per-message name is only built when a recorder
+        # is attached (the sanitizer's witness chains want it); other runs
         # pay a constant string instead of two f-strings per message.
-        if env.monitor is not None:
-            env.monitor.on_mpi_send(self, envelope, completion, matched)
-            name = f"mpi.send r{self._rank}->r{dest} t{tag}"
-        else:
-            name = "mpi.send"
+        name = "mpi.send"
+        if probe is not None:
+            probe.on_mpi_send(self, envelope, completion, matched)
+            if probe.names:
+                name = f"mpi.send r{self._rank}->r{dest} t{tag}"
         if matched is not None:
             self._start_recv_finish(envelope, matched, unexpected=False)
         _SendChain(self, envelope, completion, rate_limit, name)
@@ -403,13 +399,13 @@ class Communicator:
         exc.injected = True
         exc.flow = envelope.flow  # locate the failure on the timeline
         self._abort_send(envelope, completion, exc)
-        if env.monitor is not None:
-            env.monitor.on_fault({"kind": "mpi_giveup", "time": env.now,
-                                  "src": envelope.src, "dst": envelope.dst,
-                                  "tag": envelope.tag, "nbytes": envelope.nbytes,
-                                  "last_fate": envelope.last_fate,
-                                  "rank_failed": dead_rank,
-                                  "flow": envelope.flow})
+        if env.probe is not None:
+            env.probe.on_fault({"kind": "mpi_giveup", "time": env.now,
+                                "src": envelope.src, "dst": envelope.dst,
+                                "tag": envelope.tag, "nbytes": envelope.nbytes,
+                                "last_fate": envelope.last_fate,
+                                "rank_failed": dead_rank,
+                                "flow": envelope.flow})
 
     @staticmethod
     def _deposit(src_bytes: np.ndarray, dst_bytes: np.ndarray) -> None:
@@ -449,8 +445,8 @@ class Communicator:
             envelope = None
             state.endpoints[self._rank].defer_recv(posted)
             self._schedule_flush(self._rank)
-        if env.monitor is not None:
-            env.monitor.on_mpi_recv(self, posted, envelope)
+        if env.probe is not None:
+            env.probe.on_mpi_recv(self, posted, envelope)
         if envelope is not None:
             self._start_recv_finish(envelope, posted, unexpected=True)
         req = Request(env, posted.completion, kind="recv")
@@ -493,10 +489,11 @@ class Communicator:
             raise MpiError(
                 f"object/buffer API mismatch on tag {envelope.tag} "
                 f"(src {envelope.src} -> dst {envelope.dst})")
+        probe = self.env.probe
         _RecvChain(self, envelope, posted, unexpected,
                    f"mpi.recv r{envelope.dst}<-r{envelope.src} "
                    f"t{envelope.tag}"
-                   if self.env.monitor is not None else "mpi.recv")
+                   if probe is not None and probe.names else "mpi.recv")
 
     def _fail_recv(self, posted: PostedRecv, exc: BaseException) -> None:
         """Propagate a sender-side delivery failure to the receive request."""
@@ -508,13 +505,12 @@ class Communicator:
         """Receiver-side delivery marker closing the message's flow chain
         (the wire record lives on the *sender's* NIC lane, so without
         this the chain would never reach the receiving node)."""
-        tracer = self.env.tracer
-        if tracer is not None and envelope.flow:
-            tracer.record(
-                f"node{self._state.node_id(envelope.dst)}.mpi",
+        probe = self.env.probe
+        if probe is not None and envelope.flow:
+            probe.on_lane_busy(
+                "mpi", f"node{self._state.node_id(envelope.dst)}.mpi",
                 f"recv t{envelope.tag}", start, end, "host",
-                flow=envelope.flow, src=envelope.src,
-                nbytes=envelope.nbytes)
+                nbytes=envelope.nbytes, flow=envelope.flow, src=envelope.src)
 
     # -- blocking wrappers ---------------------------------------------------
     def _blocking_wait(self, *requests) -> Generator[Any, Any, list]:
@@ -671,12 +667,10 @@ class Communicator:
         state.revoked = True
         state.revoke_reason = reason or f"revoked by rank {self._rank}"
         state.revoke_injected = injected
-        if env.metrics is not None:
-            env.metrics.inc("ft.revokes")
-        if env.monitor is not None:
-            env.monitor.on_fault({"kind": "comm_revoked", "time": env.now,
-                                  "comm": state.name, "by": self._rank,
-                                  "reason": state.revoke_reason})
+        if env.probe is not None:
+            env.probe.on_fault({"kind": "comm_revoked", "time": env.now,
+                                "comm": state.name, "by": self._rank,
+                                "reason": state.revoke_reason})
         for endpoint in state.endpoints:
             for posted in endpoint.pending_recv_list():
                 # Marked matched so the matching tables drop the entry:
@@ -739,12 +733,11 @@ class Communicator:
                                name=f"{state.name}.shrink{n}",
                                group=survivors)
             state._shrink_states[n] = child
-            if env.metrics is not None:
-                env.metrics.inc("ft.shrinks")
-            if env.monitor is not None:
-                env.monitor.on_fault({"kind": "comm_shrunk", "time": env.now,
-                                      "comm": state.name, "survivors": list(survivors),
-                                      "failed_nodes": list(dead)})
+            if env.probe is not None:
+                env.probe.on_fault({"kind": "comm_shrunk", "time": env.now,
+                                    "comm": state.name,
+                                    "survivors": list(survivors),
+                                    "failed_nodes": list(dead)})
         return Communicator(child, survivors.index(my_node))
 
     def agree(self) -> Generator[Any, Any, tuple]:
@@ -911,8 +904,11 @@ class _SendChain(FabricChain):
         return envelope.cts, _SendChain._cleared
 
     def _staged(self, event: Event) -> Next:
-        return self._transmit(f"eager t{self.envelope.tag}"
-                              if self.env.tracer is not None else "eager")
+        # The tag is only spelled out on a traced (flow-linked) message:
+        # the label also reaches the fault log.
+        envelope = self.envelope
+        return self._transmit(f"eager t{envelope.tag}" if envelope.flow
+                              else "eager")
 
     def _cleared(self, event: Event) -> Next:
         """Clear-to-send from the receiver (or its poisoning)."""
@@ -932,8 +928,8 @@ class _SendChain(FabricChain):
         if recv_rate is not None:
             rate = self._rate
             self._rate = recv_rate if rate is None else min(rate, recv_rate)
-        return self._transmit(f"rndv t{envelope.tag}"
-                              if self.env.tracer is not None else "rndv")
+        return self._transmit(f"rndv t{envelope.tag}" if envelope.flow
+                              else "rndv")
 
     def _transmit(self, label: str) -> Next:
         if self.env.faults is None:
@@ -959,9 +955,8 @@ class _SendChain(FabricChain):
         fate = self.fate
         if fate == "ok":
             self.envelope.retries = self._attempt
-            metrics = self.env.metrics
-            if metrics is not None:
-                metrics.inc("mpi.acks")
+            if self.env.probe is not None:
+                self.env.probe.on_mpi_ack(self.envelope)
             return self._delivered(event)
         # a lost ack looks exactly like a lost frame
         self.envelope.retries = self._attempt + 1
@@ -977,10 +972,8 @@ class _SendChain(FabricChain):
             self.comm._fail_send(self.envelope, self.completion)
             return None
         self._attempt += 1
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc("mpi.backoffs")
-            metrics.inc("mpi.retransmits")
+        if self.env.probe is not None:
+            self.env.probe.on_mpi_retry(self.envelope, fate)
         delay = self._delay
         self._delay = delay * cfg.retry_backoff
         return self.env.timeout(delay), _SendChain._resend

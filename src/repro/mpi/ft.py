@@ -20,11 +20,12 @@ environment, fed two ways, mirroring real implementations:
 The detector is created lazily on the attached
 :class:`~repro.faults.FaultInjector` — a fault-free run has
 ``env.faults is None`` and pays nothing (the same zero-cost-detached
-contract as ``env.tracer``/``env.monitor``/``env.metrics``).
+contract as the observer slot ``env.probe``).
 
-Recovery metrics (when ``env.metrics`` is attached): ``ft.detections``
-(first detection per node), ``ft.revokes``, ``ft.shrinks`` — these ride
-into :class:`~repro.obs.report.RunReport` snapshots automatically.
+Detections, revokes and shrinks reach ``env.probe.on_fault``; an
+attached metrics registry counts them as ``ft.detections`` (first
+detection per node), ``ft.revokes`` and ``ft.shrinks``, which ride into
+:class:`~repro.obs.report.RunReport` snapshots automatically.
 """
 
 from __future__ import annotations
@@ -59,11 +60,8 @@ class FailureDetector:
         rec = {"kind": "rank_failed", "time": env.now, "node": node,
                "rank": rank, "comm": comm, "via": via}
         self.log.append(rec)
-        if env.metrics is not None:
-            env.metrics.inc("ft.detections")
-        mon = env.monitor
-        if mon is not None:
-            mon.on_fault(rec)
+        if env.probe is not None:
+            env.probe.on_fault(rec)
         return True
 
     def sweep(self, env, nodes: Iterable[int]) -> None:

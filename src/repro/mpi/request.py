@@ -35,9 +35,8 @@ class Request:
         #: ``wait``/``test`` (the analogue of MPI freeing the request and
         #: replacing the handle with ``MPI_REQUEST_NULL``)
         self.consumed = False
-        mon = env.monitor
-        if mon is not None:
-            mon.on_request_created(self)
+        if env.probe is not None:
+            env.probe.on_request_created(self)
 
     @property
     def label(self) -> str:

@@ -13,6 +13,7 @@ from repro.errors import MpiError
 from repro.faults import as_injector
 from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.mpi.comm import Communicator, MpiConfig, _CommState
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment, Process, Tracer
 
 __all__ = ["MpiWorld"]
@@ -30,8 +31,8 @@ class MpiWorld:
     trace:
         Attach a :class:`~repro.sim.Tracer` for timeline extraction.
     metrics:
-        Attach a :class:`~repro.obs.MetricsRegistry` (``env.metrics``)
-        so the layers count events, messages, bytes, and faults.
+        Attach a :class:`~repro.obs.MetricsRegistry` so the layers count
+        events, messages, bytes, and faults.
 
     Example
     -------
@@ -68,10 +69,9 @@ class MpiWorld:
         self.config = config or MpiConfig()
         self.env = Environment()
         if trace:
-            self.env.tracer = Tracer()
+            self.env.attach(Tracer())
         if metrics:
-            from repro.obs import MetricsRegistry
-            MetricsRegistry().attach(self.env)
+            self.env.attach(MetricsRegistry())
         #: optional FaultInjector (plan dict / FaultPlan also accepted)
         self.faults = as_injector(faults)
         if self.faults is not None:
@@ -89,11 +89,11 @@ class MpiWorld:
 
     @property
     def tracer(self):
-        return self.env.tracer
+        return self.env.observer(Tracer)
 
     @property
     def metrics(self):
-        return self.env.metrics
+        return self.env.observer(MetricsRegistry)
 
     @property
     def detector(self):

@@ -3,8 +3,9 @@ and per-run reports.
 
 Three pieces on top of the simulator's existing tracer:
 
-* :class:`MetricsRegistry` — counters/gauges/histograms attached as
-  ``env.metrics`` (zero cost when detached).
+* :class:`MetricsRegistry` — counters/gauges/histograms, a consumer
+  of the probe hooks attached with ``env.attach`` (zero cost when
+  detached).
 * :func:`critical_path` — backward walk over flow-linked trace records
   with per-category attribution; explains *why* a run took this long.
 * :class:`RunReport` — deterministic JSON artifact bundling the above,

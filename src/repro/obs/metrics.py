@@ -2,10 +2,11 @@
 
 A :class:`MetricsRegistry` is the quantitative side of observability
 (the :class:`~repro.sim.trace.Tracer` is the qualitative side).  It is
-attached to an :class:`~repro.sim.Environment` as ``env.metrics`` and
-every instrumented layer bumps it through ``is not None`` guards, so a
-detached registry costs nothing — the same contract as ``env.tracer``
-and ``env.faults``.
+a consumer of the probe hooks (:mod:`repro.sim.probe`): attached with
+``env.attach(registry)``, it turns each hook call into counter, gauge
+and histogram updates, and every metric name is spelled here, in the
+hook methods, never at an instrumentation site.  A detached registry
+costs nothing.
 
 Names are dotted and low-cardinality by design (``mpi.messages``,
 ``hw.net.bytes``) — per-lane or per-message names would make snapshots
@@ -19,10 +20,24 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.sim.probe import Probe
+
 __all__ = ["MetricsRegistry", "merge_snapshots"]
 
+#: counters bumped per tolerance record (:meth:`MetricsRegistry.on_fault`),
+#: formatted with the record's fields; any other record kind is an
+#: injected fault, counted as ``faults.<kind>``
+_RECOVERY_COUNTERS = {
+    "rank_failed": ("ft.detections",),
+    "comm_revoked": ("ft.revokes",),
+    "comm_shrunk": ("ft.shrinks",),
+    "clmpi_orphaned": ("clmpi.orphaned_flows",),
+    "clmpi_degrade": ("clmpi.fallback_steps", "clmpi.fallback.{mode}"),
+    "mpi_giveup": (),
+}
 
-class MetricsRegistry:
+
+class MetricsRegistry(Probe):
     """Append-only numeric facts about one run.
 
     Counters only go up (``inc``); gauges track a last-written value and
@@ -56,15 +71,63 @@ class MetricsRegistry:
 
     # -- attachment --------------------------------------------------------
     def attach(self, env) -> "MetricsRegistry":
-        """Install as ``env.metrics``; returns self for chaining."""
-        env.metrics = self
-        return self
+        """``env.attach(self)``; returns self for chaining."""
+        return env.attach(self)
 
-    @staticmethod
-    def detach(env) -> None:
-        """Remove any registry from ``env`` (hot paths go back to zero
-        cost)."""
-        env.metrics = None
+    # -- probe hooks ---------------------------------------------------------
+    def on_lane_busy(self, kind, lane, label, start, end, category,
+                     nbytes=None, flow=0, src=None, dst=None) -> None:
+        if kind == "link":
+            self.inc(f"hw.{category}.bytes", nbytes)
+            self.inc(f"hw.{category}.busy_s", end - start)
+        elif kind == "gpu":
+            self.inc("gpu.kernels")
+            self.inc("gpu.busy_s", end - start)
+        elif kind == "host":
+            self.inc("host.busy_s", end - start)
+        elif kind == "net":
+            self.inc("net.messages")
+            self.inc("net.bytes", nbytes)
+
+    def on_link_queue(self, link, depth) -> None:
+        self.gauge(f"hw.{link}.queue_depth", depth)
+
+    def on_process_started(self, name) -> None:
+        self.inc("sim.processes")
+
+    def on_run(self, scheduled, fired) -> None:
+        self.inc("sim.events_scheduled", scheduled)
+        self.inc("sim.events_fired", fired)
+
+    def on_event_status(self, ev, status) -> None:
+        self.inc(f"ocl.event.{status.name.lower()}")
+
+    def on_event_failed(self, ev, exc) -> None:
+        self.inc("ocl.event.failed")
+
+    def on_command_enqueued(self, queue, cmd) -> None:
+        self.inc(f"ocl.cmd.{cmd.type.value}")
+
+    def on_mpi_send(self, comm, envelope, completion, matched) -> None:
+        self.inc("mpi.messages")
+        self.observe("mpi.msg_bytes", envelope.nbytes)
+        self.inc(f"mpi.{envelope.protocol}")
+
+    def on_mpi_ack(self, envelope) -> None:
+        self.inc("mpi.acks")
+
+    def on_mpi_retry(self, envelope, fate) -> None:
+        self.inc("mpi.backoffs")
+        self.inc("mpi.retransmits")
+
+    def on_transfer(self, kind, peer, tag, desc) -> None:
+        if kind == "send":
+            self.inc(f"clmpi.transfer.{desc.mode}")
+            self.inc("clmpi.bytes", desc.nbytes)
+
+    def on_fault(self, record) -> None:
+        for name in _RECOVERY_COUNTERS.get(record["kind"], ("faults.{kind}",)):
+            self.inc(name.format_map(record))
 
     # -- readers -----------------------------------------------------------
     def snapshot(self) -> dict:

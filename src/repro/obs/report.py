@@ -17,6 +17,7 @@ from typing import Optional
 
 from repro.obs.critical import critical_path
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.sim.trace import Tracer
 
 __all__ = ["RunReport", "REPORT_SCHEMA", "SUPPORTED_SCHEMA_VERSIONS",
            "STATS_KEYS", "build_report", "validate_report",
@@ -185,13 +186,16 @@ def build_report(kind: str, spec: dict, env,
                  faults: Optional[dict] = None) -> RunReport:
     """Assemble a report from an environment after its run finished.
 
-    Reads ``env.tracer`` (lane utilization, overlap, critical path — all
-    empty if tracing was off) and ``env.metrics`` (snapshot — empty if
-    detached).  ``faults`` is a tally dict such as
-    ``FaultInjector.summary()["by_kind"]``.
+    Reads the attached :class:`~repro.sim.Tracer` (lane utilization,
+    overlap, critical path — all empty if tracing was off) and
+    :class:`MetricsRegistry` (snapshot — empty if detached).  ``faults``
+    is a tally dict such as ``FaultInjector.summary()["by_kind"]``; it
+    defaults to the attached injector's tally.
     """
-    tracer = getattr(env, "tracer", None)
-    registry = getattr(env, "metrics", None)
+    if faults is None and env.faults is not None:
+        faults = env.faults.summary()["by_kind"]
+    tracer = env.observer(Tracer)
+    registry = env.observer(MetricsRegistry)
     makespan = float(env.now)
     lanes: dict = {}
     overlap: dict = {}

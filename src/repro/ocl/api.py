@@ -25,8 +25,8 @@ def wait_for_events(events: Iterable[CLEvent],
     if all(e.is_complete for e in events):
         # No blocking happened: the call returns immediately.
         _check_failed(events)
-        if env.monitor is not None:
-            env.monitor.on_host_sync(events)
+        if env.probe is not None:
+            env.probe.on_host_sync(events)
         if host is not None:
             yield from host.api_call()
         else:
@@ -44,8 +44,8 @@ def wait_for_events(events: Iterable[CLEvent],
         except BaseException:
             pass  # converted to OclError by _check_failed
     _check_failed(events)
-    if env.monitor is not None:
-        env.monitor.on_host_sync(events)
+    if env.probe is not None:
+        env.probe.on_host_sync(events)
     if host is not None:
         yield from host.sync_wakeup()
 

@@ -12,9 +12,9 @@ events mimic command events fully — status, profiling, callbacks — which
 is the property the paper's implementation had to build by hand on top of
 NVIDIA's runtime.
 
-When an :class:`~repro.analysis.Sanitizer` is active, every lifecycle
-transition is reported to ``env.monitor`` so the analysis layer can build
-its happens-before graph (see :mod:`repro.analysis`).
+While an observer is attached, every lifecycle transition is reported
+to ``env.probe`` (see :mod:`repro.sim.probe`): the sanitizer builds its
+happens-before graph from it, the metrics registry counts it.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ class CLEvent:
                                     Callable[["CLEvent", CommandStatus], None]]] = []
         #: failure exception, if the command failed (or a callback raised)
         self.error: Optional[BaseException] = None
-        mon = env.monitor
-        if mon is not None:
-            mon.on_event_created(self)
+        if env.probe is not None:
+            env.probe.on_event_created(self)
 
     # -- status -----------------------------------------------------------
     @property
@@ -85,12 +84,8 @@ class CLEvent:
                            f"{self._status.name} -> {status.name}")
         self._status = status
         self.profile[status] = self.env.now
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc(f"ocl.event.{status.name.lower()}")
-        mon = self.env.monitor
-        if mon is not None:
-            mon.on_event_status(self, status)
+        if self.env.probe is not None:
+            self.env.probe.on_event_status(self, status)
         for trigger, fn in list(self._callbacks):
             if trigger == status:
                 self._dispatch_callback(fn, status)
@@ -101,11 +96,8 @@ class CLEvent:
         self.error = exc
         self._status = CommandStatus.COMPLETE
         self.profile[CommandStatus.COMPLETE] = self.env.now
-        if self.env.metrics is not None:
-            self.env.metrics.inc("ocl.event.failed")
-        mon = self.env.monitor
-        if mon is not None:
-            mon.on_event_failed(self, exc)
+        if self.env.probe is not None:
+            self.env.probe.on_event_failed(self, exc)
         for trigger, fn in list(self._callbacks):
             if trigger == CommandStatus.COMPLETE:
                 self._dispatch_callback(fn, CommandStatus.COMPLETE)
@@ -129,15 +121,13 @@ class CLEvent:
         except Exception as exc:
             if self.error is None:
                 self.error = exc
-            mon = self.env.monitor
-            if mon is not None:
-                mon.on_callback_error(self, exc)
+            if self.env.probe is not None:
+                self.env.probe.on_callback_error(self, exc)
 
     def _misuse(self, kind: str, message: str) -> None:
-        """Report an API-misuse to the monitor, then raise it."""
-        mon = self.env.monitor
-        if mon is not None:
-            mon.on_misuse(kind, message, entity=self)
+        """Report an API-misuse to the probe, then raise it."""
+        if self.env.probe is not None:
+            self.env.probe.on_misuse(kind, message, entity=self)
         raise OclError("CL_INVALID_OPERATION", message)
 
     # -- public API --------------------------------------------------------
@@ -153,9 +143,8 @@ class CLEvent:
     def wait(self) -> Generator[Any, Any, "CLEvent"]:
         """Coroutine: suspend until complete (``clWaitForEvents`` on one)."""
         yield self.completion
-        mon = self.env.monitor
-        if mon is not None:
-            mon.on_host_sync([self])
+        if self.env.probe is not None:
+            self.env.probe.on_host_sync([self])
         return self
 
     def duration(self) -> float:

@@ -74,12 +74,8 @@ class CommandQueue:
                     and cmd.type != CommandType.BARRIER
                     and not self._ooo_barrier.is_complete):
                 cmd.wait_events = cmd.wait_events + (self._ooo_barrier,)
-        metrics = self.env.metrics
-        if metrics is not None:
-            metrics.inc(f"ocl.cmd.{cmd.type.value}")
-        mon = self.env.monitor
-        if mon is not None:
-            mon.on_command_enqueued(self, cmd)
+        if self.env.probe is not None:
+            self.env.probe.on_command_enqueued(self, cmd)
         if self.in_order:
             self._fifo.put(cmd)
         else:
@@ -106,9 +102,8 @@ class CommandQueue:
                 return
         cmd.event._advance(CommandStatus.SUBMITTED)
         cmd.event._advance(CommandStatus.RUNNING)
-        mon = self.env.monitor
-        if mon is not None:
-            mon.on_command_running(cmd)
+        if self.env.probe is not None:
+            self.env.probe.on_command_running(cmd)
         try:
             yield from cmd.execute()
         except BaseException as exc:
@@ -133,9 +128,8 @@ class CommandQueue:
         self._submit(cmd)
         if blocking:
             yield cmd.event.completion
-            mon = self.env.monitor
-            if mon is not None:
-                mon.on_host_sync([cmd.event])
+            if self.env.probe is not None:
+                self.env.probe.on_host_sync([cmd.event])
             yield from self.context.host.sync_wakeup()
         return cmd.event
 
@@ -379,9 +373,8 @@ class CommandQueue:
                 # (clFinish itself still just waits for the drain)
                 pass
         if blocked:
-            mon = self.env.monitor
-            if mon is not None:
-                mon.on_host_sync(drained)
+            if self.env.probe is not None:
+                self.env.probe.on_host_sync(drained)
             yield from self.context.host.sync_wakeup()
         else:
             yield from self.context.host.api_call()

@@ -77,6 +77,8 @@ import warnings
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.sim.probe import Tee, fan_out
+
 __all__ = [
     "Environment",
     "Event",
@@ -600,18 +602,15 @@ class Environment:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: Optional tracer; hardware layers append timeline records here.
-        self.tracer = None
-        #: Optional correctness monitor (see :mod:`repro.analysis`); the
-        #: ocl/mpi/clmpi layers notify it of lifecycle transitions.
-        self.monitor = None
+        #: The observer slot (see :mod:`repro.sim.probe`): the tracer,
+        #: metrics registry and sanitizer recorder attached with
+        #: :meth:`attach`.  Detached (None) costs one attribute test per
+        #: instrumentation site; the run loop accounts events via
+        #: ``_seq`` deltas, never per event.
+        self.probe = None
         #: Optional fault injector (see :mod:`repro.faults`); hardware and
         #: transport layers consult it for drops, derates, and failures.
         self.faults = None
-        #: Optional metrics registry (see :mod:`repro.obs`); layers bump
-        #: counters/gauges on it.  Detached (None) costs nothing: the
-        #: run loop accounts events via ``_seq`` deltas, never per-event.
-        self.metrics = None
         #: Optional schedule policy (see :mod:`repro.analysis.schedule`);
         #: while attached, :meth:`run` routes through
         #: :meth:`_run_scheduled` and same-``(time, priority)`` calendar
@@ -624,6 +623,31 @@ class Environment:
         #: per-kind counters backing auto-generated entity names
         #: (``buf3``, ``send#7``, ...) — see :meth:`next_id`
         self._name_ids: dict = {}
+
+    # -- observers -----------------------------------------------------
+    def attach(self, observer):
+        """Attach ``observer`` (a :class:`~repro.sim.probe.Probe`) to the
+        probe slot and return it.  With two or more attached, the slot
+        holds a :class:`~repro.sim.probe.Tee` over them."""
+        self.probe = fan_out(self.observers() + (observer,))
+        return observer
+
+    def detach(self, observer) -> None:
+        """Detach ``observer``; the others stay attached."""
+        self.probe = fan_out(tuple(o for o in self.observers()
+                                   if o is not observer))
+
+    def observers(self) -> tuple:
+        """The attached observers, in attach order."""
+        probe = self.probe
+        if probe is None:
+            return ()
+        return probe.observers if isinstance(probe, Tee) else (probe,)
+
+    def observer(self, cls):
+        """The first attached observer that is a ``cls``, or None."""
+        return next((o for o in self.observers() if isinstance(o, cls)),
+                    None)
 
     def next_id(self, kind: str) -> int:
         """Next ordinal for auto-named entities of ``kind`` (1-based).
@@ -711,8 +735,8 @@ class Environment:
                 "Environment(engine='vectorized') virtualizes ranks and "
                 "cannot host coroutines; use env.vector batch operations, "
                 "or engine='coroutine' for generator processes")
-        if self.metrics is not None:
-            self.metrics.inc("sim.processes")
+        if self.probe is not None:
+            self.probe.on_process_started(name)
         return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -745,8 +769,8 @@ class Environment:
         if self.schedule_policy is not None:
             return self._run_scheduled(until)
         heap = self._heap
-        metrics = self.metrics
-        if metrics is not None:
+        probe = self.probe
+        if probe is not None:
             # Every heappush bumps _seq exactly once, so event counts can
             # be recovered from deltas at the loop boundaries — the hot
             # loop itself carries no instrumentation.
@@ -754,13 +778,7 @@ class Environment:
             heap0 = len(heap)
         while heap:
             if until is not None and heap[0][0] > until:
-                self._now = until
-                if metrics is not None:
-                    scheduled = self._seq - seq0
-                    metrics.inc("sim.events_scheduled", scheduled)
-                    metrics.inc("sim.events_fired",
-                                heap0 + scheduled - len(heap))
-                return
+                break
             when, _p, _s, event = heappop(heap)
             self._now = when
             event._state = PROCESSED
@@ -773,10 +791,9 @@ class Environment:
                 raise event._value
         if until is not None:
             self._now = until
-        if metrics is not None:
+        if probe is not None:
             scheduled = self._seq - seq0
-            metrics.inc("sim.events_scheduled", scheduled)
-            metrics.inc("sim.events_fired", heap0 + scheduled - len(heap))
+            probe.on_run(scheduled, heap0 + scheduled - len(heap))
 
     @staticmethod
     def _tie_label(event: Event) -> str:
@@ -799,7 +816,7 @@ class Environment:
         Same-``(time, priority)`` heap entries form a *tie batch*; with
         ``policy.explore_ties`` the policy picks which entry fires next
         (choice index 0 always reproduces the detached seq order).  This
-        loop skips the hot path's metrics accounting — only the
+        loop skips the hot path's event accounting — only the
         schedule-space verifier drives it, and it pays for introspection
         instead of throughput.
         """

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
+from repro.sim.probe import Probe
+
 __all__ = ["TraceRecord", "Tracer"]
 
 #: Shared immutable mapping used for records without metadata, so the
@@ -67,12 +69,12 @@ class TraceRecord:
         return min(self.end, other.end) > max(self.start, other.start)
 
 
-class Tracer:
+class Tracer(Probe):
     """Append-only collection of :class:`TraceRecord`.
 
-    Attach one to an :class:`~repro.sim.Environment` (``env.tracer``) and
-    hardware layers will record their busy intervals.  Disabled lanes cost
-    nothing: callers check ``tracer is not None`` before recording.
+    Attach one with :meth:`Environment.attach <repro.sim.Environment.
+    attach>` and it records every lane-busy interval the probe reports
+    (:meth:`on_lane_busy`) and allocates the causal flow ids.
     """
 
     def __init__(self) -> None:
@@ -84,6 +86,12 @@ class Tracer:
         """Allocate a fresh nonzero flow id for a causal chain."""
         self._next_flow += 1
         return self._next_flow
+
+    def on_lane_busy(self, kind, lane, label, start, end, category,
+                     nbytes=None, flow=0, src=None, dst=None) -> None:
+        meta = {k: v for k, v in (("src", src), ("nbytes", nbytes),
+                                  ("dst", dst)) if v is not None}
+        self.record(lane, label, start, end, category, flow, **meta)
 
     def record(self, lane: str, label: str, start: float, end: float,
                category: str = "other", flow: int = 0,

@@ -87,9 +87,8 @@ class Timings:
 
     The shared per-message rules are called on the preset's own specs
     (:attr:`fabric`, :attr:`host`, :attr:`pcie`, :attr:`cluster`); the
-    scalars are its constants, so model code reads ``v.co`` instead of
-    chasing nested dataclasses (the tests' independent replays restate
-    the rules from ``pmo``, ``mbw``, ``nic_lat``, ...).  The cluster is
+    scalars are the constants model code reads directly, so it says
+    ``v.co`` instead of chasing nested dataclasses.  The cluster is
     homogeneous, which is what lets one scalar serve all lanes.
     """
 
@@ -98,7 +97,6 @@ class Timings:
         node = cluster.node
         host, gpu, pcie = node.host, node.gpu, node.pcie
         fabric = cluster.fabric
-        nic = fabric.nic
         self.cluster = cluster
         self.fabric = fabric
         self.host = host
@@ -107,17 +105,9 @@ class Timings:
         self.co = float(host.call_overhead)
         #: host sync wake-up (every blocking wait that actually blocked)
         self.so = float(host.sync_overhead)
-        #: single-thread host memcpy bandwidth (eager staging copies)
-        self.mbw = float(host.memcpy_bandwidth)
-        self.nic_bw = float(nic.bandwidth)
-        self.nic_lat = float(nic.latency)
-        self.pmo = float(nic.per_message_overhead)
-        self.switch_lat = float(fabric.switch_latency)
-        self.loopback_bw = float(fabric.loopback_bandwidth)
+        self.nic_bw = float(fabric.nic.bandwidth)
         self.eager_threshold = int(preset.mpi_eager_threshold)
-        self.pinned_bw = float(pcie.pinned_bandwidth)
         self.mapped_bw = float(pcie.mapped_bandwidth)
-        self.copy_latency = float(pcie.copy_latency)
         self.map_overhead = float(pcie.map_overhead)
         self.mapped_latency = float(pcie.mapped_latency)
         self.copy_engines = int(gpu.copy_engines)

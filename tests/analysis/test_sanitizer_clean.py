@@ -71,9 +71,9 @@ class TestAutosanitize:
         with autosanitize():
             assert Environment.__init__ is not original
             env = Environment()
-            assert env.monitor is not None
+            assert env.probe is not None
         assert Environment.__init__ is original
-        assert env.monitor is None
+        assert env.probe is None
 
     def test_merges_multiple_environments(self):
         from repro.sim import Environment

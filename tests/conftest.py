@@ -80,7 +80,7 @@ def env() -> Environment:
 @pytest.fixture
 def traced_env() -> Environment:
     e = Environment()
-    e.tracer = Tracer()
+    e.attach(Tracer())
     return e
 
 

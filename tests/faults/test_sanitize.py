@@ -130,10 +130,9 @@ class TestInjectedFailuresAreWarnings:
         from repro.analysis.recorder import Recorder
         from repro.ocl.event import UserEvent
 
-        rec = Recorder(env)
-        env.monitor = rec
+        rec = env.attach(Recorder(env))
         uev = UserEvent(env)
         uev.set_failed(RuntimeError("application bug"))
-        env.monitor = None
+        env.detach(rec)
         assert [f.kind for f in rec.direct_findings] == ["event-failed"]
         assert rec.direct_findings[0].severity == "error"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.link import Link, LinkSpec
+from repro.sim import Tracer
 
 
 class TestLinkSpec:
@@ -69,7 +70,7 @@ class TestLink:
 
         traced_env.process(proc(traced_env))
         traced_env.run()
-        recs = traced_env.tracer.on_lane("wire")
+        recs = traced_env.observer(Tracer).on_lane("wire")
         assert len(recs) == 1
         assert recs[0].category == "net"
         assert recs[0].meta["nbytes"] == 500

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hardware.host import HostModel
 from repro.systems import cichlid, custom, ricc
 
 PRESETS = {
@@ -66,13 +65,3 @@ def test_wire_rule_takes_a_per_message_bandwidth(system):
     scalar = [fabric.wire_time(n, float(bw)) for n, bw in zip(SIZES, bws)]
     assert array.tobytes() == np.asarray(scalar).tobytes()
 
-
-def test_host_memcpy_rejects_a_negative_size(env):
-    host = HostModel(env, PRESETS["cichlid"].cluster.node.host)
-
-    def proc(env):
-        yield from host.memcpy(-1)
-
-    env.process(proc(env))
-    with pytest.raises(ValueError, match="negative size"):
-        env.run()

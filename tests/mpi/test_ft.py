@@ -49,7 +49,7 @@ class TestFailureDetection:
         assert "fail-stopped" in str(exc)
         assert world.detector is not None
         assert world.detector.failed_nodes == {1}
-        assert world.env.metrics.snapshot()["counters"]["ft.detections"] == 1
+        assert world.metrics.snapshot()["counters"]["ft.detections"] == 1
 
     def test_fast_fail_beats_retry_exhaustion(self, cichlid_preset):
         # a dead peer must NOT cost the full exponential retry schedule
@@ -129,7 +129,7 @@ class TestShrinkAgree:
         assert {tuple(s["failed"]) for s in survivors} == {(2,)}
         assert {s["world"] for s in survivors} == {3}
         assert sorted(s["rank"] for s in survivors) == [0, 1, 2]
-        counters = world.env.metrics.snapshot()["counters"]
+        counters = world.metrics.snapshot()["counters"]
         assert counters["ft.shrinks"] == 1
         assert counters["ft.revokes"] == 1
         assert world.comm(0).failed_ranks() == [2]

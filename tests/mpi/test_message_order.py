@@ -35,6 +35,7 @@ from repro.faults import FaultPlan
 from repro.mpi import MpiWorld
 from repro.mpi.status import ANY_SOURCE
 from repro.sim import Environment
+from repro.sim.probe import Probe
 from repro.systems import cichlid, ricc
 
 SMALL = 1024          # eager on both presets (threshold 64 KiB)
@@ -49,12 +50,11 @@ CRASH = FaultPlan(seed=3, events=(
     {"kind": "node_crash", "node": 1, "at": 0.0},))
 
 
-class _NullMonitor:
-    """Accepts every monitor hook and does nothing: attaching it only
-    switches the MPI layer to its descriptive per-message names."""
+class _NullMonitor(Probe):
+    """Consumes no hook: attaching it only switches the MPI layer to its
+    descriptive per-message names."""
 
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: None
+    names = True
 
 
 def _data(n, seed):
@@ -168,7 +168,7 @@ def fire(preset, scenario: str, attached: bool):
     world = MpiWorld(preset, ranks, faults=plan, metrics=attached)
     env = world.env
     if attached:
-        env.monitor = _NullMonitor()
+        env.attach(_NullMonitor())
     procs = world.launch(main)
     heap, entries = env._heap, []
     while heap:
@@ -218,7 +218,7 @@ def test_scenarios_cover_the_paths_they_claim(cichlid_preset):
     assert {e[3] for e in entries} >= {"mpi.send", "mpi.recv",
                                        "rank0.main", "rank1.main"}
     entries, _, world = fire(cichlid_preset, "clean", attached=True)
-    counters = world.env.metrics.snapshot()["counters"]
+    counters = world.metrics.snapshot()["counters"]
     assert counters["mpi.eager"] >= 4 and counters["mpi.rndv"] >= 4
     assert "mpi.send r0->r1 t2" in {e[3] for e in entries}
     assert "mpi.recv r1<-r0 t2" in {e[3] for e in entries}
@@ -227,7 +227,7 @@ def test_scenarios_cover_the_paths_they_claim(cichlid_preset):
     assert res == ["revoked", "revoker"]
 
     _, _, world = fire(cichlid_preset, "lossy", attached=True)
-    counters = world.env.metrics.snapshot()["counters"]
+    counters = world.metrics.snapshot()["counters"]
     assert counters["mpi.retransmits"] > 0 and counters["mpi.acks"] > 0
     kinds = world.faults.summary()["by_kind"]
     assert kinds.get("drop", 0) > 0 and kinds.get("down", 0) > 0

@@ -128,7 +128,7 @@ class TestEndToEndFlows:
     def test_every_traced_mpi_message_has_flow(self, world2):
         """MPI-level sends auto-allocate a flow; the receiver-side
         marker makes every send->recv pair a linked chain."""
-        world2.env.tracer = Tracer()
+        tracer = world2.env.attach(Tracer())
 
         def main(comm):
             if comm.rank == 0:
@@ -139,7 +139,6 @@ class TestEndToEndFlows:
                 yield from comm.recv(np.zeros(8), 0, 2)
 
         world2.run(main)
-        tracer = world2.env.tracer
         wire = [r for r in tracer.records if r.category == "net"]
         assert wire and all(r.flow for r in wire)
         for fid, chain in tracer.flows().items():
@@ -150,7 +149,7 @@ class TestEndToEndFlows:
                 f"flow {fid} never reached the receiver: {lanes}"
 
     def test_recv_marker_label_and_meta(self, world2):
-        world2.env.tracer = Tracer()
+        tracer = world2.env.attach(Tracer())
 
         def main(comm):
             if comm.rank == 0:
@@ -159,7 +158,7 @@ class TestEndToEndFlows:
                 yield from comm.recv(np.zeros(16), 0, 9)
 
         world2.run(main)
-        markers = [r for r in world2.env.tracer.records
+        markers = [r for r in tracer.records
                    if r.lane == "node1.mpi"]
         assert len(markers) == 1
         assert markers[0].label == "recv t9"

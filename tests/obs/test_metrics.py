@@ -52,12 +52,12 @@ class TestHistograms:
 class TestAttachment:
     def test_attach_detach(self, env):
         m = MetricsRegistry().attach(env)
-        assert env.metrics is m
-        MetricsRegistry.detach(env)
-        assert env.metrics is None
+        assert env.probe is m
+        env.detach(m)
+        assert env.probe is None
 
     def test_default_is_detached(self):
-        assert Environment().metrics is None
+        assert Environment().probe is None
 
 
 class TestMergeSnapshots:
@@ -125,7 +125,7 @@ class TestSimInstrumentation:
         from repro.mpi.world import MpiWorld
 
         world = MpiWorld(cichlid_preset, num_nodes=2, metrics=True)
-        assert world.metrics is world.env.metrics is not None
+        assert world.metrics is world.env.probe is not None
 
         import numpy as np
 

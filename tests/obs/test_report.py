@@ -13,7 +13,7 @@ from repro.sim import Environment, Tracer
 def _sample_env() -> Environment:
     env = Environment()
     tracer = Tracer()
-    env.tracer = tracer
+    env.attach(tracer)
     fid = tracer.new_flow()
     tracer.record("node0.pcie", "d2h", 0.0, 1.0, "d2h", flow=fid)
     tracer.record("node0.nic.tx", "msg", 1.0, 3.0, "net", flow=fid)
@@ -38,9 +38,9 @@ class TestBuildReport:
 
     def test_overlap_pairs(self):
         env = Environment()
-        env.tracer = Tracer()
-        env.tracer.record("node0.gpu", "k", 0.0, 4.0, "compute")
-        env.tracer.record("node0.nic.tx", "m", 2.0, 6.0, "net")
+        tracer = env.attach(Tracer())
+        tracer.record("node0.gpu", "k", 0.0, 4.0, "compute")
+        tracer.record("node0.nic.tx", "m", 2.0, 6.0, "net")
         rep = build_report("x", {}, env)
         assert rep.overlap["compute+net"] == pytest.approx(2.0)
 

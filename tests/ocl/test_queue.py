@@ -6,6 +6,7 @@ import pytest
 from repro.errors import OclError
 from repro.ocl import CommandStatus, Kernel
 from repro.ocl.api import wait_for_events
+from repro.sim.probe import Probe
 
 
 def run(env, gen):
@@ -18,9 +19,9 @@ def make_kernel(name="k", duration=1e-3, body=None):
     return Kernel(name, body=body, cost=lambda gpu, *a: duration)
 
 
-class RecordingMonitor:
-    """Monitor that records host syncs and enqueued commands and
-    ignores every other lifecycle hook."""
+class RecordingMonitor(Probe):
+    """Probe that records host syncs and enqueued commands and ignores
+    every other hook."""
 
     def __init__(self):
         self.host_syncs = []
@@ -31,9 +32,6 @@ class RecordingMonitor:
 
     def on_command_enqueued(self, queue, cmd):
         self.enqueued.append(cmd)
-
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: None
 
 
 class TestInOrderQueue:
@@ -150,7 +148,7 @@ class TestOutOfOrderQueue:
         """The barrier's wait list is the prior commands still running,
         in enqueue order; one that already completed is left out."""
         env, ctx = node_env
-        mon = env.monitor = RecordingMonitor()
+        mon = env.attach(RecordingMonitor())
         q = ctx.create_queue(in_order=False)
 
         def main():
@@ -400,7 +398,7 @@ class TestSync:
     def test_finish_reports_drained_events_in_enqueue_order(self,
                                                             node_env):
         env, ctx = node_env
-        mon = env.monitor = RecordingMonitor()
+        mon = env.attach(RecordingMonitor())
         q = ctx.create_queue()
 
         def main():

@@ -78,8 +78,9 @@ def _ref_reduce(v, t, nbytes=8.0, pre=None):
     ranks = np.arange(P)
     pre = pre or {}
     nb = float(nbytes)
-    stage = tt.pmo + nb / tt.mbw
-    hold = (tt.nic_lat + nb / tt.nic_bw) + tt.switch_lat
+    nic = tt.fabric.nic
+    stage = nic.per_message_overhead + nb / tt.host.memcpy_bandwidth
+    hold = (nic.latency + nb / tt.nic_bw) + tt.fabric.switch_latency
     ts1, txg, arr = np.zeros(P), np.zeros(P), np.zeros(P)
     for r, (p_ts1, p_txg, p_arr) in pre.items():
         ts1[r], txg[r], arr[r] = p_ts1, p_txg, p_arr
@@ -169,7 +170,7 @@ def _ref_drain(v, p, lsb_p, t, ts1, txg, arr, nb, hold, pre):
         tr1 = t[p] + tt.co
         a = arr[c]
         buffered = (ts1[c] < tr1) and (a < tr1)
-        recv_c = tr1 + nb / tt.mbw if buffered else a
+        recv_c = tr1 + nb / tt.host.memcpy_bandwidth if buffered else a
         t[p] = recv_c + tt.so
 
 

@@ -67,7 +67,7 @@ def _ref_pipelined(v, src, dst, start_s, start_r, nbytes, block, base):
         staged = [T.copy() for _ in ranges]
     else:
         for lo, hi in ranges:
-            dur = t.copy_latency + (hi - lo) / t.pinned_bw
+            dur = t.pcie.copy_latency + (hi - lo) / t.pcie.pinned_bandwidth
             _, st_ = v.d2h.use(src, st_, dur)
             staged.append(st_)
     cur = T.copy()
@@ -79,7 +79,7 @@ def _ref_pipelined(v, src, dst, start_s, start_r, nbytes, block, base):
         cur = send_c
         drain = np.maximum(drain, recv_c)
         if not mapped_base:
-            dur = t.copy_latency + (hi - lo) / t.pinned_bw
+            dur = t.pcie.copy_latency + (hi - lo) / t.pcie.pinned_bandwidth
             _, drain = v.h2d.use(dst, drain, dur)
     send_done = np.maximum(st_, cur)
     recv_done = drain

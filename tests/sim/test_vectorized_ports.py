@@ -156,7 +156,7 @@ def test_wire_refuses_a_request_no_later_than_a_served_one():
 def test_wire_loopback_bypasses_the_ports():
     v = _engine()
     arr = v.wire([1, 0, 3], [1, 2, 3], [0.0, 0.0, 0.0], 4096.0)
-    assert arr[0] == arr[2] == 4096.0 / v.t.loopback_bw
+    assert arr[0] == arr[2] == 4096.0 / v.t.fabric.loopback_bandwidth
     assert v.tx.free.tolist() == [arr[1], 0.0, 0.0, 0.0]
     assert v.rx.free.tolist() == [0.0, 0.0, arr[1], 0.0]
 
