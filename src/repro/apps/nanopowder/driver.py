@@ -43,10 +43,6 @@ class NanopowderResult:
         """Sustained simulation throughput (the Fig 10 'performance')."""
         return self.config.steps / self.time
 
-    def speedup_vs(self, other: "NanopowderResult") -> float:
-        """This run's throughput relative to ``other``'s."""
-        return self.steps_per_second / other.steps_per_second
-
 
 def run_nanopowder(system: SystemPreset, nodes: int, implementation: str,
                    config: Optional[NanoConfig] = None,

@@ -16,8 +16,8 @@ from repro.launcher import ClusterApp, RankContext
 from repro.sim import EngineError, Environment, try_vectorized
 from repro.systems.presets import SystemPreset
 
-__all__ = ["BandwidthResult", "measure_bandwidth", "bandwidth_sweep",
-           "bandwidth_point", "bandwidth_specs"]
+__all__ = ["BandwidthResult", "measure_bandwidth", "bandwidth_point",
+           "bandwidth_specs"]
 
 #: message sizes of the Fig 8 sweep (64 KiB .. 64 MiB)
 DEFAULT_SIZES = [1 << s for s in range(16, 27)]
@@ -370,38 +370,3 @@ def bandwidth_specs(system: str,
             spec["engine"] = engine
     return specs
 
-
-def bandwidth_sweep(system: SystemPreset,
-                    sizes: Optional[list[int]] = None,
-                    pipeline_blocks: Optional[list[int]] = None,
-                    repeats: int = 4,
-                    jobs: Optional[int] = 1,
-                    cache=None,
-                    faults: Optional[dict] = None,
-                    ranks: int = 2,
-                    engine: str = "coroutine") -> list[BandwidthResult]:
-    """The full Fig 8 sweep for one system.
-
-    Curves: pinned, mapped, pipelined(B) for each block size, plus the
-    automatic selector.  ``jobs``/``cache`` fan the grid out over
-    worker processes and/or the result cache (see
-    :mod:`repro.harness.parallel`); results come back in grid order
-    either way.  Points that failed (crashed workers) are dropped from
-    the returned list — inspect the raw sweep for their error records.
-    """
-    from repro.harness.parallel import is_error_record, sweep
-
-    specs = bandwidth_specs(system.name, sizes=sizes,
-                            pipeline_blocks=pipeline_blocks,
-                            repeats=repeats, faults=faults,
-                            ranks=ranks, engine=engine)
-    rows = sweep(bandwidth_point, specs, jobs=jobs, cache=cache,
-                 kind="bandwidth")
-    return [BandwidthResult(system=d["system"], mode=d["mode"],
-                            block=d["block"], nbytes=d["nbytes"],
-                            repeats=d["repeats"], seconds=d["seconds"],
-                            fault_summary=d.get("faults"),
-                            report=d.get("report"),
-                            recovery=d.get("recovery"),
-                            ranks=d.get("ranks", 2))
-            for d in rows if not is_error_record(d)]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.sim import Environment, Resource
@@ -47,15 +47,18 @@ class Link:
     """A :class:`LinkSpec` bound to the simulator as a FIFO resource.
 
     ``channels`` > 1 models independent engines sharing the same spec
-    (e.g. the dual copy engines of a Fermi-class GPU).
+    (e.g. the dual copy engines of a Fermi-class GPU).  A link whose
+    owner prices every transfer itself takes just a name for ``spec``:
+    it has no :meth:`transfer`, only :meth:`occupy`.
     """
 
-    def __init__(self, env: Environment, spec: LinkSpec, channels: int = 1,
-                 lane: Optional[str] = None):
+    def __init__(self, env: Environment, spec: Union[LinkSpec, str],
+                 channels: int = 1, lane: Optional[str] = None):
         self.env = env
-        self.spec = spec
-        self.resource = Resource(env, capacity=channels, name=spec.name)
-        self.lane = lane or spec.name
+        self.spec = spec if isinstance(spec, LinkSpec) else None
+        self.name = spec if self.spec is None else spec.name
+        self.resource = Resource(env, capacity=channels, name=self.name)
+        self.lane = lane or self.name
 
     @property
     def busy(self) -> bool:
@@ -66,6 +69,9 @@ class Link:
                  derate: float = 1.0,
                  flow: int = 0) -> Generator[Any, Any, float]:
         """Coroutine: :meth:`occupy` a channel for ``spec.time(nbytes)``."""
+        if self.spec is None:
+            raise ConfigurationError(
+                f"{self.name}: its owner prices transfers; use occupy()")
         return self.occupy(self.spec.time(nbytes), nbytes, label, category,
                            derate, flow)
 
@@ -83,7 +89,7 @@ class Link:
         """
         probe = self.env.probe
         if probe is not None:
-            probe.on_link_queue(self.spec.name,
+            probe.on_link_queue(self.name,
                                 self.resource.queue_len + self.resource.count)
         grant = yield from self.resource.acquire()
         start = self.env.now

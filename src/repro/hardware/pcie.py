@@ -73,16 +73,10 @@ class PcieModel:
         self.node_id = node_id
         # the DMA links are priced by PcieSpec.dma_time (see _copy)
         if copy_engines == 2:
-            self._d2h = Link(env, LinkSpec(spec.copy_latency,
-                                           spec.pinned_bandwidth, "pcie.d2h"),
-                             lane=f"{lane}.d2h")
-            self._h2d = Link(env, LinkSpec(spec.copy_latency,
-                                           spec.pinned_bandwidth, "pcie.h2d"),
-                             lane=f"{lane}.h2d")
+            self._d2h = Link(env, "pcie.d2h", lane=f"{lane}.d2h")
+            self._h2d = Link(env, "pcie.h2d", lane=f"{lane}.h2d")
         elif copy_engines == 1:
-            shared = Link(env, LinkSpec(spec.copy_latency,
-                                        spec.pinned_bandwidth, "pcie.dma"),
-                          lane=f"{lane}.dma")
+            shared = Link(env, "pcie.dma", lane=f"{lane}.dma")
             self._d2h = shared
             self._h2d = shared
         else:

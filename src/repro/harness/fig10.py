@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import is_error_record, sweep
-from repro.harness.report import Table
+from repro.harness.report import Table, print_failed_points
 from repro.systems import get_system
 
 __all__ = ["run_fig10"]
@@ -49,7 +49,6 @@ def run_fig10(system: str = "ricc",
              for n in nodes for impl in IMPLS]
     results = sweep(nanopowder_point, specs, jobs=jobs, cache=cache,
                     kind="nanopowder")
-    errors = [r for r in results if is_error_record(r)]
     table = Table(
         f"Fig 10: nanopowder throughput on {preset.name} (steps/s)",
         ["nodes", "baseline", "clMPI", "clMPI gain", "clMPI speedup vs 1"])
@@ -73,11 +72,6 @@ def run_fig10(system: str = "ricc",
                   round(sc / base1, 2))
     if verbose:
         print(table.render())
-        if errors:
-            print(f"WARNING: partial figure — {len(errors)} of "
-                  f"{len(results)} points failed:")
-            for e in errors:
-                err, spec = e["sweep_error"], e["sweep_error"]["spec"]
-                print(f"  {spec['impl']} @ {spec['nodes']} nodes: "
-                      f"{err['type']}: {err['message']}")
+        print_failed_points(
+            results, lambda s: f"{s['impl']} @ {s['nodes']} nodes")
     return table

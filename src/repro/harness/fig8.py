@@ -14,7 +14,7 @@ from repro.apps.pingpong import bandwidth_point, bandwidth_specs
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import is_error_record, measured_sweep
 from repro.harness.report import (Table, merge_point_reports,
-                                  stats_footers)
+                                  print_failed_points, stats_footers)
 from repro.systems import get_system
 
 __all__ = ["run_fig8"]
@@ -69,7 +69,6 @@ def run_fig8(system: str = "cichlid",
     results = measured_sweep(bandwidth_point, specs, measure=measure,
                              jobs=jobs, cache=cache, kind="bandwidth",
                              telemetry=telemetry)
-    errors = [r for r in results if is_error_record(r)]
     recovered = [r for r in results
                  if not is_error_record(r) and r.get("recovery")]
     fault_totals: dict[str, int] = {}
@@ -116,13 +115,8 @@ def run_fig8(system: str = "cichlid",
                 shown.append(f"... ({len(recovered) - 8} more)")
             print(f"{len(recovered)} point(s) recovered via "
                   "Comm.shrink() after rank failure: " + ", ".join(shown))
-        if errors:
-            print(f"WARNING: partial figure — {len(errors)} of "
-                  f"{len(results)} points failed:")
-            for e in errors:
-                err, spec = e["sweep_error"], e["sweep_error"]["spec"]
-                print(f"  {spec['mode'] or 'auto'} @ {spec['nbytes']}B: "
-                      f"{err['type']}: {err['message']}")
+        print_failed_points(
+            results, lambda s: f"{s['mode'] or 'auto'} @ {s['nbytes']}B")
     if obs:
         merged = merge_point_reports(
             results, kind="bandwidth", path=report,

@@ -12,7 +12,7 @@ from typing import Optional
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import is_error_record, measured_sweep
 from repro.harness.report import (Table, merge_point_reports,
-                                  stats_footers)
+                                  print_failed_points, stats_footers)
 from repro.systems import get_system
 
 __all__ = ["run_fig9"]
@@ -116,7 +116,6 @@ def run_fig9(system: str = "cichlid",
     results = measured_sweep(himeno_point, specs, measure=measure,
                              jobs=jobs, cache=cache, kind="himeno",
                              telemetry=telemetry)
-    errors = [r for r in results if is_error_record(r)]
     sub = "a" if preset.name.lower() == "cichlid" else "b"
     table = Table(
         f"Fig 9({sub}): Himeno {size}-size sustained GFLOP/s on {preset.name}",
@@ -146,13 +145,8 @@ def run_fig9(system: str = "cichlid",
             table.add_footer(line)
     if verbose:
         print(table.render())
-        if errors:
-            print(f"WARNING: partial figure — {len(errors)} of "
-                  f"{len(results)} points failed:")
-            for e in errors:
-                err, spec = e["sweep_error"], e["sweep_error"]["spec"]
-                print(f"  {spec['impl']} @ {spec['nodes']} nodes: "
-                      f"{err['type']}: {err['message']}")
+        print_failed_points(
+            results, lambda s: f"{s['impl']} @ {s['nodes']} nodes")
     if obs:
         merged = merge_point_reports(
             results, kind="himeno", path=report,

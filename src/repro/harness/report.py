@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
+from repro.harness.parallel import is_error_record
+
 __all__ = ["Table", "format_table", "merge_point_reports",
-           "stats_footers"]
+           "print_failed_points", "stats_footers"]
 
 
 @dataclass
@@ -115,6 +117,19 @@ def merge_point_reports(rows: Iterable[dict], kind: str,
 
         print(json.dumps(merged.metrics, indent=2, sort_keys=True))
     return merged
+
+
+def print_failed_points(results: list, label_of) -> None:
+    """Warn that a figure is partial: count its failed sweep points and
+    list each one, named by ``label_of(spec)``, with its error."""
+    errors = [r["sweep_error"] for r in results if is_error_record(r)]
+    if not errors:
+        return
+    print(f"WARNING: partial figure — {len(errors)} of "
+          f"{len(results)} points failed:")
+    for err in errors:
+        print(f"  {label_of(err['spec'])}: {err['type']}: "
+              f"{err['message']}")
 
 
 def stats_footers(rows: Iterable[Any],

@@ -30,57 +30,56 @@ def build_parser() -> argparse.ArgumentParser:
                         "(usable without an experiment)")
     sub = p.add_subparsers(dest="experiment", required=True)
 
-    # Sweep-wide options shared by every experiment subcommand.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-j", "--jobs", type=int, default=1,
-                        help="sweep worker processes (0 = one per CPU; "
-                             "default 1 = serial)")
-    common.add_argument("--no-cache", action="store_true",
-                        help="recompute every point, bypassing "
-                             ".repro_cache/")
-    common.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the table as canonical JSON")
-    common.add_argument("--faults", metavar="PATH", default=None,
-                        help="JSON fault plan injected into every sweep "
-                             "point (see docs/faults.md); supported by "
-                             "fig8 and fig9")
-    common.add_argument("--fault-seed", type=int, default=None,
-                        help="override the plan's RNG seed (distinct "
-                             "seeds give distinct fault histories)")
-    common.add_argument("--report", metavar="PATH", default=None,
-                        help="write the run's merged RunReport (metrics "
-                             "snapshot, critical path, fault tallies — "
-                             "see docs/observability.md) as JSON; "
-                             "supported by fig8 and fig9")
-    common.add_argument("--metrics", action="store_true",
-                        help="print the merged metrics snapshot after "
-                             "the run; supported by fig8 and fig9")
-    common.add_argument("--trace-out", metavar="PATH", default=None,
-                        help="export a Chrome-tracing JSON with causal "
-                             "flow arrows (chrome://tracing / Perfetto); "
-                             "supported by fig4")
-    common.add_argument("--engine", default="coroutine",
-                        choices=["coroutine", "vectorized"],
-                        help="simulation engine for timing-only points: "
-                             "'vectorized' batches all ranks into NumPy "
-                             "lanes (byte-identical results, seconds at "
-                             "1k+ ranks); supported by fig8 and fig9")
-    common.add_argument("--reps", type=int, default=None, metavar="MAX",
-                        help="adaptive repetitions per point, up to MAX "
-                             "(Hunold & Carpen-Amarie); table footers "
-                             "and --report gain mean ± ci stats; "
-                             "supported by fig8 and fig9")
-    common.add_argument("--telemetry", metavar="PATH", default=None,
-                        help="append lifecycle spans for every sweep "
-                             "point to this JSONL log (same format as "
-                             "the service's telemetry.jsonl — see "
-                             "docs/observability.md); supported by "
-                             "fig8 and fig9")
+    # Options by capability.  Each experiment takes only the parents it
+    # implements, so argparse refuses every other option (exit 2).
+    sweep_opts = argparse.ArgumentParser(add_help=False)
+    sweep_opts.add_argument("-j", "--jobs", type=int, default=1,
+                            help="sweep worker processes (0 = one per "
+                                 "CPU; default 1 = serial)")
+    sweep_opts.add_argument("--no-cache", action="store_true",
+                            help="recompute every point, bypassing "
+                                 ".repro_cache/")
+    table_opts = argparse.ArgumentParser(add_help=False)
+    table_opts.add_argument("--json", metavar="PATH", default=None,
+                            help="also write the table as canonical JSON")
+    point_opts = argparse.ArgumentParser(add_help=False)
+    point_opts.add_argument("--faults", metavar="PATH", default=None,
+                            help="JSON fault plan injected into every "
+                                 "sweep point (see docs/faults.md)")
+    point_opts.add_argument("--fault-seed", type=int, default=None,
+                            help="override the plan's RNG seed (distinct "
+                                 "seeds give distinct fault histories)")
+    point_opts.add_argument("--report", metavar="PATH", default=None,
+                            help="write the run's merged RunReport "
+                                 "(metrics snapshot, critical path, fault "
+                                 "tallies — see docs/observability.md) "
+                                 "as JSON")
+    point_opts.add_argument("--metrics", action="store_true",
+                            help="print the merged metrics snapshot "
+                                 "after the run")
+    point_opts.add_argument("--engine", default="coroutine",
+                            choices=["coroutine", "vectorized"],
+                            help="simulation engine for timing-only "
+                                 "points: 'vectorized' batches all ranks "
+                                 "into NumPy lanes (byte-identical "
+                                 "results, seconds at 1k+ ranks)")
+    point_opts.add_argument("--reps", type=int, default=None,
+                            metavar="MAX",
+                            help="adaptive repetitions per point, up to "
+                                 "MAX (Hunold & Carpen-Amarie); table "
+                                 "footers and --report gain mean ± ci "
+                                 "stats")
+    point_opts.add_argument("--telemetry", metavar="PATH", default=None,
+                            help="append lifecycle spans for every sweep "
+                                 "point to this JSONL log (same format as "
+                                 "the service's telemetry.jsonl — see "
+                                 "docs/observability.md)")
+    instrumented = [sweep_opts, table_opts, point_opts]
 
-    sub.add_parser("table1", parents=[common],
+    sub.add_parser("table1", parents=[table_opts],
                    help="Table I: system specifications")
 
-    f8 = sub.add_parser("fig8", parents=[common],
+    f8 = sub.add_parser("fig8", parents=instrumented,
                         help="Fig 8: pt2pt sustained bandwidth")
     f8.add_argument("--system", default="cichlid",
                     choices=["cichlid", "ricc"])
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "concurrent pairs (mesoscale sweeps; pair with "
                          "--engine vectorized for 1k-10k ranks)")
 
-    f9 = sub.add_parser("fig9", parents=[common],
+    f9 = sub.add_parser("fig9", parents=instrumented,
                         help="Fig 9: Himeno benchmark")
     f9.add_argument("--system", default="cichlid",
                     choices=["cichlid", "ricc"])
@@ -104,27 +103,27 @@ def build_parser() -> argparse.ArgumentParser:
     f9.add_argument("--functional", action="store_true",
                     help="run the NumPy kernels for real (slower)")
 
-    f10 = sub.add_parser("fig10", parents=[common],
+    f10 = sub.add_parser("fig10", parents=[sweep_opts, table_opts],
                          help="Fig 10: nanopowder simulation")
     f10.add_argument("--nodes", type=_nodes_list, default=None)
     f10.add_argument("--steps", type=int, default=2)
     f10.add_argument("--functional", action="store_true")
 
-    f4 = sub.add_parser("fig4", parents=[common],
-                        help="Fig 4: overlap timelines")
+    f4 = sub.add_parser("fig4", help="Fig 4: overlap timelines")
     f4.add_argument("--system", default="cichlid",
                     choices=["cichlid", "ricc"])
-    f4.add_argument("--chrome-trace", metavar="PATH", default=None,
+    f4.add_argument("--trace-out", metavar="PATH", default=None,
                     help="also export panel (c)'s trace as a Chrome-"
-                         "tracing JSON (chrome://tracing / Perfetto)")
+                         "tracing JSON with causal flow arrows "
+                         "(chrome://tracing / Perfetto)")
 
-    tn = sub.add_parser("tune", parents=[common],
+    tn = sub.add_parser("tune", parents=[sweep_opts, table_opts],
                         help="empirically auto-tune the transfer "
                              "policy (§V.B extension)")
     tn.add_argument("--system", default="ricc",
                     choices=["cichlid", "ricc"])
 
-    sub.add_parser("all", parents=[common],
+    sub.add_parser("all", parents=[sweep_opts],
                    help="run every experiment at default settings")
 
     # -- sweep service (docs/service.md) ------------------------------------
@@ -276,18 +275,30 @@ def _print_telemetry_stats() -> None:
 
 def _load_faults(args) -> Optional[dict]:
     """Resolve --faults/--fault-seed into a JSON-able plan dict."""
-    path = getattr(args, "faults", None)
-    seed = getattr(args, "fault_seed", None)
-    if path is None:
-        if seed is not None:
+    if args.faults is None:
+        if args.fault_seed is not None:
             raise SystemExit("--fault-seed requires --faults PATH")
         return None
     from repro.faults import FaultPlan
 
-    plan = FaultPlan.load(path)
-    if seed is not None:
-        plan = plan.with_seed(seed)
+    plan = FaultPlan.load(args.faults)
+    if args.fault_seed is not None:
+        plan = plan.with_seed(args.fault_seed)
     return plan.to_dict()
+
+
+def _point_options(args) -> dict:
+    """fig8/fig9's point-instrumentation keywords from their options."""
+    faults = _load_faults(args)
+    telemetry = None
+    if args.telemetry:
+        from repro.obs.telemetry import Telemetry
+        telemetry = Telemetry(args.telemetry)
+    return {"faults": faults, "report": args.report,
+            "show_metrics": args.metrics, "engine": args.engine,
+            "measure": (None if args.reps is None
+                        else {"max_reps": args.reps}),
+            "telemetry": telemetry}
 
 
 def _write_json(table, path: Optional[str]) -> None:
@@ -407,87 +418,41 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.experiment in ("serve", "agent", "submit", "status", "top"):
         return _service_main(args)
-    jobs = getattr(args, "jobs", 1)
-    cache = None if getattr(args, "no_cache", False) else ResultCache()
-    json_path = getattr(args, "json", None)
-    if json_path and args.experiment in ("all", "fig4"):
-        print(f"warning: {args.experiment} does not support --json; "
-              "ignored", file=sys.stderr)
-        json_path = None
-    faults = _load_faults(args)
-    if faults is not None and args.experiment not in ("fig8", "fig9"):
-        print(f"warning: {args.experiment} does not support fault "
-              "injection; --faults ignored", file=sys.stderr)
-        faults = None
-    report = getattr(args, "report", None)
-    show_metrics = getattr(args, "metrics", False)
-    if (report or show_metrics) and args.experiment not in ("fig8", "fig9"):
-        print(f"warning: {args.experiment} does not support "
-              "--report/--metrics; ignored", file=sys.stderr)
-        report, show_metrics = None, False
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out and args.experiment != "fig4":
-        print(f"warning: {args.experiment} does not support --trace-out; "
-              "ignored", file=sys.stderr)
-        trace_out = None
-    engine = getattr(args, "engine", "coroutine")
-    if engine != "coroutine" and args.experiment not in ("fig8", "fig9"):
-        print(f"warning: {args.experiment} has no vectorized model; "
-              "--engine ignored", file=sys.stderr)
-        engine = "coroutine"
-    measure = None
-    if getattr(args, "reps", None) is not None:
-        if args.experiment in ("fig8", "fig9"):
-            measure = {"max_reps": args.reps}
-        else:
-            print(f"warning: {args.experiment} does not support --reps; "
-                  "ignored", file=sys.stderr)
-    telemetry = None
-    telemetry_path = getattr(args, "telemetry", None)
-    if telemetry_path:
-        if args.experiment in ("fig8", "fig9"):
-            from repro.obs.telemetry import Telemetry
-            telemetry = Telemetry(telemetry_path)
-        else:
-            print(f"warning: {args.experiment} does not support "
-                  "--telemetry; ignored", file=sys.stderr)
     if args.experiment == "table1":
-        _write_json(run_table1(), json_path)
-    elif args.experiment == "fig8":
-        _write_json(run_fig8(system=args.system, repeats=args.repeats,
-                             jobs=jobs, cache=cache, faults=faults,
-                             report=report, show_metrics=show_metrics,
-                             ranks=args.ranks, engine=engine,
-                             measure=measure, telemetry=telemetry),
-                    json_path)
-    elif args.experiment == "fig9":
-        dims = tuple(args.dims) if args.dims else None
-        if dims is not None and len(dims) != 3:
-            raise SystemExit("--dims needs exactly three values: MI,MJ,MK")
-        _write_json(run_fig9(system=args.system, nodes=args.nodes,
+        _write_json(run_table1(), args.json)
+        return 0
+    if args.experiment == "fig4":
+        panels = run_fig4(system=args.system)
+        if args.trace_out:
+            panels[-1].tracer.save_chrome_trace(args.trace_out)
+            print(f"\nChrome trace written to {args.trace_out}")
+        return 0
+    jobs = args.jobs
+    cache = None if args.no_cache else ResultCache()
+    if args.experiment in ("fig8", "fig9"):
+        point = _point_options(args)
+        if args.experiment == "fig8":
+            table = run_fig8(system=args.system, repeats=args.repeats,
+                             ranks=args.ranks, jobs=jobs, cache=cache,
+                             **point)
+        else:
+            dims = tuple(args.dims) if args.dims else None
+            if dims is not None and len(dims) != 3:
+                raise SystemExit("--dims needs exactly three values: "
+                                 "MI,MJ,MK")
+            table = run_fig9(system=args.system, nodes=args.nodes,
                              size=args.size, dims=dims,
                              iterations=args.iterations,
                              functional=args.functional,
-                             jobs=jobs, cache=cache, faults=faults,
-                             report=report, show_metrics=show_metrics,
-                             engine=engine, measure=measure,
-                             telemetry=telemetry),
-                    json_path)
+                             jobs=jobs, cache=cache, **point)
+        _write_json(table, args.json)
+        if point["telemetry"] is not None:
+            point["telemetry"].close()
+            print(f"telemetry spans written to {args.telemetry}")
     elif args.experiment == "fig10":
         _write_json(run_fig10(nodes=args.nodes, steps=args.steps,
                               functional=args.functional,
-                              jobs=jobs, cache=cache), json_path)
-    elif args.experiment == "fig4":
-        run_fig4(system=args.system)
-        trace_path = trace_out or args.chrome_trace
-        if trace_path:
-            from repro.apps.himeno import HimenoConfig, run_himeno
-            from repro.systems import get_system
-            res = run_himeno(get_system(args.system), 4, "clmpi",
-                             HimenoConfig(size="M", iterations=2),
-                             functional=False, trace=True)
-            res.tracer.save_chrome_trace(trace_path)
-            print(f"\nChrome trace written to {trace_path}")
+                              jobs=jobs, cache=cache), args.json)
     elif args.experiment == "tune":
         from repro.clmpi.autotune import tune_policy
         from repro.harness.report import Table
@@ -504,7 +469,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"small-message engine: {report.policy.small_mode}; "
               f"pipeline threshold: "
               f"{report.policy.pipeline_threshold / 2**20:.2f} MiB")
-        _write_json(table, json_path)
+        _write_json(table, args.json)
     elif args.experiment == "all":
         run_table1()
         run_fig8(system="cichlid", jobs=jobs, cache=cache)
@@ -513,9 +478,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         run_fig9(system="ricc", jobs=jobs, cache=cache)
         run_fig10(jobs=jobs, cache=cache)
         run_fig4()
-    if telemetry is not None:
-        telemetry.close()
-        print(f"telemetry spans written to {telemetry_path}")
     return 0
 
 

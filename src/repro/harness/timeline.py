@@ -11,7 +11,7 @@ statistics used by the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.apps.himeno import HimenoConfig, run_himeno
 from repro.sim.trace import Tracer
@@ -34,6 +34,8 @@ class TimelinePanel:
     net_time: float
     #: total GPU compute time
     compute_time: float
+    #: the panel's simulation trace (``fig4 --trace-out`` exports it)
+    tracer: Tracer = field(repr=False, compare=False)
 
     @property
     def overlap_fraction(self) -> float:
@@ -56,6 +58,7 @@ def _panel(label: str, system: str, nodes: int, impl: str,
         net_time=sum(tracer.busy_time(ln) for ln in tracer.lanes()
                      if ln.endswith(".nic.tx")),
         compute_time=tracer.busy_time("node0.gpu"),
+        tracer=tracer,
     )
 
 

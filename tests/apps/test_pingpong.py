@@ -4,10 +4,12 @@ import pytest
 
 from repro.apps.pingpong import (
     BandwidthResult,
-    bandwidth_sweep,
+    bandwidth_point,
+    bandwidth_specs,
     measure_bandwidth,
 )
 from repro.errors import ConfigurationError
+from repro.harness.parallel import sweep
 
 
 class TestMeasureBandwidth:
@@ -37,27 +39,35 @@ class TestMeasureBandwidth:
             measure_bandwidth(cichlid_preset, 100, repeats=0)
 
 
+def _fig8_rows(system, **grid):
+    """The Fig 8 grid's rows, run serially with no result store."""
+    return sweep(bandwidth_point, bandwidth_specs(system, **grid))
+
+
+def _bandwidth(row):
+    return row["nbytes"] * row["repeats"] / row["seconds"]
+
+
 class TestSweep:
-    def test_sweep_covers_all_modes(self, cichlid_preset):
-        results = bandwidth_sweep(cichlid_preset, sizes=[1 << 18, 4 << 20],
-                                  pipeline_blocks=[1 << 20], repeats=1)
-        modes = {r.mode for r in results}
+    def test_sweep_covers_all_modes(self):
+        rows = _fig8_rows("cichlid", sizes=[1 << 18, 4 << 20],
+                          pipeline_blocks=[1 << 20], repeats=1)
+        modes = {r["mode"] for r in rows}
         assert modes == {"pinned", "mapped", "pipelined", "auto"}
 
-    def test_pipeline_block_never_exceeds_message(self, ricc_preset):
-        results = bandwidth_sweep(ricc_preset, sizes=[1 << 18, 8 << 20],
-                                  pipeline_blocks=[1 << 20, 16 << 20],
-                                  repeats=1)
-        for r in results:
-            if r.mode == "pipelined":
-                assert r.block <= r.nbytes
+    def test_pipeline_block_never_exceeds_message(self):
+        rows = _fig8_rows("ricc", sizes=[1 << 18, 8 << 20],
+                          pipeline_blocks=[1 << 20, 16 << 20], repeats=1)
+        for r in rows:
+            if r["mode"] == "pipelined":
+                assert r["block"] <= r["nbytes"]
 
-    def test_auto_never_far_from_best(self, ricc_preset):
+    def test_auto_never_far_from_best(self):
         """§V.B: the selector's choice tracks the best engine closely."""
         for nbytes in (1 << 18, 16 << 20):
-            rs = bandwidth_sweep(ricc_preset, sizes=[nbytes],
-                                 pipeline_blocks=[1 << 20, 4 << 20],
-                                 repeats=2)
-            best = max(r.bandwidth for r in rs if r.mode != "auto")
-            auto = next(r.bandwidth for r in rs if r.mode == "auto")
+            rows = _fig8_rows("ricc", sizes=[nbytes],
+                              pipeline_blocks=[1 << 20, 4 << 20],
+                              repeats=2)
+            best = max(_bandwidth(r) for r in rows if r["mode"] != "auto")
+            auto = next(_bandwidth(r) for r in rows if r["mode"] == "auto")
             assert auto >= 0.9 * best

@@ -75,6 +75,21 @@ class TestLink:
         assert recs[0].category == "net"
         assert recs[0].meta["nbytes"] == 500
 
+    def test_owner_priced_link_has_only_occupy(self, env):
+        """A link named without a spec is priced by its owner:
+        :meth:`Link.occupy` works, :meth:`Link.transfer` is refused."""
+        link = Link(env, "dma", lane="node0.dma")
+        assert link.spec is None and link.name == "dma"
+        with pytest.raises(ConfigurationError, match="owner prices"):
+            link.transfer(1000)
+
+        def proc(env):
+            return (yield from link.occupy(2e-3, 1000))
+
+        p = env.process(proc(env))
+        env.run()
+        assert p.value == pytest.approx(2e-3)
+
     def test_busy_flag(self, env):
         link = Link(env, LinkSpec(0.0, 1e6))
         assert not link.busy

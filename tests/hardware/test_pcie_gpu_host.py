@@ -44,6 +44,16 @@ class TestPcieSpec:
 
 
 class TestPcieModel:
+    def test_dma_links_carry_no_unread_constants(self, env):
+        """The DMA links are named only: PcieSpec.dma_time prices every
+        copy, and PcieSpec itself still refuses a zero pinned rate."""
+        pcie = PcieModel(env, pcie_spec(), copy_engines=2)
+        assert (pcie._d2h.spec, pcie._d2h.name) == (None, "pcie.d2h")
+        assert (pcie._h2d.spec, pcie._h2d.name) == (None, "pcie.h2d")
+        assert pcie._mapped.spec.bandwidth == 1e9
+        with pytest.raises(ConfigurationError, match="pinned_bandwidth"):
+            PcieModel(env, pcie_spec(pinned_bandwidth=0.0))
+
     def test_pinned_d2h_time(self, env):
         pcie = PcieModel(env, pcie_spec())
 

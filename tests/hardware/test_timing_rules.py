@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.sim.vectorized import Timings
 from repro.systems import cichlid, custom, ricc
 
 PRESETS = {
@@ -65,3 +68,29 @@ def test_wire_rule_takes_a_per_message_bandwidth(system):
     scalar = [fabric.wire_time(n, float(bw)) for n, bw in zip(SIZES, bws)]
     assert array.tobytes() == np.asarray(scalar).tobytes()
 
+
+
+#: kernel costs spanning both sides of every generated roofline ridge
+_COST = st.floats(0.0, 1e13, allow_nan=False, allow_infinity=False)
+_COSTS = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=_COST),
+    arrays(np.float64, n, elements=_COST)))
+
+
+@seed(2013)
+@settings(max_examples=100, deadline=None)
+@given(gflops=st.floats(0.5, 5e3), costs=_COSTS)
+def test_kernel_duration_replays_kernel_time_bit_for_bit(gflops, costs):
+    """The one rule the mesoscale engine restates
+    (:meth:`Timings.kernel_duration`, elementwise) gives the bits of
+    :meth:`GpuSpec.kernel_time` on every generated GPU and cost."""
+    flops, mem = costs
+    preset = custom("gen", net_bandwidth=1e9, net_latency=1e-6,
+                    gpu_gflops=gflops, pinned_bandwidth=5e9,
+                    mapped_bandwidth=1e9)
+    gpu = preset.cluster.node.gpu
+    array = Timings(preset).kernel_duration(flops, mem)
+    scalar = [gpu.kernel_time(f, m)
+              for f, m in zip(flops.tolist(), mem.tolist())]
+    assert array.dtype == np.float64
+    assert array.tobytes() == np.asarray(scalar).tobytes()

@@ -1,4 +1,4 @@
-"""Remaining CLI paths: fig8, fig10, tune, chrome-trace export."""
+"""Remaining CLI paths: fig8, fig10, tune, Fig 4 trace export."""
 
 import json
 
@@ -28,9 +28,21 @@ class TestCliPaths:
         out = capsys.readouterr().out
         assert "Auto-tuned" in out and "pinned" in out
 
-    def test_fig4_chrome_trace(self, capsys, tmp_path):
+    def test_fig4_chrome_trace(self, capsys, tmp_path, monkeypatch):
+        """``--trace-out`` exports panel (c)'s trace from the three
+        panel runs instead of simulating the panel a fourth time."""
+        import repro.harness.timeline as timeline
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return run_himeno(*args, **kwargs)
+
+        run_himeno = timeline.run_himeno
+        monkeypatch.setattr(timeline, "run_himeno", counted)
         path = tmp_path / "t.json"
-        assert main(["fig4", "--chrome-trace", str(path)]) == 0
+        assert main(["fig4", "--trace-out", str(path)]) == 0
+        assert len(runs) == 3
         data = json.loads(path.read_text())
         assert data["traceEvents"]
         assert "Chrome trace written" in capsys.readouterr().out

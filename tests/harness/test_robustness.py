@@ -196,6 +196,42 @@ class TestPartialFigures:
         assert "partial figure" in out
         assert "mapped" not in table.columns
 
+    @pytest.mark.parametrize("fig,kwargs,sweep_name,label", [
+        ("fig8", dict(sizes=[1 << 20], pipeline_blocks=[1 << 18]),
+         "measured_sweep", "mapped @ 1048576B"),
+        ("fig9", dict(nodes=[1, 2]), "measured_sweep",
+         "clmpi @ 2 nodes"),
+        ("fig10", dict(nodes=[1, 2]), "sweep", "clmpi @ 2 nodes"),
+    ])
+    def test_one_failed_point_warning(self, fig, kwargs, sweep_name, label,
+                                      monkeypatch, capsys):
+        """The partial-figure warning, byte for byte, closes stdout."""
+        import importlib
+
+        module = importlib.import_module(f"repro.harness.{fig}")
+
+        def good(spec):
+            return {"system": spec.get("system"),
+                    "mode": spec.get("mode") or "auto",
+                    "block": spec.get("block"),
+                    "nbytes": spec.get("nbytes"),
+                    "repeats": spec.get("repeats"), "seconds": 1e-3,
+                    "gflops": 1.0, "comp_comm_ratio": 2.0,
+                    "steps_per_second": 1.0}
+
+        def fake_sweep(worker, specs, **kw):
+            return [error_record(s, RuntimeError("worker died"))
+                    if s.get("mode") == "mapped"
+                    or (s.get("impl") == "clmpi" and s.get("nodes") == 2)
+                    else good(s) for s in specs]
+
+        monkeypatch.setattr(module, sweep_name, fake_sweep)
+        getattr(module, f"run_{fig}")(verbose=True, **kwargs)
+        points = {"fig8": 4, "fig9": 6, "fig10": 4}[fig]
+        assert capsys.readouterr().out.endswith(
+            f"WARNING: partial figure — 1 of {points} points failed:\n"
+            f"  {label}: RuntimeError: worker died\n")
+
 
 # ---------------------------------------------------------------------------
 # CLI fault-plan plumbing
@@ -219,16 +255,6 @@ class TestFaultsCli:
         args = build_parser().parse_args(["fig8", "--fault-seed", "9"])
         with pytest.raises(SystemExit, match="requires"):
             _load_faults(args)
-
-    def test_unsupported_experiment_warns(self, tmp_path, capsys):
-        from repro.faults import FaultPlan
-        from repro.harness.runner import main
-
-        path = tmp_path / "plan.json"
-        path.write_text(FaultPlan.lossy(0.5).to_json())
-        rc = main(["table1", "--faults", str(path)])
-        assert rc == 0
-        assert "does not support fault injection" in capsys.readouterr().err
 
 
 class TestCrashRecoveringSweep:

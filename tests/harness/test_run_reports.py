@@ -3,9 +3,6 @@ ride-through, byte-identical determinism, and the CLI flags."""
 
 import json
 
-import pytest
-
-from repro.harness import runner
 from repro.harness.cache import ResultCache
 from repro.harness.fig8 import run_fig8
 from repro.harness.runner import main as harness_main
@@ -41,31 +38,6 @@ class TestFig8Reports:
         assert rc == 0
         out = capsys.readouterr().out
         assert '"counters"' in out and "net.messages" in out
-
-    def test_cli_report_unsupported_experiment_warns(self, tmp_path,
-                                                     capsys):
-        rc = harness_main(["table1", "--report",
-                           str(tmp_path / "r.json")])
-        assert rc == 0
-        assert "does not support" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("experiment", ["fig4", "all"])
-    def test_cli_json_unsupported_experiment_warns(self, experiment,
-                                                   tmp_path, capsys,
-                                                   monkeypatch):
-        """``all`` and ``fig4`` build no single table: ``--json`` (from
-        the shared parser) warns on stderr and writes no file."""
-        if experiment == "all":
-            # the flag handling is under test, not the figures
-            for name in ("run_table1", "run_fig8", "run_fig9",
-                         "run_fig10", "run_fig4"):
-                monkeypatch.setattr(runner, name, lambda *a, **k: None)
-        path = tmp_path / "out.json"
-        rc = harness_main([experiment, "--no-cache", "--json", str(path)])
-        assert rc == 0
-        assert (f"{experiment} does not support --json"
-                in capsys.readouterr().err)
-        assert not path.exists()
 
     def test_reports_ride_the_cache(self, tmp_path):
         cache = ResultCache(root=tmp_path / "c")
