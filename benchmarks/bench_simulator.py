@@ -4,7 +4,8 @@ Not paper results — these quantify what a sweep costs in *real* time, per
 the optimizing-code discipline: measure before trusting.  Exact guards
 beside them check that a detached run enters no observer, fault or
 schedule-policy code and leaves no hot-path object to the cycle
-collector, and that mesoscale points never call ``numpy.unique``.
+collector, that mesoscale points never call ``numpy.unique``, and that
+a barrier on periodic inputs runs its rounds on the period's lanes.
 """
 
 import gc
@@ -485,3 +486,48 @@ def test_mesoscale_fixed_port_rounds_run_on_lane_local_state():
     assert calls["pipelined-2048"] < 200 and calls["collective-1024"] < 400, \
         f"mesoscale fixed-port rounds entered repro.sim.vectorized " \
         f"{calls} times"
+
+
+def _periodic_barrier_profile(preset, P: int):
+    """Two barriers on a fresh P-rank engine whose inputs repeat: an
+    all-zero entry on cold ports (period 1), then the first barrier's
+    exits staggered by rank parity, like a pingpong's closing barrier
+    (period 2).  Returns how many calls they make into
+    :mod:`repro.sim.vectorized` and NumPy, and the lane count each one's
+    rounds ran on (what the period detector returned)."""
+    v = Environment(engine="vectorized").vector.bind(preset(max_nodes=P), P)
+    calls, lanes = 0, []
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        module = frame.f_globals.get("__name__", "")
+        if module == "repro.sim.vectorized" or module.startswith("numpy"):
+            if event == "call":
+                calls += 1
+            elif event == "return" and frame.f_code.co_name == "_period":
+                lanes.append(arg)
+
+    def run():
+        exits = v.barrier(np.zeros(P))
+        v.barrier(exits + np.tile([1e-5, 2e-5], P // 2))
+
+    _run_profiled(run, profile)
+    return calls, lanes
+
+
+def test_periodic_barrier_rounds_run_on_its_period():
+    """Exact per-round cost guard on the mesoscale barrier: on inputs
+    repeating every 1 or 2 lanes, the rounds run on those 1 or 2 lanes,
+    and no round enters a Python-level function — every check, rotation
+    and update is a ufunc, a slice or a C method.  So the two barriers
+    make the same number of calls into the engine module and NumPy at
+    256 and at 2048 ranks (8 and 11 rounds each), on both presets, and
+    at most 32.  Rotating by ``np.concatenate`` or checking with
+    ``x.any()`` adds calls per round; rounds run on all P lanes fail the
+    lane check."""
+    got = {(preset.__name__, P): _periodic_barrier_profile(preset, P)
+           for preset in (cichlid, ricc) for P in (256, 2048)}
+    for (name, P), (calls, lanes) in got.items():
+        assert lanes == [1, 2], f"{name} {P}-rank barriers ran on {lanes} lanes"
+        assert calls == got[name, 256][0] and calls <= 32, \
+            f"periodic barriers made {got} calls into the engine and NumPy"

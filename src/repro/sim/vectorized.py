@@ -30,6 +30,14 @@ The primitives here encode those chains once:
   binomial broadcasts served one tree level at a time on strided views
   of the port arrays.
 
+A barrier's rounds run on the period of its inputs: when the entry
+times and the NIC port arrays repeat every ``d`` lanes (bit for bit),
+every round is the same on each block of ``d`` lanes, so it is served
+on ``d`` lanes and copied out once at the end; a rotation is a view of
+a doubled scratch row rather than a rotated copy.  A reduce's tree
+levels (parents, child matrix, sort offsets) are built once per bound
+engine.
+
 Where a call's port pairing is fixed, it is checked once rather than per
 round: a pipelined clMPI transfer gathers its lanes' port state once,
 replays every block on those lane-local arrays and scatters once, and a
@@ -50,6 +58,7 @@ and tracing — all of these need the per-event coroutine substrate.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional
 
 import numpy as np
@@ -62,6 +71,36 @@ _NEG_INF = float("-inf")
 _NIC_PORT_TWICE = ("vectorized wire batch uses a NIC port twice; ports are "
                    "held until arrival, so callers must split such batches "
                    "into sequential rounds")
+
+
+def _period(rows) -> int:
+    """The smallest ``d`` dividing the lane count P such that every row
+    repeats every ``d`` lanes — P itself when no smaller one does.
+
+    A row has period ``d`` when it is its first ``d`` lanes repeated
+    ``P/d`` times.  The rows are compared as bytes, that is as bit
+    patterns, so ``-0.0`` never stands in for ``0.0`` nor a NaN for
+    another; lane ``d`` is matched against lane 0 first, which rules
+    out most candidates on a handful of bytes.
+    """
+    P = rows[0].size
+    raw = [x.tobytes() for x in rows]
+    small = [d for d in range(1, isqrt(P) + 1) if P % d == 0]
+    for d in small + [P // d for d in reversed(small) if 1 < d < P // d]:
+        n = 8 * d
+        for b in raw:
+            if b[n:n + 8] != b[:8] or b != b[:n] * (P // d):
+                break
+        else:
+            return d
+    return P
+
+
+def _spread(d, full, rows) -> None:
+    """Write each of ``rows`` (``d`` lanes) into every block of ``d``
+    lanes of the matching row of ``full``."""
+    for x, row in zip(full, rows):
+        x.reshape(-1, d)[:] = row
 
 
 def _lanes(x, shape):
@@ -268,6 +307,8 @@ class VectorEngine:
         t = Timings(preset)
         self.t = t
         self.nodes = num_nodes
+        #: reduce tree levels by ``(P, mask)``, built once (_tree_level)
+        self._levels = {}
         self.tx = FifoPorts(num_nodes, "nic-tx")
         self.rx = FifoPorts(num_nodes, "nic-rx")
         self.gpu = FifoPorts(num_nodes, "gpu-compute")
@@ -570,14 +611,26 @@ class VectorEngine:
 
         Rank ``r`` runs on node ``r``, one rank per bound node.  In the
         round of distance ``k`` rank ``r`` sendrecvs one eager byte to
-        ``r + k`` (mod P), so the round is a rotation of the whole port
+        ``r + k`` (mod P), so the round is a rotation of the port
         arrays: the tx side is served in rank order, the rx side sees the
-        tx grants rotated by ``k`` (node ``d`` hears from ``d - k``), and
+        tx grants rotated by ``k`` (node ``i`` hears from ``i - k``), and
         the arrivals rotate back to complete the sends.  Each float
         operation is the one :meth:`transfer` and :meth:`wire` apply to
         the same message, in the same order; a rotation with ``k < P``
         uses every port once and none as loopback, so their batch checks
         have nothing to find.
+
+        The rounds run on the inputs' period.  When the entry times and
+        the four NIC port arrays all repeat every ``d`` lanes
+        (:func:`_period`; ``d = P`` when they do not), a rotation by
+        ``k`` maps lane class ``r`` to ``(r - k) mod d``, so lanes ``r``
+        and ``r + d`` see the same operands in every round.  One round
+        body therefore serves the first ``d`` lanes of each array,
+        rotating by ``k % d``, and :func:`_spread` writes them into every
+        block of ``d`` lanes at the end — or before a FIFO refusal is
+        raised, so the port arrays end as the full rounds leave them.
+        With ``d = P`` these are exactly the full rounds.  A rotation is
+        a view into a doubled scratch row, not a rotated copy.
         """
         tt = self._need_bind()
         t = np.array(t, dtype=np.float64, copy=True)
@@ -591,37 +644,74 @@ class VectorEngine:
         nb = 1.0
         if nb > tt.eager_threshold:
             raise EngineError("barrier replays the eager exchange only")
-        stage = tt.cluster.eager_stage_time(nb)   # eager host staging copy
-        copy = tt.host.memcpy_time(nb)            # unexpected-message copy
-        hold = tt.fabric.wire_time(nb, tt.nic_bw)
+        # 0-d arrays, which a ufunc takes without converting each call:
+        # host overheads, eager staging, unexpected-message copy, wire
+        co, so, stage, copy, hold = [np.array(x) for x in (
+            tt.co, tt.so, tt.cluster.eager_stage_time(nb),
+            tt.host.memcpy_time(nb), tt.fabric.wire_time(nb, tt.nic_bw))]
         tx, rx = self.tx, self.rx
+        full = (t, tx.last_req, rx.last_req, tx.free, rx.free)
+        d = _period(full)
+        # the first d lanes of each row, side by side, so that both
+        # ports' last requests are checked and booked in one op each
+        rows = np.array([x[:d] for x in full])
+        t, tx_last, rx_last, tx_free, rx_free = rows
+        last = rows[1:3].reshape(-1)           # tx_last | rx_last
+        reqs = np.empty(2 * d)                 # t2 | req, the same way
+        t2, req = reqs[:d], reqs[d:]
+        # doubled rows: with x in the back half and its copy in front,
+        # lane i of x2[d - s:2d - s] reads lane i - s of x; with x in
+        # front and its copy behind, lane i of x2[s:s + d] reads lane
+        # i + s.  At s = 0 both views are x itself and nothing is copied.
+        ts1_2, txg_2, a_2 = np.empty((3, 2 * d))
+        ts1, txg, a = ts1_2[d:], txg_2[d:], a_2[:d]
+        tr1, seen, recv_c = np.empty((3, d))
+        # per-lane flags; x[x.argmax()] is any(x) without a reduction
+        late = np.empty(2 * d, dtype=bool)     # FIFO order: tx, then rx
+        buffered = np.empty(d, dtype=bool)
         k = 1
         while k < P:
-            ts1 = t + tt.co             # sendrecv: isend first
-            tr1 = ts1 + tt.co           # then irecv, one api_call later
-            t2 = ts1 + stage
-            if (t2 <= tx.last_req).any():
-                tx._refuse_late()
-            txg = np.maximum(t2, tx.free)
-            np.maximum(tx.last_req, t2, out=tx.last_req)
-            # node d serves rank d - k's message: rotated by slice copies
-            req = np.concatenate((txg[P - k:], txg[:P - k]))
-            if (req <= rx.last_req).any():
-                rx._refuse_late()
-            a = np.maximum(req, rx.free) + hold
-            np.maximum(rx.last_req, req, out=rx.last_req)
+            s = k % d
+            np.add(t, co, out=ts1)      # sendrecv: isend first
+            np.add(ts1, co, out=tr1)    # then irecv, one api_call later
+            np.add(ts1, stage, out=t2)
+            if s:   # node i serves rank i - k's message
+                ts1_2[:d] = ts1
+                np.maximum(t2, tx_free, out=txg)
+                txg_2[:d] = txg
+                req[:] = txg_2[d - s:2 * d - s]
+            else:
+                np.maximum(t2, tx_free, out=req)
+            np.less_equal(reqs, last, out=late)
+            first = late.argmax()
+            if late[first]:
+                if first >= d:                 # the tx side was served
+                    np.maximum(tx_last, t2, out=tx_last)
+                _spread(d, full, rows)
+                (tx if first < d else rx)._refuse_late()
+            np.maximum(last, reqs, out=last)
+            np.maximum(req, rx_free, out=a)
+            np.add(a, hold, out=a)
+            if s:
+                a_2[d:] = a
             # both ports stay held until the arrival releases them
-            np.maximum(rx.free, a, out=rx.free)
-            send_c = np.concatenate((a[k:], a[:k]))  # arrival at r + k
-            np.maximum(tx.free, send_c, out=tx.free)
-            sent = np.concatenate((ts1[P - k:], ts1[:P - k]))  # d - k's
-            buffered = (sent < tr1) & (a < tr1)
-            recv_c = np.where(buffered, tr1 + copy, a)
+            np.maximum(rx_free, a, out=rx_free)
+            send_c = a_2[s:s + d]            # arrival at rank i + k
+            np.maximum(tx_free, send_c, out=tx_free)
             # _blocking_wait drains recv then send; the resume time is
-            # the max of both completions, plus one sync wake-up
-            t = np.maximum(recv_c, send_c) + tt.so
+            # the max of both completions, plus one sync wake-up.  Rank
+            # i - k's message is buffered when its isend and its arrival
+            # both precede rank i's irecv; it completes on the copy.
+            np.maximum(ts1_2[d - s:2 * d - s], a, out=seen)
+            np.less(seen, tr1, out=buffered)
+            np.maximum(a, send_c, out=t)
+            if buffered[buffered.argmax()]:
+                np.add(tr1, copy, out=recv_c)
+                np.maximum(recv_c, send_c, out=t, where=buffered)
+            np.add(t, so, out=t)
             k *= 2
-        return t
+        _spread(d, full, rows)
+        return full[0]
 
     def eager_wire_single(self, src: int, dst: int, ts1: float,
                           nbytes: float = 8.0):
@@ -673,6 +763,10 @@ class VectorEngine:
         P = t.size
         if P == 1:
             return t
+        if P > self.nodes:
+            raise EngineError(
+                f"reduce over {P} lanes on {self.nodes} bound nodes; the "
+                "tree needs one rank per node")
         if nbytes > tt.eager_threshold:
             raise EngineError("reduce_small replays the eager tree only")
         nb = float(nbytes)
@@ -689,11 +783,10 @@ class VectorEngine:
         tx = self.tx
         mask = 1
         while mask < P:
-            senders = np.arange(mask, P, 2 * mask)
             # a sender's own receive chain (its subtree) is complete
             # before it sends — drain it now, then post the isends
-            self._drain_level(senders, mask, t, ts1, txg, arr, live, hold,
-                              copy)
+            senders = self._drain_level(mask, t, ts1, txg, arr, live, hold,
+                                        copy)
             s = senders[live[senders]]
             if s.size:
                 ts1[s] = t[s] + tt.co
@@ -706,43 +799,65 @@ class VectorEngine:
                 txg[s] = np.maximum(t2, tx.free[s])
                 tx.last_req[s] = np.maximum(last, t2)
             mask <<= 1
-        self._drain_level(np.zeros(1, dtype=np.intp), mask, t, ts1, txg,
-                          arr, live, hold, copy)
+        self._drain_level(mask, t, ts1, txg, arr, live, hold, copy)
         # senders: blocked wait on the send completion (= eager wire
         # arrival), plus one sync wake-up; they do nothing afterwards
         t[1:] = arr[1:] + tt.so
         return t
 
-    def _drain_level(self, par, mask: int, t, ts1, txg, arr, live,
-                     hold: float, copy: float) -> None:
-        """Serve the incoming reduce messages of the parents ``par``.
+    def _tree_level(self, P: int, mask: int):
+        """The reduce tree level ``mask`` on P ranks, built once per
+        ``(P, mask)`` on the bound engine.
+
+        Returns ``(par, kids, has, last)``: the parents — the ranks whose
+        lowest set bit is ``mask``, or rank 0 alone once ``mask >= P``;
+        their child matrix, row ``p`` holding ``p + 2**j`` in column
+        ``j`` for ``2**j < mask``, with ``has`` marking the children
+        below P (the others read as rank 0); and the flat index of each
+        row's last entry.
+        """
+        level = self._levels.get((P, mask))
+        if level is None:
+            par = np.arange(mask, P, 2 * mask) if mask < P \
+                else np.zeros(1, dtype=np.intp)
+            J = mask.bit_length() - 1
+            kids = par[:, None] + (1 << np.arange(J))
+            has = kids < P
+            kids[~has] = 0                     # any valid index; masked
+            last = (np.arange(par.size) * J + (J - 1))[:, None]
+            level = self._levels[(P, mask)] = (par, kids, has, last)
+        return level
+
+    def _drain_level(self, mask: int, t, ts1, txg, arr, live,
+                     hold: float, copy: float):
+        """Serve the incoming reduce messages of level ``mask``'s
+        parents; returns the parents.
 
         Parent ``p``'s children are ``p + 2**j`` for ``2**j < mask``
-        (those below P), one column ``j`` of the child matrix each.  No
-        two parents share a child or a port, so every step is one array
-        operation over the level.  A receive port is FIFO in tx-grant
-        order; equal-time requests (symmetric subtrees finishing
-        together) are served in *descending* child-rank order —
-        calibrated against the coroutine heap's sequence resolution and
-        held to it by the cross-engine equivalence suite.  The parents'
+        (those below P), one column ``j`` of the child matrix each (see
+        :meth:`_tree_level`).  No two parents share a child or a port,
+        so every step is one array operation over the level.  A receive
+        port is FIFO in tx-grant order; equal-time requests (symmetric
+        subtrees finishing together) are served in *descending*
+        child-rank order — calibrated against the coroutine heap's
+        sequence resolution and held to it by the cross-engine
+        equivalence suite.  Columns ascend in child rank, so a stable
+        sort of each row read backwards gives that order.  The parents'
         blocking receives then complete in mask order.  Children not
         ``live`` (in ``pre``) already went through the wire; their
         arrivals are used as-is.
         """
         tt, rx = self.t, self.rx
-        J = mask.bit_length() - 1
+        par, kids, has, last = self._tree_level(t.size, mask)
+        J = kids.shape[1]
         if J == 0:
-            return
-        P = t.size
-        kids = par[:, None] + (1 << np.arange(J))
-        has = kids < P
-        kids[~has] = 0                         # any valid index; masked
+            return par
         todo = has & live[kids]
         req = np.where(todo, txg[kids], np.inf)
         # each row in service order: tx grant, then descending child
-        order = np.lexsort((-kids, req), axis=-1)
-        req = np.take_along_axis(req, order, 1)
-        served = np.take_along_axis(todo, order, 1)
+        flat = last - req[:, ::-1].argsort(axis=1, kind="stable")
+        req = req.ravel()[flat]
+        served = todo.ravel()[flat]
         before = rx.last_req[par]                # pre-reduce traffic
         if (req <= before[:, None]).any():
             raise EngineError(
@@ -754,7 +869,7 @@ class VectorEngine:
         for j in range(J):
             a[:, j] = np.maximum(req[:, j], free) + hold
             free = np.where(served[:, j], a[:, j], free)
-        c = np.take_along_axis(kids, order, 1)[served]
+        c = kids.ravel()[flat][served]
         a = a[served]
         arr[c] = a
         tx_free = self.tx.free[c]               # port held until arrival
@@ -771,6 +886,7 @@ class VectorEngine:
             recv_c = np.where(buffered, tr1 + copy, a)
             tp = np.where(has[:, j], recv_c + tt.so, tp)
         t[par] = tp
+        return par
 
     def bcast_small(self, t, nbytes=8.0):
         """Binomial-tree broadcast from rank 0 (eager payloads only).

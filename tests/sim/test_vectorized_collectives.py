@@ -12,21 +12,25 @@ pre-warmed ports and raced-ahead reduce senders, both must return the
 same times, leave the same port state and refuse with the same message,
 bit for bit.  Earlier traffic is drawn to tie with the collective's
 own requests, so the FIFO refusals fire on equal times as well as on
-earlier ones.  The refusal pins at the end hold for both replays,
-except the barrier's lane-count and eager-threshold refusals, which
-only the rotation rounds make.
+earlier ones.  A second barrier property draws entry times and port
+arrays that repeat every 1, 2 or 4 lanes, plus near misses one bit off
+the period, for the rounds that run on the inputs' period.  The refusal
+pins at the end hold for both replays, except the barrier's lane-count
+and eager-threshold refusals, which only the rotation rounds make, and
+the reduce's lane-count refusal.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from repro.apps.collective_load import collective_load
-from repro.sim import EngineError, Environment
+from repro.sim import EngineError, Environment, vectorized
 from repro.systems import get_system
 
 LATE = ("vectorized {} service out of FIFO order: a request is not "
@@ -330,6 +334,83 @@ def test_bcast_matches_per_level_replay(data):
         t = a
 
 
+# -- property: barrier rounds on the inputs' period == per-message replay ----
+
+def _periodic(data, d, P, label, cold):
+    """A P-lane row repeating every ``d`` lanes: ``cold`` (the value of
+    an unused port) or drawn from a grid reaching past the entry
+    times, so warm ports are often still busy when a round asks."""
+    if data.draw(st.booleans(), label=f"{label}_cold"):
+        return np.full(P, cold)
+    block = data.draw(st.lists(st.integers(0, 48), min_size=d,
+                               max_size=d), label=label)
+    return np.tile(np.array(block) * 1e-6, P // d)
+
+
+def _near_miss(data, rows, P):
+    """Break the period in one lane of one row by a single bit: one ulp
+    up or down, or ``0.0`` turned into ``-0.0`` (equal as floats, not
+    as bits)."""
+    kind = data.draw(st.sampled_from(["none", "ulp", "-0.0"]), label="miss")
+    if kind == "none":
+        return
+    row = rows[data.draw(st.integers(0, len(rows) - 1), label="miss_row")]
+    lane = data.draw(st.integers(0, P - 1), label="miss_lane")
+    if kind == "ulp":
+        row[lane] = np.nextafter(row[lane], data.draw(
+            st.sampled_from([np.inf, -np.inf]), label="miss_dir"))
+    else:
+        row[:] = 0.0
+        row[lane] = -0.0
+
+
+def _rounds_on_all_lanes(v, t):
+    """The same barrier with its period detector off (every round on
+    all P lanes)."""
+    with mock.patch.object(vectorized, "_period",
+                           lambda rows: rows[0].size):
+        return v.barrier(t)
+
+
+@seed(2013)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_periodic_barrier_matches_per_message_replay(data):
+    """Entry times and port arrays repeating with period 1, 2 or 4
+    (ports cold or warmed in the same pattern), and near misses that
+    break the period in a single bit: the rounds run on the period's
+    lanes only when every bit repeats, and match the per-message replay
+    either way.  A refusal raises the replay's message and leaves the
+    port arrays as the rounds on all lanes do (the replay's ``wire``
+    also books the tx grant before a rx refusal; the rotation rounds
+    book it with the arrival)."""
+    d = data.draw(st.sampled_from([1, 2, 4]), label="period")
+    P = d * data.draw(st.integers(2 if d == 1 else 1, 24), label="blocks")
+    system = data.draw(st.sampled_from(["cichlid", "ricc"]), label="system")
+    engines = [_engine(system, P) for _ in range(3)]
+    t = 16e-6 + _periodic(data, d, P, "entry", 0.0)
+    ports = [_periodic(data, d, P, name, cold)
+             for name, cold in (("tx_free", 0.0), ("tx_last", -np.inf),
+                                ("rx_free", 0.0), ("rx_last", -np.inf))]
+    _near_miss(data, [t] + ports, P)
+    for v in engines:
+        v.tx.free[:], v.tx.last_req[:], v.rx.free[:], v.rx.last_req[:] = \
+            ports
+    new, ref, flat = engines
+    for _ in range(data.draw(st.integers(1, 2), label="ops")):
+        a = _outcome(lambda: new.barrier(t))
+        b = _outcome(lambda: _ref_barrier(ref, t))
+        if isinstance(a, str) or isinstance(b, str):
+            assert a == b
+            assert _outcome(lambda: _rounds_on_all_lanes(flat, t)) == a
+            assert _ports(new) == _ports(flat)
+            return
+        assert a.tobytes() == b.tobytes()
+        assert _ports(new) == _ports(ref)
+        assert _rounds_on_all_lanes(flat, t).tobytes() == a.tobytes()
+        t = a
+
+
 # -- refusal pins (the same messages from both replays) ---------------------
 
 def test_reduce_over_the_eager_threshold_is_refused():
@@ -395,3 +476,15 @@ def test_barrier_over_an_eager_threshold_below_one_byte_is_refused():
     with pytest.raises(EngineError) as exc:
         v.barrier(np.zeros(4))
     assert str(exc.value) == "barrier replays the eager exchange only"
+
+
+@pytest.mark.parametrize("collective", ["reduce_small", "allreduce_small"])
+def test_reduce_needs_one_rank_per_bound_node(collective):
+    """More lanes than bound nodes is refused with :class:`EngineError`
+    (which the apps' fallback and strict mode handle), not an
+    ``IndexError`` from the port arrays."""
+    v = _engine("ricc", 4)
+    with pytest.raises(EngineError) as exc:
+        getattr(v, collective)(np.zeros(6))
+    assert str(exc.value) == ("reduce over 6 lanes on 4 bound nodes; the "
+                              "tree needs one rank per node")
