@@ -99,9 +99,7 @@ def collective_load_point(spec: dict) -> dict:
     from repro.systems import get_system
 
     ranks = spec["ranks"]
-    system = get_system(spec["system"])
-    if ranks > system.cluster.max_nodes:
-        system = get_system(spec["system"], max_nodes=ranks)
+    system = get_system(spec["system"], min_nodes=ranks)
     return collective_load(system, ranks,
                            rounds=spec.get("rounds", 8),
                            jitter=spec.get("jitter", DEFAULT_JITTER),

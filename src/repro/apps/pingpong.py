@@ -295,11 +295,8 @@ def bandwidth_point(spec: dict) -> dict:
     from repro.systems import get_system
 
     ranks = spec.get("ranks", 2)
-    system = get_system(spec["system"])
-    if ranks > system.cluster.max_nodes:
-        # mesoscale points run the testbed past its physical size;
-        # max_nodes only gates construction, it never shapes timing
-        system = get_system(spec["system"], max_nodes=ranks)
+    # mesoscale points run the testbed past its physical size
+    system = get_system(spec["system"], min_nodes=ranks)
     r = measure_bandwidth(system, spec["nbytes"],
                           spec["mode"], block=spec.get("block"),
                           repeats=spec.get("repeats", 4),

@@ -35,11 +35,8 @@ def himeno_point(spec: dict) -> dict:
     cfg = HimenoConfig(size=spec["size"],
                        dims=tuple(dims) if dims else None,
                        iterations=spec["iterations"])
-    system = get_system(spec["system"])
-    if spec["nodes"] > system.cluster.max_nodes:
-        # mesoscale points run the testbed past its physical size;
-        # max_nodes only gates construction, it never shapes timing
-        system = get_system(spec["system"], max_nodes=spec["nodes"])
+    # mesoscale points run the testbed past its physical size
+    system = get_system(spec["system"], min_nodes=spec["nodes"])
     res = run_himeno(system, spec["nodes"],
                      spec["impl"], cfg,
                      functional=spec.get("functional", False),

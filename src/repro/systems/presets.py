@@ -24,7 +24,7 @@ Provenance notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
@@ -225,18 +225,26 @@ SYSTEMS: dict[str, Callable[[], SystemPreset]] = {
 }
 
 
-def get_system(name: str, max_nodes: Optional[int] = None) -> SystemPreset:
+def get_system(name: str, max_nodes: Optional[int] = None,
+               min_nodes: Optional[int] = None) -> SystemPreset:
     """Look up a preset by (case-insensitive) name.
 
     ``max_nodes`` overrides the preset's default node count — the
     mesoscale (vectorized-engine) sweeps run the paper's testbeds well
     past their physical size (1k–10k ranks), which the timing model
     supports: the fabric is a full-bisection star, so scaling the node
-    count changes nothing but the number of lanes.
+    count changes nothing but the number of lanes.  ``min_nodes`` grows
+    the node count only where it is short, so a sweep point builds its
+    preset once whatever its size.
     """
     try:
         factory = SYSTEMS[name.lower()]
     except KeyError:
         raise ConfigurationError(
             f"unknown system {name!r}; choose from {sorted(SYSTEMS)}") from None
-    return factory() if max_nodes is None else factory(max_nodes=max_nodes)
+    preset = factory() if max_nodes is None else factory(max_nodes=max_nodes)
+    if min_nodes is not None and min_nodes > preset.cluster.max_nodes:
+        # max_nodes only gates construction, it never shapes timing
+        preset = replace(preset, cluster=replace(preset.cluster,
+                                                 max_nodes=min_nodes))
+    return preset

@@ -392,6 +392,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "done" in out and "store entries" in out
 
+    def test_cache_stats_and_stats_op_report_the_same_totals(
+            self, tmp_path, service, client, monkeypatch, capsys):
+        """Daemon jobs and a CLI sweep count into one store: the CLI's
+        ``--cache-stats`` and the daemon's ``stats`` op then read the
+        same lifetime totals, whichever of them folds the log."""
+        from repro.harness.runner import main as harness_main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(service.root / "store"))
+        monkeypatch.setenv("REPRO_SERVICE_ROOT", str(tmp_path / "none"))
+        opts = {"worker": "tests.harness.test_service:slow_point"}
+        specs = [{"i": 4}, {"i": 5}]
+        for _ in range(2):  # two misses, then two hits
+            client.wait(client.submit("slow", specs, opts)["job"],
+                        timeout_s=60)
+        assert harness_main(["fig10", "--nodes", "1", "--steps", "1"]) == 0
+        capsys.readouterr()
+        assert harness_main(["--cache-stats"]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            name, _, value = line.partition(":")
+            if name in ("hits", "misses"):
+                printed[name] = int(value)
+        store = client.stats()["store"]
+        assert printed == {"hits": 2, "misses": 4}
+        assert {name: store[name] for name in printed} == printed
+        assert store["entries"] == 4
+
     def test_specs_must_be_a_list(self, tmp_path, service):
         from repro.harness.runner import main as harness_main
 

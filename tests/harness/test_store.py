@@ -3,12 +3,12 @@
 The one result store backs the CLI sweeps and the sweep service alike:
 many daemons and CLI runs may read and write one directory tree at
 once.  These tests pin the guarantees that make that safe — a reader
-only ever observes complete entries (writes are atomic renames),
-eviction never removes an entry someone is mid-write on (advisory lock
-probe), the corrupt-entry recovery path cannot destroy a concurrent
-writer's fresh data (quarantine-rename + inode identity), the
-persisted counters lose no update under concurrent threads, and a
-process forked while a lock is held does not keep it.
+only ever observes complete entries (writes publish atomically),
+eviction never removes an entry whose advisory lock someone holds, the
+corrupt-entry recovery path cannot destroy a concurrent writer's fresh
+data (quarantine-rename + inode identity), the persisted counters lose
+no update under concurrent threads and processes racing a fold of the
+stats log, and a process forked while a lock is held does not keep it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness import cache as cache_mod
 from repro.harness.cache import ResultCache
 
 SPEC = {"system": "cichlid", "nbytes": 65536}
@@ -162,9 +163,9 @@ class TestLruEviction:
 
 class TestPersistedStats:
     def test_concurrent_lookups_lose_no_update(self, tmp_path):
-        """Two threads doing 300 lookups each persist exactly 600: the
-        read-modify-write of stats.json runs under its lock file, with
-        a temp name unique to each thread."""
+        """Two threads doing 300 lookups each persist exactly 600: each
+        lookup appends its delta to stats.log under the shared lock, and
+        reading the counters folds the log under the exclusive one."""
         store = ResultCache(root=tmp_path, version="v1")
         store.put("bw", SPEC, RESULT)
         barrier = threading.Barrier(2)
@@ -216,6 +217,97 @@ class TestPersistedStats:
         finally:
             os.close(release_w)
             os.waitpid(pid, 0)
+
+
+def _child_lookups(root, n, barrier):
+    """Child-process body: ``n`` hits and ``n`` misses."""
+    store = ResultCache(root=Path(root), version="v1")
+    barrier.wait()
+    for _ in range(n):
+        store.get("bw", SPEC)
+        store.get("bw", {"missing": True})
+
+
+class TestStatsLog:
+    def test_torn_last_line_is_ignored(self, tmp_path):
+        """A writer that died mid-append leaves a torn last line: it is
+        skipped, and the next append still counts."""
+        store = ResultCache(root=tmp_path, version="v1")
+        store.put("bw", SPEC, RESULT)
+        store.get("bw", SPEC)
+        store.get("bw", {"missing": True})
+        with open(tmp_path / "stats.log", "ab") as log:
+            log.write(b'\n{"hits":5')  # torn: no closing brace
+        assert store.read_stats()["hits"] == 1
+        with open(tmp_path / "stats.log", "ab") as log:
+            log.write(b'\n{"hits":5')
+        store.get("bw", SPEC)
+        stats = store.read_stats()
+        assert (stats["hits"], stats["misses"]) == (2, 1)
+        assert not (tmp_path / "stats.log").exists()  # folded on read
+        assert json.loads((tmp_path / "stats.json").read_text())[
+            "hits"] == 2
+
+    def test_appends_racing_a_fold_lose_no_count(self, tmp_path,
+                                                  monkeypatch):
+        """Two threads and a forked process append while the log folds
+        every few lines and a third thread folds it on read: every
+        count survives."""
+        monkeypatch.setattr(cache_mod, "STATS_LOG_FOLD_BYTES", 256)
+        store = ResultCache(root=tmp_path, version="v1")
+        store.put("bw", SPEC, RESULT)
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(4)
+        child = ctx.Process(target=_child_lookups,
+                            args=(str(tmp_path), 200, barrier))
+        done = threading.Event()
+
+        def lookups(spec):
+            barrier.wait()
+            for _ in range(300):
+                store.get("bw", spec)
+
+        def reader():
+            barrier.wait()
+            while not done.is_set():
+                store.read_stats()
+
+        threads = [threading.Thread(target=lookups, args=(spec,))
+                   for spec in (SPEC, {"missing": True})]
+        folder = threading.Thread(target=reader)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            child.start()
+            for t in threads + [folder]:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            child.join(timeout=60)
+        finally:
+            done.set()
+            folder.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert child.exitcode == 0
+        assert not any(t.is_alive() for t in threads + [folder])
+        stats = store.read_stats()
+        assert (stats["hits"], stats["misses"]) == (500, 500)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_clear_resets_the_counters(self, tmp_path):
+        store = ResultCache(root=tmp_path, version="v1")
+        store.put("bw", SPEC, RESULT)
+        store.get("bw", SPEC)
+        store.get("bw", {"missing": True})
+        store.read_stats()                 # folded into stats.json
+        store.get("bw", SPEC)              # and one still in the log
+        assert store.clear() == 1          # entries only, not stats.json
+        assert store.read_stats() == dict.fromkeys(
+            ("hits", "misses", "corrupt_deleted", "corrupt_replaced",
+             "evicted"), 0)
+        assert list(tmp_path.iterdir()) == []
+        store.get("bw", SPEC)
+        assert store.read_stats()["misses"] == 1
 
 
 class TestCorruptRecovery:
