@@ -75,6 +75,16 @@ class TestPresets:
         with pytest.raises(ConfigurationError):
             get_system("nonexistent")
 
+    @pytest.mark.parametrize("name", ["cichlid", "ricc"])
+    def test_min_nodes_grows_only_a_short_preset(self, name):
+        """``min_nodes`` equals the ``max_nodes`` preset where the
+        default is short, and leaves the default alone otherwise."""
+        default = get_system(name)
+        assert get_system(name, min_nodes=2) == default
+        grown = get_system(name, min_nodes=2048)
+        assert grown == get_system(name, max_nodes=2048)
+        assert grown.cluster.max_nodes == 2048
+
     def test_describe_has_key_fields(self, cichlid_preset):
         d = cichlid_preset.cluster.describe()
         assert d["GPU"] == "NVIDIA Tesla C2070"
