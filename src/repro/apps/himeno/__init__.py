@@ -4,16 +4,21 @@ A 3-D pressure-Poisson Jacobi solver with 1-D domain decomposition, each
 local domain halved into an upper portion *A* and lower portion *B*
 (Fig 3) so halo exchange can overlap computation: while one half
 computes, the other half's halo is exchanged (Fig 2 / Fig 6).
+:meth:`Partition.phases` states that schedule once — which portion each
+rank computes first and with whom each phase exchanges — and every
+implementation runs the same loop body over its two phases.
 
-Three implementations, exactly as evaluated in the paper:
+Four implementations, the paper's three plus one comparator:
 
 * :func:`serial_main` — identical structure, every operation blocking.
 * :func:`hand_optimized_main` — the host-managed two-queue overlap of
   [13] with pinned transfers.
+* :func:`gpu_aware_main` — the hand-optimized overlap with GPU-aware
+  MPI exchanges (§II): better engines, but the host still blocks.
 * :func:`clmpi_main` — the Fig 6 rewrite: clMPI commands + events, host
   only calls ``clFinish`` at the end of each iteration.
 
-All three produce **bit-identical** pressure fields (tested against the
+All four produce **bit-identical** pressure fields (tested against the
 pure-NumPy dataflow emulator in :mod:`repro.apps.himeno.reference`).
 """
 

@@ -22,17 +22,17 @@ from repro.apps.himeno.common import (
     finalize,
     read_gosa,
     setup_rank,
+    wait_list,
 )
 from repro.apps.himeno.config import HimenoConfig
-from repro.apps.himeno.decomp import TAG_DOWN, TAG_UP
+from repro.apps.himeno.decomp import Phase
 from repro.launcher import RankContext
 from repro.ocl.event import CLEvent
 
 __all__ = ["clmpi_main"]
 
 
-def _exchange_clmpi(ctx, st: HimenoState, qs, qr, own_row: int,
-                    ghost_row: int, nbr: int, send_tag: int, recv_tag: int,
+def _exchange_clmpi(ctx, st: HimenoState, qs, qr, ph: Phase,
                     after: tuple[CLEvent, ...]
                     ) -> Generator[Any, Any, tuple[CLEvent, CLEvent]]:
     """Enqueue a halo exchange as one send + one recv command.
@@ -40,11 +40,11 @@ def _exchange_clmpi(ctx, st: HimenoState, qs, qr, own_row: int,
     Non-blocking: the host returns immediately with the two events.
     """
     e_send = yield from clmpi.enqueue_send_buffer(
-        qs, st.p_buf, False, st.row_offset(own_row), st.plane,
-        dest=nbr, tag=send_tag, comm=ctx.comm, wait_for=after)
+        qs, st.p_buf, False, st.row_offset(ph.own_row), st.plane,
+        dest=ph.partner, tag=ph.send_tag, comm=ctx.comm, wait_for=after)
     e_recv = yield from clmpi.enqueue_recv_buffer(
-        qr, st.p_buf, False, st.row_offset(ghost_row), st.plane,
-        source=nbr, tag=recv_tag, comm=ctx.comm, wait_for=after)
+        qr, st.p_buf, False, st.row_offset(ph.ghost_row), st.plane,
+        source=ph.partner, tag=ph.recv_tag, comm=ctx.comm, wait_for=after)
     return e_send, e_recv
 
 
@@ -55,57 +55,32 @@ def clmpi_main(ctx: RankContext, cfg: HimenoConfig,
     q0 = ctx.queue(name=f"r{ctx.rank}.compute")
     qs = ctx.queue(name=f"r{ctx.rank}.send")
     qr = ctx.queue(name=f"r{ctx.rank}.recv")
-    even = ctx.rank % 2 == 0
+    first, second = st.phases
     t0 = ctx.env.now
     gosas = []
     kernel_events = []
-    e_first_prev: Optional[CLEvent] = None
     e_second_prev: Optional[CLEvent] = None
     ex_second_prev: tuple[CLEvent, ...] = ()
 
     for _ in range(cfg.iterations):
-        if even:
-            # phase 1: compute A ∥ exchange halo-of-B (hi neighbour)
-            eA = yield from q0.enqueue_nd_range_kernel(
-                st.kernel, (st.p_buf, st.gosa_buf, st.a_lo, st.a_hi),
-                wait_for=ex_second_prev, label="jacobi_A")
-            ex_hi: tuple[CLEvent, ...] = ()
-            if st.hi_nbr is not None:
-                ex_hi = yield from _exchange_clmpi(
-                    ctx, st, qs, qr, st.li, st.li + 1, st.hi_nbr,
-                    TAG_UP, TAG_DOWN, _evts(e_second_prev))
-            # phase 2: compute B ∥ exchange halo-of-A (lo neighbour)
-            eB = yield from q0.enqueue_nd_range_kernel(
-                st.kernel, (st.p_buf, st.gosa_buf, st.b_lo, st.b_hi),
-                wait_for=ex_hi, label="jacobi_B")
-            ex_lo: tuple[CLEvent, ...] = ()
-            if st.lo_nbr is not None:
-                ex_lo = yield from _exchange_clmpi(
-                    ctx, st, qs, qr, 1, 0, st.lo_nbr,
-                    TAG_DOWN, TAG_UP, _evts(eA))
-            e_first_prev, e_second_prev, ex_second_prev = eA, eB, ex_lo
-            kernel_events += [eA, eB]
-        else:
-            # phase 1: compute B ∥ exchange halo-of-A (lo neighbour)
-            eB = yield from q0.enqueue_nd_range_kernel(
-                st.kernel, (st.p_buf, st.gosa_buf, st.b_lo, st.b_hi),
-                wait_for=ex_second_prev, label="jacobi_B")
-            ex_lo = ()
-            if st.lo_nbr is not None:
-                ex_lo = yield from _exchange_clmpi(
-                    ctx, st, qs, qr, 1, 0, st.lo_nbr,
-                    TAG_DOWN, TAG_UP, _evts(e_second_prev))
-            # phase 2: compute A ∥ exchange halo-of-B (hi neighbour)
-            eA = yield from q0.enqueue_nd_range_kernel(
-                st.kernel, (st.p_buf, st.gosa_buf, st.a_lo, st.a_hi),
-                wait_for=ex_lo, label="jacobi_A")
-            ex_hi = ()
-            if st.hi_nbr is not None:
-                ex_hi = yield from _exchange_clmpi(
-                    ctx, st, qs, qr, st.li, st.li + 1, st.hi_nbr,
-                    TAG_UP, TAG_DOWN, _evts(eB))
-            e_first_prev, e_second_prev, ex_second_prev = eB, eA, ex_hi
-            kernel_events += [eB, eA]
+        # phase 1: compute first portion ∥ exchange the other's halo
+        e1 = yield from q0.enqueue_nd_range_kernel(
+            st.kernel, (st.p_buf, st.gosa_buf, first.lo, first.hi),
+            wait_for=ex_second_prev, label=first.label)
+        ex1: tuple[CLEvent, ...] = ()
+        if first.partner is not None:
+            ex1 = yield from _exchange_clmpi(
+                ctx, st, qs, qr, first, wait_list(e_second_prev))
+        # phase 2: compute second portion ∥ exchange the first's halo
+        e2 = yield from q0.enqueue_nd_range_kernel(
+            st.kernel, (st.p_buf, st.gosa_buf, second.lo, second.hi),
+            wait_for=ex1, label=second.label)
+        ex_second_prev = ()
+        if second.partner is not None:
+            ex_second_prev = yield from _exchange_clmpi(
+                ctx, st, qs, qr, second, (e1,))
+        e_second_prev = e2
+        kernel_events += [e1, e2]
         # Fig 6: "the host thread is just waiting at the end of the
         # iteration by calling clFinish".
         yield from q0.finish()
@@ -116,7 +91,3 @@ def clmpi_main(ctx: RankContext, cfg: HimenoConfig,
         st.track(evt)
     yield from ctx.comm.barrier()
     return finalize(ctx, st, t0, ctx.env.now, gosas, collect)
-
-
-def _evts(*events) -> tuple:
-    return tuple(e for e in events if e is not None)

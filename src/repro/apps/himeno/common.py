@@ -1,4 +1,4 @@
-"""Shared setup and helpers for the three Himeno implementations."""
+"""Shared setup and helpers for the four Himeno implementations."""
 
 from __future__ import annotations
 
@@ -8,14 +8,15 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from repro.apps.himeno.config import HimenoConfig
-from repro.apps.himeno.decomp import Partition
+from repro.apps.himeno.decomp import Partition, Phase
 from repro.apps.himeno.kernels import GOSA_BYTES, make_jacobi_kernel
 from repro.apps.himeno.reference import init_pressure
 from repro.launcher import RankContext
 from repro.ocl.buffer import Buffer
 from repro.ocl.kernel import Kernel
 
-__all__ = ["HimenoState", "setup_rank", "read_gosa", "finalize"]
+__all__ = ["HimenoState", "setup_rank", "read_gosa", "finalize",
+           "wait_list"]
 
 
 @dataclass
@@ -25,13 +26,8 @@ class HimenoState:
     cfg: HimenoConfig
     part: Partition
     rank: int
-    li: int                      # owned interior rows
-    a_lo: int
-    a_hi: int
-    b_lo: int
-    b_hi: int
-    lo_nbr: Optional[int]
-    hi_nbr: Optional[int]
+    #: the rank's two phases in execution order (:meth:`Partition.phases`)
+    phases: tuple[Phase, Phase]
     plane: int                   # bytes per i-plane
     p_buf: Buffer
     gosa_buf: Buffer
@@ -77,9 +73,6 @@ def setup_rank(ctx: RankContext,
     mi, mj, mk = cfg.grid
     part = Partition(ctx.size, mi, mj, mk)
     rank = ctx.rank
-    li = part.local_rows(rank)
-    a_lo, a_hi, b_lo, b_hi = part.ab_split(rank)
-    lo_nbr, hi_nbr = part.neighbors(rank)
     shape = part.local_shape(rank)
     p_buf = ctx.ocl.create_buffer(int(np.prod(shape)) * 4,
                                   name=f"p.r{rank}")
@@ -88,13 +81,18 @@ def setup_rank(ctx: RankContext,
         p_buf.view("f4", shape)[:] = init_pressure(
             shape[0], mj, mk, i_offset=part.row_start(rank), mi_global=mi)
     kernel = make_jacobi_kernel(shape, cfg.omega)
-    state = HimenoState(cfg=cfg, part=part, rank=rank, li=li,
-                        a_lo=a_lo, a_hi=a_hi, b_lo=b_lo, b_hi=b_hi,
-                        lo_nbr=lo_nbr, hi_nbr=hi_nbr,
+    state = HimenoState(cfg=cfg, part=part, rank=rank,
+                        phases=part.phases(rank),
                         plane=part.plane_bytes(),
                         p_buf=p_buf, gosa_buf=gosa_buf, kernel=kernel)
     yield from ctx.comm.barrier()
     return state
+
+
+def wait_list(*events) -> tuple:
+    """The events that exist, as a wait list (None marks a phase that
+    had no exchange or a first iteration with no predecessor)."""
+    return tuple(e for e in events if e is not None)
 
 
 def read_gosa(ctx: RankContext, st: HimenoState,

@@ -18,9 +18,10 @@ from repro.apps.himeno.common import (
     finalize,
     read_gosa,
     setup_rank,
+    wait_list,
 )
 from repro.apps.himeno.config import HimenoConfig
-from repro.apps.himeno.decomp import TAG_DOWN, TAG_UP
+from repro.apps.himeno.decomp import Phase
 from repro.clmpi import gpu_aware
 from repro.launcher import RankContext
 from repro.ocl.event import CLEvent
@@ -33,53 +34,33 @@ def gpu_aware_main(ctx: RankContext, cfg: HimenoConfig,
     """Rank coroutine of the GPU-aware-MPI implementation."""
     st = yield from setup_rank(ctx, cfg)
     q0 = ctx.queue(name=f"r{ctx.rank}.compute")
-    even = ctx.rank % 2 == 0
+    first, second = st.phases
     rt = ctx.runtime
     t0 = ctx.env.now
     gosas = []
     kernel_events = []
     e_second_prev: Optional[CLEvent] = None
 
-    def exchange(own_row: int, ghost_row: int, nbr: int, stag: int,
-                 rtag: int, after) -> Generator[Any, Any, None]:
+    def exchange(ph: Phase, after) -> Generator[Any, Any, None]:
         yield from gpu_aware.sendrecv_device(
-            rt, st.p_buf, st.row_offset(own_row), nbr, stag,
-            st.p_buf, st.row_offset(ghost_row), nbr, rtag,
-            st.plane, ctx.comm,
-            after=tuple(e for e in after if e is not None))
+            rt, st.p_buf, st.row_offset(ph.own_row), ph.partner,
+            ph.send_tag, st.p_buf, st.row_offset(ph.ghost_row),
+            ph.partner, ph.recv_tag, st.plane, ctx.comm, after=after)
 
     for _ in range(cfg.iterations):
-        if even:
-            eA = yield from q0.enqueue_nd_range_kernel(
-                st.kernel, (st.p_buf, st.gosa_buf, st.a_lo, st.a_hi),
-                label="jacobi_A")
-            if st.hi_nbr is not None:
-                # host blocks through the exchange; kernel A overlaps
-                yield from exchange(st.li, st.li + 1, st.hi_nbr,
-                                    TAG_UP, TAG_DOWN, (e_second_prev,))
-            eB = yield from q0.enqueue_nd_range_kernel(
-                st.kernel, (st.p_buf, st.gosa_buf, st.b_lo, st.b_hi),
-                label="jacobi_B")
-            if st.lo_nbr is not None:
-                yield from exchange(1, 0, st.lo_nbr,
-                                    TAG_DOWN, TAG_UP, (eA,))
-            e_second_prev = eB
-            kernel_events += [eA, eB]
-        else:
-            eB = yield from q0.enqueue_nd_range_kernel(
-                st.kernel, (st.p_buf, st.gosa_buf, st.b_lo, st.b_hi),
-                label="jacobi_B")
-            if st.lo_nbr is not None:
-                yield from exchange(1, 0, st.lo_nbr,
-                                    TAG_DOWN, TAG_UP, (e_second_prev,))
-            eA = yield from q0.enqueue_nd_range_kernel(
-                st.kernel, (st.p_buf, st.gosa_buf, st.a_lo, st.a_hi),
-                label="jacobi_A")
-            if st.hi_nbr is not None:
-                yield from exchange(st.li, st.li + 1, st.hi_nbr,
-                                    TAG_UP, TAG_DOWN, (eB,))
-            e_second_prev = eA
-            kernel_events += [eB, eA]
+        e1 = yield from q0.enqueue_nd_range_kernel(
+            st.kernel, (st.p_buf, st.gosa_buf, first.lo, first.hi),
+            label=first.label)
+        if first.partner is not None:
+            # host blocks through the exchange; the first kernel overlaps
+            yield from exchange(first, wait_list(e_second_prev))
+        e2 = yield from q0.enqueue_nd_range_kernel(
+            st.kernel, (st.p_buf, st.gosa_buf, second.lo, second.hi),
+            label=second.label)
+        if second.partner is not None:
+            yield from exchange(second, (e1,))
+        e_second_prev = e2
+        kernel_events += [e1, e2]
         yield from q0.finish()
         gosas.append((yield from read_gosa(ctx, st, q0)))
     for evt in kernel_events:

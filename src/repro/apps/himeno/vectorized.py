@@ -3,7 +3,11 @@
 Every rank of :func:`~repro.apps.himeno.clmpi_impl.clmpi_main` and
 :func:`~repro.apps.himeno.serial.serial_main` executes the same command
 sequence per iteration — only the operand values (neighbour ranks, A/B
-row counts, kernel durations) differ per rank.  This module replays that
+row counts, kernel durations) differ per rank.  Those operands are the
+schedule :meth:`~repro.apps.himeno.decomp.Partition.phases` gives each
+rank; :class:`_Lanes` holds them as whole-array formulas (per-rank
+``phases()`` calls would cost milliseconds at 1k ranks), and a test pins
+the formulas to ``phases()``.  This module replays that
 sequence once, as float64 array lanes over all P ranks, through
 :class:`~repro.sim.vectorized.VectorEngine` — byte-identical to the
 coroutine engine at any rank count, in milliseconds at 1k+ ranks.
@@ -69,7 +73,7 @@ class _Lanes:
                       dtype=np.float64)
         rows_a = ab[:, 1] - ab[:, 0]
         rows_b = ab[:, 3] - ab[:, 2]
-        # phase order: even ranks compute A then B, odd ranks B then A
+        # the order of Partition.phases: even ranks compute A first
         self.rows_first = np.where(self.even, rows_a, rows_b)
         self.rows_second = np.where(self.even, rows_b, rows_a)
         self.plane = self.part.plane_bytes()

@@ -53,6 +53,26 @@ class BandwidthResult:
         return self.nbytes * self.repeats / self.seconds
 
 
+def _enqueue_stream(ctx: RankContext, q, buf, nbytes: int,
+                    repeats: int) -> Generator[Any, Any, list]:
+    """Enqueue this rank's side of the pair stream: even rank 2i sends
+    ``repeats`` buffers to rank 2i+1, the i-th with tag i (an even last
+    rank has no partner).  Returns the enqueued commands' events."""
+    events = []
+    for i in range(repeats):
+        if ctx.rank % 2 == 0 and ctx.rank + 1 < ctx.size:
+            ev = yield from clmpi.enqueue_send_buffer(
+                q, buf, False, 0, nbytes, dest=ctx.rank + 1, tag=i,
+                comm=ctx.comm)
+            events.append(ev)
+        elif ctx.rank % 2 == 1:
+            ev = yield from clmpi.enqueue_recv_buffer(
+                q, buf, False, 0, nbytes, source=ctx.rank - 1, tag=i,
+                comm=ctx.comm)
+            events.append(ev)
+    return events
+
+
 def _pingpong_main(ctx: RankContext, nbytes: int,
                    repeats: int) -> Generator[Any, Any, float]:
     """Rank coroutine: every even rank streams ``repeats`` buffers to its
@@ -63,15 +83,7 @@ def _pingpong_main(ctx: RankContext, nbytes: int,
     buf = ctx.ocl.create_buffer(nbytes, name=f"bw.r{ctx.rank}")
     yield from ctx.comm.barrier()
     t0 = ctx.env.now
-    for i in range(repeats):
-        if ctx.rank % 2 == 0 and ctx.rank + 1 < ctx.size:
-            yield from clmpi.enqueue_send_buffer(
-                q, buf, False, 0, nbytes, dest=ctx.rank + 1, tag=i,
-                comm=ctx.comm)
-        elif ctx.rank % 2 == 1:
-            yield from clmpi.enqueue_recv_buffer(
-                q, buf, False, 0, nbytes, source=ctx.rank - 1, tag=i,
-                comm=ctx.comm)
+    yield from _enqueue_stream(ctx, q, buf, nbytes, repeats)
     yield from q.finish()
     yield from ctx.comm.barrier()
     return ctx.env.now - t0
@@ -94,18 +106,7 @@ def _pingpong_ft_main(ctx: RankContext, nbytes: int,
     t0 = ctx.env.now
     try:
         yield from comm.barrier()
-        events = []
-        for i in range(repeats):
-            if ctx.rank % 2 == 0 and ctx.rank + 1 < ctx.size:
-                ev = yield from clmpi.enqueue_send_buffer(
-                    q, buf, False, 0, nbytes, dest=ctx.rank + 1, tag=i,
-                    comm=comm)
-                events.append(ev)
-            elif ctx.rank % 2 == 1:
-                ev = yield from clmpi.enqueue_recv_buffer(
-                    q, buf, False, 0, nbytes, source=ctx.rank - 1, tag=i,
-                    comm=comm)
-                events.append(ev)
+        events = yield from _enqueue_stream(ctx, q, buf, nbytes, repeats)
         yield from q.finish()
         orphaned = next(
             (ev for ev in events if ev.execution_status < 0), None)

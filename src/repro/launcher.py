@@ -133,13 +133,10 @@ class ClusterApp:
         Returns the per-rank return values; the virtual makespan is
         ``self.env.now`` afterwards.
         """
-        procs = []
-        for ctx in self.contexts:
-            proc = self.env.process(main(ctx, *args, **kwargs),
-                                    name=f"rank{ctx.rank}.main")
-            if self.env.probe is not None:
-                self.env.probe.on_rank_process(ctx.rank, proc)
-            procs.append(proc)
+        contexts = self.contexts
+        procs = self.world.launch(
+            lambda comm, *a, **kw: main(contexts[comm.rank], *a, **kw),
+            *args, **kwargs)
         self.env.run(until=until)
         stuck = [p.name for p in procs if p.is_alive]
         if stuck and until is None:

@@ -107,11 +107,19 @@ class MpiWorld:
         return self._comms[rank]
 
     def launch(self, main: Callable, *args, **kwargs) -> list[Process]:
-        """Spawn ``main(comm, *args, **kwargs)`` as one process per rank."""
+        """Spawn ``main(comm, *args, **kwargs)`` as one process per rank.
+
+        Each process is announced to the environment's probe, so a
+        sanitizer can name a stuck rank's main thread.
+        """
+        probe = self.env.probe
         procs = []
         for rank in range(self.size):
             gen = main(self._comms[rank], *args, **kwargs)
-            procs.append(self.env.process(gen, name=f"rank{rank}.main"))
+            proc = self.env.process(gen, name=f"rank{rank}.main")
+            if probe is not None:
+                probe.on_rank_process(rank, proc)
+            procs.append(proc)
         return procs
 
     def run(self, main: Callable, *args,

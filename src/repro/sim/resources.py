@@ -2,7 +2,8 @@
 
 :class:`Resource` models a fixed number of identical servers (a PCIe copy
 engine, a NIC port, a GPU compute engine).  :class:`Store` is an unbounded
-FIFO mailbox used for command queues and runtime worker threads.
+FIFO mailbox; the in-order command queue's dispatcher reads its commands
+from one.
 """
 
 from __future__ import annotations

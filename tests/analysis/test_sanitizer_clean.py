@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import autosanitize
-from repro.systems import cichlid
+from repro.systems import cichlid, ricc
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
@@ -35,18 +35,17 @@ class TestAppsSanitizerClean:
             measure_bandwidth(cichlid(), 1 << 20, "pinned", repeats=1)
         assert session.report.ok, session.report.render()
 
-    def test_himeno_clmpi(self):
+    @pytest.mark.parametrize("implementation", ["serial", "hand-optimized",
+                                                "gpu-aware-mpi", "clmpi"])
+    @pytest.mark.parametrize("preset", [cichlid, ricc],
+                             ids=lambda p: p.__name__)
+    def test_himeno(self, preset, implementation):
+        """At 3 nodes the middle rank exchanges in both phases, so both
+        halo exchanges of the A/B schedule run under the sanitizer."""
         from repro.apps.himeno import HimenoConfig, run_himeno
         cfg = HimenoConfig(size="XS", iterations=2)
         with autosanitize() as session:
-            run_himeno(cichlid(), 2, "clmpi", cfg)
-        assert session.report.ok, session.report.render()
-
-    def test_himeno_hand_optimized(self):
-        from repro.apps.himeno import HimenoConfig, run_himeno
-        cfg = HimenoConfig(size="XS", iterations=2)
-        with autosanitize() as session:
-            run_himeno(cichlid(), 2, "hand-optimized", cfg)
+            run_himeno(preset(), 3, implementation, cfg)
         assert session.report.ok, session.report.render()
 
     def test_cg(self):

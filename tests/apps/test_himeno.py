@@ -74,6 +74,49 @@ class TestPartition:
         with pytest.raises(ConfigurationError):
             Partition(16, 16, 8, 8)
 
+    @pytest.mark.parametrize("P", [1, 2, 3, 4, 5])
+    def test_phases_pair_up_across_neighbours(self, P):
+        """Each exchange meets its partner in the same phase, with the
+        tags mirrored and each side's boundary row filling the other's
+        ghost row; both portions are computed once per iteration."""
+        part = Partition(P, 4 * P + 3, 8, 8)
+        for r in range(P):
+            phases = part.phases(r)
+            assert sorted(p.label for p in phases) == ["jacobi_A",
+                                                       "jacobi_B"]
+            (lo1, hi1), (lo2, hi2) = sorted((p.lo, p.hi) for p in phases)
+            assert (lo1, hi1, hi2) == (1, lo2, part.local_rows(r) + 1)
+            for k, ph in enumerate(phases):
+                if ph.partner is None:
+                    continue
+                other = part.phases(ph.partner)[k]
+                assert other.partner == r
+                assert (other.send_tag, other.recv_tag) == (ph.recv_tag,
+                                                            ph.send_tag)
+                assert {ph.own_row, ph.ghost_row} <= {
+                    0, 1, part.local_rows(r), part.local_rows(r) + 1}
+
+    @pytest.mark.parametrize("P", list(range(1, 10)) + [1024])
+    def test_replay_lanes_follow_phases(self, P, cichlid_preset):
+        """The vectorized replay's whole-array schedule equals what
+        ``Partition.phases`` gives every rank."""
+        from repro.apps.himeno.vectorized import _Lanes
+        # an uneven split, so A and B row counts differ across ranks
+        cfg = HimenoConfig(dims=(2 * P + 2 + P // 2 + 1, 4, 4),
+                           iterations=1)
+        L = _Lanes(cichlid_preset, P, cfg)
+        phases = [L.part.phases(r) for r in range(P)]
+        for lanes, k in (((L.rows_first, L.x1_masks()), 0),
+                         ((L.rows_second, L.x2_masks()), 1)):
+            rows, (has, partner) = lanes
+            want_rows = [ph[k].hi - ph[k].lo for ph in phases]
+            want_has = [ph[k].partner is not None for ph in phases]
+            want_partner = [ph[k].partner for ph in phases
+                            if ph[k].partner is not None]
+            assert rows.tolist() == want_rows
+            assert has.tolist() == want_has
+            assert partner[has].tolist() == want_partner
+
 
 class TestReferences:
     def test_init_profile_is_global(self):

@@ -92,6 +92,34 @@ class TestClusterApp:
         with pytest.raises(ReproError, match="deadlock"):
             app.run(main)
 
+    def test_both_facades_report_the_same_deadlock(self):
+        """A recv/recv deadlock sanitizes to the same findings through
+        ``MpiWorld.run`` and ``ClusterApp.run`` — both launch through one
+        loop — while each facade keeps its own exception."""
+        from repro.analysis import Sanitizer
+        from repro.errors import MpiError
+        from repro.mpi import MpiWorld
+
+        def main(comm):
+            yield from comm.recv(np.zeros(4), source=1 - comm.rank, tag=3)
+
+        stuck = "deadlock: ranks never terminated: ['rank0.main', " \
+                "'rank1.main']"
+        world = MpiWorld(cichlid(), 2)
+        with Sanitizer(world) as via_world:
+            with pytest.raises(MpiError) as err:
+                world.run(main)
+        assert str(err.value) == stuck
+        app = ClusterApp(cichlid(), 2)
+        with Sanitizer(app) as via_app:
+            with pytest.raises(ReproError) as err:
+                app.run(lambda ctx: main(ctx.comm))
+        assert type(err.value) is ReproError
+        assert str(err.value).startswith(stuck + " (run under")
+        assert via_world.report.render() == via_app.report.render()
+        assert sorted(via_world.report.kinds()) == [
+            "communication-deadlock", "unmatched-recv", "unmatched-recv"]
+
     def test_run_until_leaves_stragglers(self):
         app = ClusterApp(cichlid(), 2)
 
