@@ -3,9 +3,11 @@
 Not paper results — these quantify what a sweep costs in *real* time, per
 the optimizing-code discipline: measure before trusting.  Exact guards
 beside them check that a detached run enters no observer, fault or
-schedule-policy code and leaves no hot-path object to the cycle
-collector, that mesoscale points never call ``numpy.unique``, and that
-a barrier on periodic inputs runs its rounds on the period's lanes.
+schedule-policy code, that a coroutine point leaves nothing to the cycle
+collector and starts no collection inside a run, that a run leaves the
+collector as it found it, that mesoscale points never call
+``numpy.unique``, and that a barrier on periodic inputs runs its rounds
+on the period's lanes.
 """
 
 import gc
@@ -262,33 +264,165 @@ def _cyclic_garbage(run) -> list:
         gc.garbage[:] = saved
 
 
-def test_hot_path_objects_die_by_refcount():
-    """Exact guard beside the detached-cost guards: a grant, an OpenCL
-    command event or a finished process that only the cycle collector
-    can free is a reference cycle on the hot path, and a sweep makes
-    one per grant, command or process.  Runs a serial and a
-    hand-optimized Himeno point and a clMPI bandwidth point and finds
-    none of them in the cyclic garbage."""
+def _coroutine_points():
+    """One point of every coroutine workload a sweep runs: Himeno in all
+    four implementations, nanopowder baseline and clMPI, and a Fig 8
+    bandwidth point in each of the four modes (``None`` lets the
+    runtime's selector choose)."""
+    from repro.apps.himeno import IMPLEMENTATIONS
     from repro.apps.pingpong import bandwidth_point
     from repro.harness.fig9 import himeno_point
-    from repro.ocl.event import CLEvent
-    from repro.sim import Process
-    from repro.sim.resources import Request
+    from repro.harness.fig10 import nanopowder_point
 
-    def run():
-        for impl in ("serial", "hand-optimized"):
-            himeno_point({"system": "cichlid", "nodes": 4, "impl": impl,
-                          "size": "M", "iterations": 2,
-                          "functional": False})
-        bandwidth_point({"system": "cichlid", "nbytes": 4 << 20,
-                         "mode": "pipelined", "block": 1 << 20,
-                         "repeats": 2})
+    points = {}
+    for impl in sorted(IMPLEMENTATIONS):
+        points[f"himeno {impl}"] = (himeno_point, {
+            "system": "cichlid", "nodes": 4, "impl": impl, "size": "M",
+            "iterations": 2, "functional": False})
+    for impl in ("baseline", "clmpi"):
+        points[f"nanopowder {impl}"] = (nanopowder_point, {
+            "system": "ricc", "nodes": 4, "impl": impl, "steps": 2,
+            "scale": "paper"})
+    for mode in ("pinned", "mapped", "pipelined", None):
+        points[f"bandwidth {mode or 'auto'}"] = (bandwidth_point, {
+            "system": "cichlid", "nbytes": 4 << 20, "mode": mode,
+            "block": (1 << 20) if mode == "pipelined" else None,
+            "repeats": 2})
+    return points
 
-    garbage = _cyclic_garbage(run)
-    leaked = sorted({type(o).__name__ for o in garbage
-                     if isinstance(o, (Request, CLEvent))
-                     or (isinstance(o, Process) and not o.is_alive)})
-    assert not leaked, f"reference cycles through {leaked}"
+
+def test_hot_path_objects_die_by_refcount():
+    """Exact guard beside the detached-cost guards: every object a point
+    allocates — grants, command events, finished processes, and the
+    world itself (cluster, contexts, queues, buffers, clMPI runtimes) —
+    dies by reference counting.  Anything the cycle collector has to
+    find is a reference cycle, which a sweep would make once per grant,
+    command or point."""
+    left = {}
+    for point, (worker, spec) in sorted(_coroutine_points().items()):
+        garbage = _cyclic_garbage(lambda: worker(spec))
+        if garbage:
+            left[point] = (len(garbage),
+                           sorted({type(o).__qualname__ for o in garbage}))
+    assert not left, f"objects in reference cycles: {left}"
+
+
+def test_no_collection_inside_a_paper_scale_run():
+    """The cycle collector is off inside ``Environment.run``: a
+    32-node Fig 9 Himeno point, which allocates far past the collector's
+    young-generation threshold, starts no collection while a run is in
+    progress.  Collections between runs still happen as usual."""
+    from repro.harness.fig9 import himeno_point
+    from repro.sim import core
+
+    assert gc.isenabled(), "the guard needs the interpreter's collector on"
+    inside = []
+
+    def watch(phase, info):
+        if phase == "start" and core._runs:
+            inside.append(info["generation"])
+
+    gc.callbacks.append(watch)
+    try:
+        row = himeno_point({"system": "ricc", "nodes": 32, "impl": "clmpi",
+                            "size": "M", "iterations": 4,
+                            "functional": False})
+    finally:
+        gc.callbacks.remove(watch)
+    assert row["gflops"] > 0
+    assert inside == [], f"collections inside the run: {inside}"
+
+
+def _gc_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_debug()
+
+
+def _timed_process(env, body=None):
+    def proc():
+        yield env.timeout(1.0)
+        if body is not None:
+            body()
+        yield env.timeout(1.0)
+    return env.process(proc())
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_state(enabled):
+    """After ``Environment.run`` the interpreter's collector is as it was
+    before — after a normal run, a raising run, a policed run, nested
+    runs and two threads' overlapping runs — whether it was on or off."""
+    import threading
+
+    from repro.analysis.schedule import SchedulePolicy
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = _gc_state()
+        seen = []
+
+        env = Environment()
+        _timed_process(env, lambda: seen.append(gc.isenabled()))
+        env.run()
+        assert _gc_state() == before
+
+        def boom():
+            raise RuntimeError("boom")
+
+        env = Environment()
+        _timed_process(env, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        assert _gc_state() == before
+
+        env = Environment()
+        env.schedule_policy = SchedulePolicy()
+        _timed_process(env, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        assert _gc_state() == before
+
+        def nested():
+            inner = Environment()
+            _timed_process(inner, lambda: seen.append(gc.isenabled()))
+            inner.run()
+            seen.append(gc.isenabled())  # the outer run is still going
+
+        env = Environment()
+        _timed_process(env, nested)
+        env.run()
+        assert _gc_state() == before
+
+        # two threads: both runs in progress at the barrier, then the
+        # first to finish leaves the collector off for the other
+        both_in = threading.Barrier(2, timeout=30)
+        first_done = threading.Event()
+
+        def thread_main(first):
+            env = Environment()
+
+            def body():
+                both_in.wait()
+                if not first:
+                    first_done.wait(timeout=30)
+                    seen.append(gc.isenabled())
+
+            _timed_process(env, body)
+            env.run()
+            if first:
+                first_done.set()
+
+        threads = [threading.Thread(target=thread_main, args=(f,))
+                   for f in (True, False)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert first_done.is_set()
+        assert _gc_state() == before
+        assert seen == [False] * 4
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def _policy_loop_run(policy: bool) -> float:

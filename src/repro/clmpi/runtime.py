@@ -60,10 +60,12 @@ class ClmpiRuntime:
                 raise ClmpiError(
                     "ClmpiRuntime needs a TransferSelector or a policy")
             selector = TransferSelector(policy)
-        self.context = context
         self.comm = comm
         self.selector = selector
         self.env = context.env
+        # the context's own flag, not the context: the context refers to
+        # its runtime (``clmpi_runtime``), so that would be a cycle
+        self.functional = context.functional
         self._rt_comms: dict[int, Communicator] = {}
         context.clmpi_runtime = self
 
@@ -99,7 +101,7 @@ class ClmpiRuntime:
     def _host_side(self, array: Optional[np.ndarray], size: int,
                    comm: Communicator) -> Side:
         data = None
-        if self.context.functional:
+        if self.functional:
             if array is None:
                 raise ClmpiError(
                     "host array may only be None in timing-only mode")

@@ -9,6 +9,7 @@ accounted against the owning device's memory capacity.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,9 @@ class Buffer:
         if size <= 0:
             raise OclError("CL_INVALID_BUFFER_SIZE",
                            f"buffer size must be positive, got {size}")
-        self.context = context
+        # weak: the context keeps its buffers (for ``Context.release``),
+        # and a strong way back would make a reference cycle per buffer
+        self._context = weakref.ref(context)
         self.size = int(size)
         self.name = name or f"buf{context.env.next_id('buf')}"
         self.device = context.device
@@ -42,6 +45,12 @@ class Buffer:
             self._storage()[:src.nbytes] = src  # CL_MEM_COPY_HOST_PTR
         self._mapped = 0
         self._released = False
+
+    @property
+    def context(self):
+        """The :class:`~repro.ocl.context.Context` the buffer was created
+        against (None once that context is gone)."""
+        return self._context()
 
     def _storage(self) -> np.ndarray:
         if self._data is None:

@@ -9,6 +9,7 @@ deliberately out of scope.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -33,10 +34,19 @@ class Context:
         #: skipped; the virtual clock is still exact.  Used to run
         #: paper-scale problem sizes quickly (see DESIGN.md §7).
         self.functional = functional
+        #: every buffer not yet released (a buffer refers back weakly)
         self.buffers: list[Buffer] = []
-        self.queues: list = []
+        # weak: a queue refers to its context, and the program holds the
+        # queues it uses
+        self._queues: list[weakref.ref] = []
         #: extension slot: set by :class:`repro.clmpi.ClmpiRuntime`
         self.clmpi_runtime = None
+
+    @property
+    def queues(self) -> list:
+        """The queues created against this context that are still in
+        use, in creation order."""
+        return [q for q in (ref() for ref in self._queues) if q is not None]
 
     def create_buffer(self, size: int, hostbuf: Optional[np.ndarray] = None,
                       name: str = "") -> Buffer:
@@ -53,7 +63,7 @@ class Context:
         """``clCreateCommandQueue`` (out-of-order via ``in_order=False``)."""
         from repro.ocl.queue import CommandQueue
         q = CommandQueue(self, in_order=in_order, name=name)
-        self.queues.append(q)
+        self._queues.append(weakref.ref(q))
         return q
 
     def release(self) -> None:

@@ -14,6 +14,7 @@ calling host thread the API-call overhead and may block when
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional, Sequence
 
@@ -24,7 +25,8 @@ from repro.ocl.buffer import Buffer, _as_bytes
 from repro.ocl.enums import CommandStatus, CommandType
 from repro.ocl.event import CLEvent
 from repro.ocl.kernel import Kernel
-from repro.sim import Store
+from repro.sim import Chain, Event, SimulationError
+from repro.sim.core import PENDING, PROCESSED
 
 __all__ = ["Command", "CommandQueue"]
 
@@ -40,6 +42,146 @@ class Command:
     #: zero-arg factory returning the execution coroutine
     execute: Callable[[], Any]
     meta: dict = field(default_factory=dict)
+
+
+def _wait_list_error(cmd: Command, queue_name: str,
+                     exc: BaseException) -> OclError:
+    failed = ", ".join(repr(e.label) for e in cmd.wait_events
+                       if e.error is not None) or repr(str(exc))
+    return OclError(
+        "CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST",
+        f"{cmd.label!r} on queue {queue_name!r}: wait-list "
+        f"event(s) {failed} failed: {exc}")
+
+
+class _Dispatcher(Chain):
+    """An in-order queue's dispatcher: a chain that takes the queue's
+    commands one at a time, waits for each one's wait list, and steps
+    its body.  :meth:`put` kicks it when it is idle.
+
+    It pushes the calendar entries a dispatcher process reading a FIFO
+    mailbox would: the ``HIGH`` bootstrap, one ``NORMAL`` entry when it
+    takes each command, and the wait-list condition, kicks and body
+    targets of each command — all labelled ``<queue>.dispatcher``.
+    While it steps, it is the environment's active process, so observers
+    attribute what a command does (an MPI operation posted by a clMPI
+    body) to that command.
+
+    It holds no reference to its queue: a queue and its context die by
+    reference counting once the program drops them.
+    """
+
+    __slots__ = ("_queue_name", "_cmds", "_idle", "_cmd", "_body",
+                 "_waiting_on")
+
+    def __init__(self, env, queue_name: str):
+        super().__init__(env, f"{queue_name}.dispatcher")
+        self._queue_name = queue_name
+        self._cmds: deque[Command] = deque()
+        self._idle = False
+        self._cmd: Optional[Command] = None
+        self._body = None
+        #: what it is parked on (the deadlock detector's wait edge)
+        self._waiting_on: Optional[Event] = None
+        self._boot(_Dispatcher._take)
+
+    @property
+    def is_alive(self) -> bool:
+        """True until a step raised (a dispatcher never finishes)."""
+        return self._state == PENDING
+
+    def put(self, cmd: Command) -> None:
+        """Queue ``cmd``; an idle dispatcher takes it at once."""
+        if not self._idle:
+            self._cmds.append(cmd)
+            return
+        self._idle = False
+        taken = Event(self.env)
+        self._wait(taken, _Dispatcher._start)
+        self._waiting_on = taken
+        taken.succeed(cmd)
+
+    def _resume(self, event: Event) -> None:
+        env = self.env
+        if not event._ok:
+            event._defused = True
+        env._active_process = self
+        try:
+            nxt = self._step(self, event)
+        except BaseException as exc:
+            env._active_process = None
+            self._waiting_on = None
+            self.fail(exc)
+            return
+        env._active_process = None
+        if nxt is None:  # idle until put()
+            self._waiting_on = None
+            return
+        target, step = nxt
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"process {self.name!r} yielded {target!r}; coroutines "
+                "must yield Event instances (did you forget 'yield from'?)")
+        self._waiting_on = target
+        if target._state != PROCESSED:  # Chain._wait's live-target case
+            self._step = step
+            target.callbacks.append(self._resume)
+        else:
+            self._wait(target, step)
+
+    # -- steps ------------------------------------------------------------
+    def _take(self, _event=None):
+        self._cmd = None
+        if not self._cmds:
+            self._idle = True
+            return None
+        taken = Event(self.env)
+        taken.succeed(self._cmds.popleft())
+        return taken, _Dispatcher._start
+
+    def _start(self, event):
+        cmd = self._cmd = event._value
+        # wait list first (commands may depend on other queues' events)
+        if cmd.wait_events:
+            return (self.env.all_of([e.completion for e in cmd.wait_events]),
+                    _Dispatcher._waited)
+        return self._run(cmd)
+
+    def _waited(self, event):
+        cmd = self._cmd
+        if not event._ok:
+            cmd.event._fail(_wait_list_error(cmd, self._queue_name,
+                                             event._value))
+            return self._take()
+        return self._run(cmd)
+
+    def _run(self, cmd: Command):
+        cmd.event._advance(CommandStatus.SUBMITTED)
+        cmd.event._advance(CommandStatus.RUNNING)
+        if self.env.probe is not None:
+            self.env.probe.on_command_running(cmd)
+        self._body = cmd.execute()
+        return self._step_body(True, None)
+
+    def _stepped(self, event):
+        return self._step_body(event._ok, event._value)
+
+    def _step_body(self, ok: bool, value: Any):
+        try:
+            target = (self._body.send(value) if ok
+                      else self._body.throw(value))
+        except StopIteration:
+            failure = None
+        except BaseException as exc:
+            failure = exc
+        else:
+            return target, _Dispatcher._stepped
+        self._body = None
+        if failure is None:
+            self._cmd.event._advance(CommandStatus.COMPLETE)
+        else:
+            self._cmd.event._fail(failure)
+        return self._take()
 
 
 class CommandQueue:
@@ -58,9 +200,7 @@ class CommandQueue:
         #: every subsequently enqueued command
         self._ooo_barrier: Optional[CLEvent] = None
         if in_order:
-            self._fifo: Store = Store(self.env, name=f"{self.name}.fifo")
-            self.env.process(self._dispatch_in_order(),
-                             name=f"{self.name}.dispatcher")
+            self._dispatcher = _Dispatcher(self.env, self.name)
 
     # ------------------------------------------------------------------
     # dispatch machinery
@@ -77,28 +217,19 @@ class CommandQueue:
         if self.env.probe is not None:
             self.env.probe.on_command_enqueued(self, cmd)
         if self.in_order:
-            self._fifo.put(cmd)
+            self._dispatcher.put(cmd)
         else:
             self.env.process(self._run_one(cmd),
                              name=f"{self.name}.{cmd.label}")
 
-    def _dispatch_in_order(self):
-        while True:
-            cmd = yield self._fifo.get()
-            yield from self._run_one(cmd)
-
     def _run_one(self, cmd: Command):
-        # Wait-list first (commands may depend on other queues' events).
+        """An out-of-order command's process: the in-order dispatcher's
+        steps as one coroutine."""
         if cmd.wait_events:
             try:
                 yield self.env.all_of([e.completion for e in cmd.wait_events])
             except BaseException as exc:
-                failed = ", ".join(repr(e.label) for e in cmd.wait_events
-                                   if e.error is not None) or repr(str(exc))
-                cmd.event._fail(OclError(
-                    "CL_EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST",
-                    f"{cmd.label!r} on queue {self.name!r}: wait-list "
-                    f"event(s) {failed} failed: {exc}"))
+                cmd.event._fail(_wait_list_error(cmd, self.name, exc))
                 return
         cmd.event._advance(CommandStatus.SUBMITTED)
         cmd.event._advance(CommandStatus.RUNNING)

@@ -45,7 +45,7 @@ from repro.sim.core import (
     Timeout,
     try_vectorized,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "ENGINES",
     "try_vectorized",
     "Resource",
-    "Store",
     "TraceRecord",
     "Tracer",
     "NORMAL",

@@ -62,17 +62,32 @@ inner loop is written for CPython's profile rather than for symmetry:
   hands the outcome to the resume callback.  A waiter on a live event
   pushes nothing.  An interrupt is a ``HIGH`` kick failed with
   :class:`Interrupt`, so it too resumes through ``_resume``.
-* Per-message work (the MPI send and receive sides) runs as a
-  :class:`Chain` — steps as callbacks on the awaited events — instead
-  of a generator process.  A chain pushes one calendar entry per step,
-  exactly the one a process would (``HIGH`` bootstrap, ``HIGH`` kick
-  for an already-processed target), so the heap order is unchanged.
+* Per-message work (the MPI send and receive sides) and the in-order
+  OpenCL queue's dispatcher run as a :class:`Chain` — steps as
+  callbacks on the awaited events — instead of a generator process.  A
+  chain pushes one calendar entry per step, exactly the one a process
+  would (``HIGH`` bootstrap, ``HIGH`` kick for an already-processed
+  target), so the heap order is unchanged.
+* A point's world dies by reference counting too: no parked process
+  keeps a cached ``_resume`` (the queue dispatchers are chains), and the
+  OpenCL context's back-references (buffer → context, context → queue)
+  are weak, so the cluster, contexts, queues and buffers are freed the
+  moment a point drops them.  A coroutine point of any sweep workload
+  leaves nothing for the cycle collector.
+* So :meth:`Environment.run` turns the cycle collector off while any
+  run is in progress (in any thread, nested or not) and puts it back
+  as it was when the last run returns or raises.  Inside a run the
+  collector would only rescan the live world, as its allocation count
+  grows, and free nothing; one ``paper_cold`` pass went from 176
+  collections freeing about 45k objects to 24 freeing none.
 * ``Environment.run`` inlines :meth:`step` so the drain loop costs one
   heappop plus one callback dispatch per event.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 import warnings
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -171,6 +186,34 @@ def try_vectorized(engine: str, replay: Callable[[], Any], *,
             f"engine='vectorized' refused this run ({exc}); falling back "
             "to the coroutine engine", RuntimeWarning, stacklevel=3)
         return None
+
+
+#: ``Environment.run`` calls in progress, in every thread
+_runs = 0
+_runs_lock = threading.Lock()
+#: whether the collector was enabled when the outermost run began
+_collector_was_enabled = False
+
+
+def _pause_collector() -> None:
+    """Enter a run: the first of the runs in progress turns the cycle
+    collector off, noting whether it was on."""
+    global _runs, _collector_was_enabled
+    with _runs_lock:
+        if _runs == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _runs += 1
+
+
+def _resume_collector() -> None:
+    """Leave a run: the last of the runs in progress turns the collector
+    back on if it was on before the first began."""
+    global _runs
+    with _runs_lock:
+        _runs -= 1
+        if _runs == 0 and _collector_was_enabled:
+            gc.enable()
 
 
 class Interrupt(Exception):
@@ -763,37 +806,47 @@ class Environment:
         The loop inlines :meth:`Event._run_callbacks` (engine classes do
         not override it) so each event costs one heappop plus the
         callback dispatch — no per-event method-call frames.
+
+        The cycle collector is off while any run is in progress, in any
+        thread, and back as it was when the last one returns or raises:
+        what a run allocates dies by reference counting (see the module
+        notes), so a collection inside it would scan the live world and
+        free nothing.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        if self.schedule_policy is not None:
-            return self._run_scheduled(until)
-        heap = self._heap
-        probe = self.probe
-        if probe is not None:
-            # Every heappush bumps _seq exactly once, so event counts can
-            # be recovered from deltas at the loop boundaries — the hot
-            # loop itself carries no instrumentation.
-            seq0 = self._seq
-            heap0 = len(heap)
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            when, _p, _s, event = heappop(heap)
-            self._now = when
-            event._state = PROCESSED
-            callbacks = event.callbacks
-            if callbacks:
-                event.callbacks = []
-                for cb in callbacks:
-                    cb(event)
-            if not event._ok and not event._defused:
-                raise event._value
-        if until is not None:
-            self._now = until
-        if probe is not None:
-            scheduled = self._seq - seq0
-            probe.on_run(scheduled, heap0 + scheduled - len(heap))
+        _pause_collector()
+        try:
+            if self.schedule_policy is not None:
+                return self._run_scheduled(until)
+            heap = self._heap
+            probe = self.probe
+            if probe is not None:
+                # Every heappush bumps _seq exactly once, so event counts
+                # can be recovered from deltas at the loop boundaries —
+                # the hot loop itself carries no instrumentation.
+                seq0 = self._seq
+                heap0 = len(heap)
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                when, _p, _s, event = heappop(heap)
+                self._now = when
+                event._state = PROCESSED
+                callbacks = event.callbacks
+                if callbacks:
+                    event.callbacks = []
+                    for cb in callbacks:
+                        cb(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+            if until is not None:
+                self._now = until
+            if probe is not None:
+                scheduled = self._seq - seq0
+                probe.on_run(scheduled, heap0 + scheduled - len(heap))
+        finally:
+            _resume_collector()
 
     @staticmethod
     def _tie_label(event: Event) -> str:

@@ -1,9 +1,7 @@
-"""Shared-resource primitives for the DES core.
+"""Shared-resource primitive for the DES core.
 
 :class:`Resource` models a fixed number of identical servers (a PCIe copy
-engine, a NIC port, a GPU compute engine).  :class:`Store` is an unbounded
-FIFO mailbox; the in-order command queue's dispatcher reads its commands
-from one.
+engine, a NIC port, a GPU compute engine).
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from typing import Any, Generator
 
 from repro.sim.core import PENDING, Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Request(Event):
@@ -101,37 +99,3 @@ class Resource:
         req = self.request()
         yield req
         return req
-
-
-class Store:
-    """Unbounded FIFO mailbox with blocking ``get``.
-
-    ``put`` never blocks (infinite capacity); ``get`` suspends the caller
-    until an item is available.  Items are delivered in FIFO order and each
-    item goes to exactly one getter.
-    """
-
-    def __init__(self, env: Environment, name: str = ""):
-        self.env = env
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``; wakes the oldest waiting getter, if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next item (FIFO)."""
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev

@@ -89,17 +89,24 @@ class Tracer(Probe):
 
     def on_lane_busy(self, kind, lane, label, start, end, category,
                      nbytes=None, flow=0, src=None, dst=None) -> None:
-        meta = {k: v for k, v in (("src", src), ("nbytes", nbytes),
-                                  ("dst", dst)) if v is not None}
-        self.record(lane, label, start, end, category, flow, **meta)
+        if src is None and nbytes is None and dst is None:
+            meta = _EMPTY_META
+        else:
+            meta = {k: v for k, v in (("src", src), ("nbytes", nbytes),
+                                      ("dst", dst)) if v is not None}
+        self._add(lane, label, start, end, category, meta, flow)
 
     def record(self, lane: str, label: str, start: float, end: float,
                category: str = "other", flow: int = 0,
                **meta) -> TraceRecord:
         """Append a record and return it."""
+        return self._add(lane, label, start, end, category,
+                         meta if meta else _EMPTY_META, flow)
+
+    def _add(self, lane, label, start, end, category, meta,
+             flow) -> TraceRecord:
         self._next_span += 1
-        rec = TraceRecord(lane, label, start, end, category,
-                          meta if meta else _EMPTY_META, flow,
+        rec = TraceRecord(lane, label, start, end, category, meta, flow,
                           self._next_span)
         self.records.append(rec)
         return rec

@@ -48,6 +48,34 @@ class TestDeadlockCycle:
         assert "head-of-line" in chain
         assert "wait-list" in chain
 
+    def test_cycle_through_a_queue_dispatcher(self):
+        """A user event made by a completion callback was created by the
+        queue's dispatcher (the active process when the command
+        completed); a later command on that queue waiting for it closes
+        a cycle through the dispatcher, which the witness names."""
+        made = []
+
+        def main(ctx):
+            q = ctx.queue()
+            buf = ctx.ocl.create_buffer(64)
+            write = yield from q.enqueue_write_buffer(
+                buf, False, 0, 64, np.zeros(64, np.uint8))
+            write.set_callback(lambda ev, status: made.append(
+                ctx.ocl.create_user_event("from-callback")))
+            yield from q.finish()
+            yield from q.enqueue_marker(wait_for=(made[0],))
+            yield from q.finish()
+
+        report = run_sanitized(main, nodes=1, expect_deadlock=True)
+        cycles = report.by_kind("deadlock-cycle")
+        assert len(cycles) == 1, report.render()
+        assert cycles[0].witness == [
+            "user-event 'from-callback' must be completed by its "
+            "creating thread ->",
+            "process 'queue1.dispatcher' (creating thread) is blocked "
+            "waiting for ->",
+            "user-event 'from-callback'  [cycle closes]"]
+
     def test_clean_chain_has_no_cycle(self):
         def main(ctx):
             q = ctx.queue()

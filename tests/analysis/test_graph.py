@@ -124,6 +124,38 @@ class TestRecorderGraph:
         parents = {rec.node(o.parent).label for o in ops}
         assert any(p.startswith("clmpi.") for p in parents)
 
+    @pytest.mark.parametrize("nbytes", [4096, 1 << 20])
+    def test_clmpi_send_keeps_its_command_as_parent(self, nbytes):
+        """Every MPI operation a clMPI command posts is attributed to
+        that very command — not to the command before it on the same
+        in-order queue — and the engine choice is noted on it, for an
+        eager message and a rendezvous one."""
+        def main(ctx):
+            q = ctx.queue()
+            buf = ctx.ocl.create_buffer(nbytes)
+            host = np.zeros(nbytes, np.uint8)
+            yield from q.enqueue_write_buffer(buf, False, 0, nbytes, host)
+            if ctx.rank == 0:
+                yield from clmpi.enqueue_send_buffer(
+                    q, buf, False, 0, nbytes, 1, 7, ctx.comm)
+            else:
+                yield from clmpi.enqueue_recv_buffer(
+                    q, buf, False, 0, nbytes, 0, 7, ctx.comm)
+            yield from q.finish()
+
+        san, _ = self._run(main)
+        assert san.report.ok, san.report.render()
+        rec = san.recorder
+        ops = [n for n in rec.graph.nodes
+               if n.kind in (G.MPI_SEND, G.MPI_RECV)]
+        owners = {0: "clmpi.send->r1 t7", 1: "clmpi.recv<-r0 t7"}
+        assert {o.extra["rank"] for o in ops} == {0, 1}
+        for op in ops:
+            parent = rec.node(op.parent)
+            assert parent.kind == G.COMMAND
+            assert parent.label == owners[op.extra["rank"]], op.label
+            assert "engine" in parent.extra
+
     def test_stats_populated(self):
         def main(ctx):
             yield from ctx.comm.barrier()

@@ -53,6 +53,29 @@ def test_in_order_queue_profile_invariants(durations, dep_seed):
                     <= ev.profile[CommandStatus.RUNNING] + eps)
 
 
+@given(gaps=st.lists(st.sampled_from([0.0, 1e-4, 5e-3]), min_size=1,
+                     max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_in_order_queue_fifo_and_lossless(gaps):
+    """Every command enqueued on an in-order queue — while its dispatcher
+    is busy or idle — runs exactly once, in enqueue order."""
+    env, ctx = fresh_ctx()
+    q = ctx.create_queue()
+    ran = []
+
+    def main():
+        for i, gap in enumerate(gaps):
+            k = Kernel(f"k{i}", body=lambda i=i: ran.append(i),
+                       cost=lambda gpu: 1e-3)
+            yield from q.enqueue_nd_range_kernel(k, ())
+            yield env.timeout(gap)
+        yield from q.finish()
+
+    env.process(main())
+    env.run()
+    assert ran == list(range(len(gaps)))
+
+
 @given(durations=st.lists(st.floats(min_value=1e-6, max_value=0.05,
                                     allow_nan=False),
                           min_size=1, max_size=10),

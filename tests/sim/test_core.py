@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.sim import (Chain, Environment, Interrupt, Resource,
-                       SimulationError, Store)
+                       SimulationError)
 
 
 class TestClock:
@@ -558,18 +558,19 @@ def _heap_workload(env):
     interrupts: process bootstraps, live and processed waits (a success
     and a failure), held and unheld timeouts, a process waiting on a
     process, AllOf/AnyOf over processed and pending children, resource
-    grants, store handoffs and chains waiting on processed events."""
+    grants, handoffs (an event succeeded for a waiter, and one succeeded
+    before its waiter yields it) and chains waiting on processed events."""
     log = []
     gate = env.event()
     broken = env.event()
     lock = Resource(env, capacity=1, name="lock")
-    box = Store(env, name="box")
+    handoff = env.event()
 
     def opener(env):
         yield env.timeout(0.5)
         gate.succeed("open")
         broken.fail(RuntimeError("broken"))
-        box.put("first")
+        handoff.succeed("first")
         env.timeout(0.75)  # nobody waits on this one
         return "opened"
 
@@ -618,9 +619,8 @@ def _heap_workload(env):
         log.append((f"user{i}", env.now))
 
     def taker(env):
-        first = yield box.get()
-        box.put("second")
-        second = yield box.get()
+        first = yield handoff
+        second = yield env.event().succeed("second")
         log.append(("taker", env.now, first, second))
 
     opener_proc = env.process(opener(env), name="opener")

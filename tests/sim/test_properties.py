@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -53,29 +53,6 @@ def test_resource_conservation(costs, capacity):
     assert peak[0] <= capacity
     total = sum(costs)
     assert total / capacity - 1e-9 <= env.now <= total + 1e-9
-
-
-@given(items=st.lists(st.integers(), min_size=1, max_size=50))
-@settings(max_examples=60, deadline=None)
-def test_store_fifo_and_lossless(items):
-    """Every item put is delivered exactly once, in FIFO order."""
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer(env):
-        for it in items:
-            store.put(it)
-            yield env.timeout(0.1)
-
-    def consumer(env):
-        for _ in items:
-            got.append((yield store.get()))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == items
 
 
 @given(n=st.integers(min_value=1, max_value=30), seed=st.integers(0, 2**16))

@@ -1,8 +1,8 @@
-"""Unit tests of Resource / Store."""
+"""Unit tests of Resource."""
 
 import pytest
 
-from repro.sim import Resource, Store
+from repro.sim import Resource
 from repro.sim.core import SimulationError
 
 
@@ -81,67 +81,3 @@ class TestResource:
         assert res.count == 1
         res.release(a)
         assert res.count == 0
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("x")
-
-        def proc(env):
-            return (yield store.get())
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == "x"
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-
-        def getter(env):
-            item = yield store.get()
-            return (item, env.now)
-
-        def putter(env):
-            yield env.timeout(2.0)
-            store.put("late")
-
-        g = env.process(getter(env))
-        env.process(putter(env))
-        env.run()
-        assert g.value == ("late", 2.0)
-
-    def test_fifo_delivery(self, env):
-        store = Store(env)
-        for i in range(5):
-            store.put(i)
-        got = []
-
-        def getter(env):
-            for _ in range(5):
-                got.append((yield store.get()))
-
-        env.process(getter(env))
-        env.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_each_item_to_one_getter(self, env):
-        store = Store(env)
-        got = []
-
-        def getter(env, name):
-            item = yield store.get()
-            got.append((name, item))
-
-        env.process(getter(env, "a"))
-        env.process(getter(env, "b"))
-        store.put(1)
-        store.put(2)
-        env.run()
-        assert got == [("a", 1), ("b", 2)]
-
-    def test_len(self, env):
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

@@ -89,6 +89,20 @@ class TestTracer:
         rec = tr.record("l", "x", 0, 1, "net", nbytes=100, dst=3)
         assert rec.meta == {"nbytes": 100, "dst": 3}
 
+    def test_lane_busy_meta(self):
+        """A lane record carries src, nbytes and dst in that order when
+        given; one with none of them shares the empty mapping."""
+        tr = Tracer()
+        tr.on_lane_busy("pcie", "l", "x", 0, 1, "net", nbytes=8, src=1,
+                        dst=2)
+        tr.on_lane_busy("gpu", "l", "k", 1, 2, "compute")
+        tr.on_lane_busy("gpu", "l", "k", 2, 3, "compute")
+        full, bare, again = tr.records
+        assert list(full.meta.items()) == [("src", 1), ("nbytes", 8),
+                                           ("dst", 2)]
+        assert bare.meta == {} and bare.meta is again.meta
+        assert [r.span for r in tr.records] == [1, 2, 3]
+
 
 class TestChromeTraceExport:
     def test_events_structure(self):
