@@ -555,7 +555,7 @@ def test_mesoscale_points_enter_no_numpy_unique():
 
     spec = {"system": "ricc", "nbytes": 4 << 20, "mode": "pipelined",
             "block": 1 << 20, "repeats": 2, "ranks": 2048,
-            "engine": "vectorized", "strict_engine": True}
+            "engine": "vectorized"}
     calls = {
         "bandwidth-2048": _numpy_unique_calls(
             lambda: bandwidth_point(dict(spec))),
@@ -582,8 +582,7 @@ def test_mesoscale_collectives_run_in_array_rounds():
     again enters it thousands of times per point."""
     from repro.apps.collective_load import collective_load_point
 
-    spec = {"system": "ricc", "ranks": 1024, "engine": "vectorized",
-            "strict_engine": True}
+    spec = {"system": "ricc", "ranks": 1024, "engine": "vectorized"}
     calls = {
         "himeno-1024": _vectorized_calls(
             lambda: _himeno_mesoscale_point("vectorized")),
@@ -608,9 +607,8 @@ def test_mesoscale_fixed_port_rounds_run_on_lane_local_state():
 
     pipelined = {"system": "ricc", "nbytes": 64 << 20, "mode": "pipelined",
                  "block": 1 << 20, "repeats": 4, "ranks": 2048,
-                 "engine": "vectorized", "strict_engine": True}
-    collective = {"system": "ricc", "ranks": 1024, "engine": "vectorized",
-                  "strict_engine": True}
+                 "engine": "vectorized"}
+    collective = {"system": "ricc", "ranks": 1024, "engine": "vectorized"}
     calls = {
         "pipelined-2048": _vectorized_calls(
             lambda: bandwidth_point(dict(pipelined))),

@@ -53,8 +53,7 @@ class Recorder(Probe):
         self._queues: dict[int, Any] = {}          # id(queue) -> queue
         self._queue_last: dict[int, int] = {}      # id(queue) -> last nid
         self._proc_sync: dict[int, int] = {}       # id(proc) -> sync nid
-        self._proc_cmd: dict[int, int] = {}        # id(proc) -> command nid
-        self._proc_owner: dict[int, int] = {}      # id(proc) -> transfer nid
+        self._proc_owner: dict[int, int] = {}      # id(proc) -> cmd/transfer
         self._accesses: dict[int, list] = {}       # id(buf) -> access list
         self._buffers: dict[int, Any] = {}         # id(buf) -> Buffer
         self._requests: dict[int, tuple] = {}      # id(req) -> (req, nid)
@@ -77,12 +76,11 @@ class Recorder(Probe):
         proc = self.env.active_process
         if proc is None:
             return None
-        nid = self._proc_cmd.get(id(proc))
-        if nid is not None:
-            cmd = self._commands.get(nid)
-            if cmd is not None and not cmd.event.is_complete:
-                return nid
-        return self._proc_owner.get(id(proc))
+        nid = self._proc_owner.get(id(proc))
+        cmd = self._commands.get(nid)
+        if cmd is not None and cmd.event.is_complete:
+            return None
+        return nid
 
     def _note_comm(self, comm) -> None:
         state = comm._state
@@ -222,7 +220,16 @@ class Recorder(Probe):
         proc = self.env.active_process
         nid = self._node_of_event(cmd.event)
         if proc is not None and nid is not None:
-            self._proc_cmd[id(proc)] = nid
+            self._proc_owner[id(proc)] = nid
+            self._pin(proc)
+
+    def on_process_started(self, proc) -> None:
+        """A process started by one that executes a command or a host
+        transfer works for it (a pipelined transfer's wire stage), so it
+        inherits that owner."""
+        nid = self._active_parent()
+        if nid is not None:
+            self._proc_owner[id(proc)] = nid
             self._pin(proc)
 
     # ------------------------------------------------------------------

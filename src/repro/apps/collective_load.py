@@ -82,10 +82,8 @@ def collective_load(system: SystemPreset, ranks: int, rounds: int = 8,
         raise ConfigurationError("collective_load needs at least 2 ranks")
     if rounds < 1:
         raise ConfigurationError("rounds must be positive")
-    # no fallback: a point the mesoscale model refuses raises
     per_rank = try_vectorized(
-        engine, lambda: _vectorized_per_rank(system, ranks, rounds, jitter),
-        strict=True)
+        engine, lambda: _vectorized_per_rank(system, ranks, rounds, jitter))
     if per_rank is None:
         app = ClusterApp(system, ranks, functional=False)
         per_rank = app.run(_collective_main, rounds, jitter)

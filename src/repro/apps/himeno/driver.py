@@ -71,8 +71,7 @@ def run_himeno(system: SystemPreset, nodes: int, implementation: str,
                force_block: Optional[int] = None,
                trace: bool = False, faults=None,
                metrics: bool = False,
-               engine: str = "coroutine",
-               strict_engine: bool = False) -> HimenoResult:
+               engine: str = "coroutine") -> HimenoResult:
     """Run the Himeno benchmark once and return its result.
 
     Parameters mirror the paper's setup: ``implementation`` is one of
@@ -82,13 +81,12 @@ def run_himeno(system: SystemPreset, nodes: int, implementation: str,
     :class:`~repro.obs.MetricsRegistry` (exposed as ``result.metrics``).
 
     ``engine='vectorized'`` replays the run on the mesoscale engine
-    (timing-only; byte-identical results, milliseconds at 1k+ ranks).
-    It refuses functional runs and falls back to the coroutine engine
-    with a ``RuntimeWarning`` naming the specific feature it does not
-    model (tracing, faults, metrics, the hand-optimized / gpu-aware
-    implementations, pipelined planes, odd-rank mapped layouts);
-    ``strict_engine=True`` raises :class:`~repro.sim.EngineError`
-    instead of falling back.
+    (timing-only; byte-identical results, milliseconds at 1k+ ranks),
+    or raises :class:`~repro.sim.EngineError` naming the feature it
+    does not model (functional runs, tracing, faults, metrics, the
+    hand-optimized / gpu-aware implementations, pipelined planes,
+    odd-rank mapped layouts).  ``engine='auto'`` runs those points on
+    the coroutine engine instead, with the same result.
     """
     try:
         main = IMPLEMENTATIONS[implementation]
@@ -107,8 +105,7 @@ def run_himeno(system: SystemPreset, nodes: int, implementation: str,
                      "metrics": metrics,
                      f"implementation={implementation!r}":
                          implementation not in VECTORIZED_IMPLEMENTATIONS,
-                     "force_mode='pipelined'": force_mode == "pipelined"},
-        strict=strict_engine)
+                     "force_mode='pipelined'": force_mode == "pipelined"})
     if replayed is not None:
         results, env = replayed
         return _finish(system, nodes, implementation, config, results, env)

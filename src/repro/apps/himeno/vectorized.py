@@ -20,8 +20,9 @@ that need genuine event interleaving), and odd-rank mapped-mode clmpi
 runs (the reduce tree's tied 8-byte messages are ordered by the
 coroutine heap's global event sequence there, which no static rule
 reproduces — see ``VectorEngine._drain_level``).  ``hand-optimized`` /
-``gpu-aware-mpi`` have no vectorized model — the driver falls back to
-the coroutine engine with a warning.
+``gpu-aware-mpi`` have no vectorized model and are refused the same way.
+``run_himeno(..., engine='auto')`` runs every refused point on the
+coroutine engine.
 
 Shared-DMA arbitration note (the C1060 / single-copy-engine case): in
 one clMPI iteration a node's phase-1 *receive drain* (h2d) and phase-2
@@ -203,12 +204,12 @@ def _clmpi_rows(L: _Lanes, mode: str, block: Optional[int],
         # program differs from the calibrated descending-child order
         # (empirically: cichlid/clmpi/P=3 serves the lower child first).
         # No static rule reproduces it, so this cell is refused rather
-        # than silently diverging; the driver falls back to the
-        # coroutine engine.
+        # than silently diverging (``engine='auto'`` runs it on the
+        # coroutine engine).
         raise EngineError(
             "the vectorized himeno model cannot reproduce the coroutine "
             "scheduler's exact-tie service order for odd-rank mapped-mode "
-            "clmpi runs; use engine='coroutine' or an even rank count")
+            "clmpi runs; use engine='auto' or an even rank count")
     has_x1, p1 = L.x1_masks()
     has_x2, p2 = L.x2_masks()
     src1 = L.ranks[has_x1]
@@ -472,8 +473,7 @@ def vectorized_rows(system: SystemPreset, nodes: int, implementation: str,
     """Replay one Himeno run; returns ``(per-rank rows, environment)``.
 
     Raises :class:`EngineError` for anything the mesoscale model refuses
-    (see module docstring); the driver decides whether to surface that
-    or fall back.
+    (see module docstring).
     """
     if implementation not in VECTORIZED_IMPLEMENTATIONS:
         raise EngineError(

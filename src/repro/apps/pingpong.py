@@ -208,8 +208,7 @@ def measure_bandwidth(system: SystemPreset, nbytes: int,
                       faults=None, obs: bool = False,
                       ft: Optional[bool] = None,
                       ranks: int = 2,
-                      engine: str = "coroutine",
-                      strict_engine: bool = False) -> BandwidthResult:
+                      engine: str = "coroutine") -> BandwidthResult:
     """One Fig 8 data point.
 
     ``mode=None`` lets the runtime's automatic selector choose (§V.B);
@@ -227,11 +226,10 @@ def measure_bandwidth(system: SystemPreset, nbytes: int,
     ``recovery`` field, and a :class:`~repro.obs.RunReport` carrying
     the ``ft.*`` recovery metrics.
 
-    When ``engine='vectorized'`` cannot model a requested feature the
-    point falls back to the coroutine engine with a ``RuntimeWarning``
-    naming the specific feature(s); ``strict_engine=True`` turns every
-    such fallback into an :class:`~repro.sim.EngineError` instead, for
-    callers that must *know* which engine produced their numbers.
+    ``engine='vectorized'`` replays the point on the mesoscale engine,
+    or raises :class:`~repro.sim.EngineError` naming the feature(s) it
+    cannot model; ``engine='auto'`` runs those points on the coroutine
+    engine instead, with the same result.
     """
     if nbytes <= 0 or repeats <= 0:
         raise ConfigurationError("nbytes and repeats must be positive")
@@ -246,8 +244,7 @@ def measure_bandwidth(system: SystemPreset, nbytes: int,
         functional=functional,
         unsupported={"fault injection ('faults')": faults is not None,
                      "observability hooks ('obs': tracer + metrics)": obs,
-                     "ULFM recovery ('ft')": ft},
-        strict=strict_engine)
+                     "ULFM recovery ('ft')": ft})
     if seconds is not None:
         return BandwidthResult(system=system.name, mode=mode or "auto",
                                block=block, nbytes=nbytes, repeats=repeats,
@@ -305,8 +302,7 @@ def bandwidth_point(spec: dict) -> dict:
                           faults=spec.get("faults"),
                           obs=spec.get("obs", False),
                           ft=spec.get("ft"), ranks=ranks,
-                          engine=spec.get("engine", "coroutine"),
-                          strict_engine=spec.get("strict_engine", False))
+                          engine=spec.get("engine", "coroutine"))
     row = {"system": r.system, "mode": r.mode, "block": r.block,
            "nbytes": r.nbytes, "repeats": r.repeats, "seconds": r.seconds,
            "faults": r.fault_summary}

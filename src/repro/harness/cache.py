@@ -503,6 +503,8 @@ class ResultCache:
     def engine_breakdown(self) -> dict[str, int]:
         """Stored entries per simulation engine (``--cache-stats``).
 
+        Each entry counts under the engine its spec requested, so an
+        ``"auto"`` point counts as ``"auto"`` whichever engine ran it.
         Specs carry an ``"engine"`` key only when it differs from the
         default, so entries written before the mesoscale engine existed
         (and all coroutine points since) count under ``"coroutine"``.

@@ -50,7 +50,9 @@ def run_fig8(system: str = "cichlid",
     ``ranks``/``engine`` select the mesoscale shape: ``ranks=2048,
     engine='vectorized'`` sweeps 1024 concurrent pairs in seconds with
     byte-identical rows (engine and rank count are part of each point's
-    cache address).
+    cache address); ``engine='auto'`` replays the points the mesoscale
+    engine models and runs the rest (faults, ``report``) on the
+    coroutine engine.
 
     ``measure`` (a :class:`~repro.harness.stats.MeasurePolicy` dict,
     e.g. ``{"max_reps": 5}``) runs every point with adaptive

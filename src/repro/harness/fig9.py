@@ -42,8 +42,7 @@ def himeno_point(spec: dict) -> dict:
                      functional=spec.get("functional", False),
                      faults=spec.get("faults"),
                      trace=obs, metrics=obs,
-                     engine=spec.get("engine", "coroutine"),
-                     strict_engine=spec.get("strict_engine", False))
+                     engine=spec.get("engine", "coroutine"))
     # ``seconds`` makes the row measurable: adaptive-repetition jobs
     # (service --reps, fig9 --reps) sample it for their stats records
     row = {"gflops": res.gflops, "comp_comm_ratio": res.comp_comm_ratio,
@@ -79,10 +78,12 @@ def run_fig9(system: str = "cichlid",
     to that path; ``show_metrics`` prints the merged metrics snapshot
     (either flag attaches tracer + metrics to every point).
 
-    ``engine='vectorized'`` runs serial/clmpi points on the mesoscale
-    engine (byte-identical rows); ``dims`` overrides the grid so node
-    counts past M-size's decomposition limit stay valid (mesoscale
-    sweeps need ``mi >= 2*nodes + 2``).
+    ``engine='vectorized'`` replays every point on the mesoscale engine
+    (byte-identical rows), so the hand-optimized points it has no model
+    for fail as ``ERROR`` cells; ``engine='auto'`` runs those on the
+    coroutine engine.  ``dims`` overrides the grid so node counts past
+    M-size's decomposition limit stay valid (mesoscale sweeps need
+    ``mi >= 2*nodes + 2``).
 
     ``measure``/``telemetry`` behave as in
     :func:`repro.harness.fig8.run_fig8`: adaptive repetitions add

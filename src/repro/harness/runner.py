@@ -12,6 +12,7 @@ from repro.harness.fig8 import run_fig8
 from repro.harness.fig9 import run_fig9
 from repro.harness.table1 import run_table1
 from repro.harness.timeline import run_fig4
+from repro.sim import POINT_ENGINES
 
 __all__ = ["main"]
 
@@ -57,12 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
     point_opts.add_argument("--metrics", action="store_true",
                             help="print the merged metrics snapshot "
                                  "after the run")
-    point_opts.add_argument("--engine", default="coroutine",
-                            choices=["coroutine", "vectorized"],
+    point_opts.add_argument("--engine", default="auto",
+                            choices=POINT_ENGINES,
                             help="simulation engine for timing-only "
                                  "points: 'vectorized' batches all ranks "
                                  "into NumPy lanes (byte-identical "
-                                 "results, seconds at 1k+ ranks)")
+                                 "results, seconds at 1k+ ranks) or "
+                                 "refuses the point; 'auto' (default) "
+                                 "runs refused points on the coroutine "
+                                 "engine")
     point_opts.add_argument("--reps", type=int, default=None,
                             metavar="MAX",
                             help="adaptive repetitions per point, up to "
@@ -472,10 +476,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         _write_json(table, args.json)
     elif args.experiment == "all":
         run_table1()
-        run_fig8(system="cichlid", jobs=jobs, cache=cache)
-        run_fig8(system="ricc", jobs=jobs, cache=cache)
-        run_fig9(system="cichlid", jobs=jobs, cache=cache)
-        run_fig9(system="ricc", jobs=jobs, cache=cache)
+        run_fig8(system="cichlid", jobs=jobs, cache=cache, engine="auto")
+        run_fig8(system="ricc", jobs=jobs, cache=cache, engine="auto")
+        run_fig9(system="cichlid", jobs=jobs, cache=cache, engine="auto")
+        run_fig9(system="ricc", jobs=jobs, cache=cache, engine="auto")
         run_fig10(jobs=jobs, cache=cache)
         run_fig4()
     return 0

@@ -322,18 +322,28 @@ class SweepService:
 
     def wait(self, job_id: str, timeout_s: Optional[float] = None
              ) -> dict:
-        """Block until the job finishes; returns its full result set."""
+        """Block until the job finishes; returns its full result set.
+
+        Wakes on the job's events, as a watcher does, up to its ``done``
+        event; the watcher is registered before the first look at the
+        job, so the completion cannot slip between the two.
+        """
         deadline = None if timeout_s is None \
             else time.monotonic() + timeout_s
-        while True:
+        watcher = self._add_watcher(job_id)
+        try:
             job = self.queue.get(job_id)
-            if job.finished:
-                return self.result(job_id)
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"{job_id} still has {job.total - job.completed} "
-                    f"open point(s) after {timeout_s}s")
-            time.sleep(0.02)
+            while not job.finished:
+                left = None if deadline is None \
+                    else deadline - time.monotonic()
+                if (left is not None and left <= 0) \
+                        or watcher.pop(timeout=left) is None:
+                    raise TimeoutError(
+                        f"{job_id} still has {job.total - job.completed} "
+                        f"open point(s) after {timeout_s}s")
+            return self.result(job_id)
+        finally:
+            self._remove_watcher(watcher)
 
     def result(self, job_id: str) -> dict:
         job = self.queue.get(job_id)

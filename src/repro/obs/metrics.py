@@ -92,7 +92,7 @@ class MetricsRegistry(Probe):
     def on_link_queue(self, link, depth) -> None:
         self.gauge(f"hw.{link}.queue_depth", depth)
 
-    def on_process_started(self, name) -> None:
+    def on_process_started(self, proc) -> None:
         self.inc("sim.processes")
 
     def on_run(self, scheduled, fired) -> None:

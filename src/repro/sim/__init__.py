@@ -33,6 +33,7 @@ from repro.sim.core import (
     HIGH,
     LOW,
     NORMAL,
+    POINT_ENGINES,
     AllOf,
     AnyOf,
     Chain,
@@ -60,6 +61,7 @@ __all__ = [
     "SimulationError",
     "EngineError",
     "ENGINES",
+    "POINT_ENGINES",
     "try_vectorized",
     "Resource",
     "TraceRecord",

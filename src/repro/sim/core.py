@@ -88,7 +88,6 @@ from __future__ import annotations
 
 import gc
 import threading
-import warnings
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -106,6 +105,7 @@ __all__ = [
     "SimulationError",
     "EngineError",
     "ENGINES",
+    "POINT_ENGINES",
     "try_vectorized",
     "NORMAL",
     "HIGH",
@@ -114,6 +114,8 @@ __all__ = [
 
 #: Engine names accepted by ``Environment(engine=...)``.
 ENGINES = ("coroutine", "vectorized")
+#: Engine names a timing-only point accepts (:func:`try_vectorized`).
+POINT_ENGINES = ENGINES + ("auto",)
 
 #: Priority bands for same-timestamp ordering.  Lower sorts earlier.
 HIGH = 0
@@ -140,52 +142,41 @@ class EngineError(SimulationError):
     """
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
+def _check_engine(engine: str, allowed: tuple = ENGINES) -> None:
+    if engine not in allowed:
         raise EngineError(
-            f"unknown engine {engine!r}; choose from {ENGINES}")
+            f"unknown engine {engine!r}; choose from {allowed}")
 
 
 def try_vectorized(engine: str, replay: Callable[[], Any], *,
                    functional: bool = False,
-                   unsupported: dict[str, bool] | None = None,
-                   strict: bool = False) -> Any:
-    """The apps' engine-selection policy: ``replay()`` (a mesoscale
-    model of the point) when ``engine`` is ``"vectorized"``, else None.
+                   unsupported: dict[str, bool] | None = None) -> Any:
+    """The apps' engine policy for one point: ``replay()`` (a mesoscale
+    model of the point), or None where the caller runs its coroutine
+    program — always for ``"coroutine"``.
 
-    None also means a fallback to the coroutine engine, with a
-    :class:`RuntimeWarning`, when the point requests one of the caller's
-    ``unsupported`` features (name → requested) or ``replay`` raises
-    :class:`EngineError`; under ``strict`` both raise instead.
+    ``"vectorized"`` raises :class:`EngineError` for a functional run, a
+    requested ``unsupported`` feature (name → requested) or the replay's
+    own refusal; ``"auto"`` returns None there (same row, no warning).
     """
-    _check_engine(engine)
-    if engine != "vectorized":
-        return None
-    if functional:
-        raise EngineError(
-            "engine='vectorized' is timing-only: functional "
-            "(payload-moving) runs need engine='coroutine' (pass "
-            "functional=False for mesoscale sweeps)")
-    asked = [name for name, on in (unsupported or {}).items() if on]
-    if asked:
-        detail = ", ".join(asked)
-        if strict:
-            raise EngineError(
-                f"engine='vectorized' does not support {detail} "
-                "(strict_engine=True forbids the coroutine fallback)")
-        warnings.warn(
-            f"engine='vectorized' does not support {detail}; falling "
-            "back to the coroutine engine", RuntimeWarning, stacklevel=3)
+    _check_engine(engine, POINT_ENGINES)
+    if engine == "coroutine":
         return None
     try:
+        if functional:
+            raise EngineError(
+                "engine='vectorized' is timing-only: functional "
+                "(payload-moving) runs need engine='coroutine' (pass "
+                "functional=False for mesoscale sweeps)")
+        asked = [name for name, on in (unsupported or {}).items() if on]
+        if asked:
+            raise EngineError(
+                f"engine='vectorized' does not support {', '.join(asked)}")
         return replay()
-    except EngineError as exc:
-        if strict:
-            raise
-        warnings.warn(
-            f"engine='vectorized' refused this run ({exc}); falling back "
-            "to the coroutine engine", RuntimeWarning, stacklevel=3)
-        return None
+    except EngineError:
+        if engine == "auto":
+            return None
+        raise
 
 
 #: ``Environment.run`` calls in progress, in every thread
@@ -778,9 +769,10 @@ class Environment:
                 "Environment(engine='vectorized') virtualizes ranks and "
                 "cannot host coroutines; use env.vector batch operations, "
                 "or engine='coroutine' for generator processes")
+        proc = Process(self, generator, name=name)
         if self.probe is not None:
-            self.probe.on_process_started(name)
-        return Process(self, generator, name=name)
+            self.probe.on_process_started(proc)
+        return proc
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all ``events`` have fired."""

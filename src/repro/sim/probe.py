@@ -55,8 +55,9 @@ class Probe:
         """A transfer asks for link ``link`` with ``depth`` ahead."""
 
     # -- simulation core ------------------------------------------------
-    def on_process_started(self, name) -> None:
-        """A coroutine process was registered."""
+    def on_process_started(self, proc) -> None:
+        """A coroutine process was registered, by the environment's
+        active process if there is one."""
 
     def on_run(self, scheduled, fired) -> None:
         """One ``Environment.run`` call scheduled and fired events."""

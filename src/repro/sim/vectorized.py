@@ -50,8 +50,8 @@ the one statement on the hardware spec that owns each rule's constants
 (see :class:`Timings`).
 
 What the vectorized engine deliberately does **not** support (it refuses
-with :class:`~repro.sim.EngineError` or the caller falls back to the
-coroutine engine with a warning): functional (payload-moving) kernels,
+with :class:`~repro.sim.EngineError`; ``engine='auto'`` points run on the
+coroutine engine instead): functional (payload-moving) kernels,
 schedule-policy exploration, per-event monitor hooks, fault injection,
 and tracing — all of these need the per-event coroutine substrate.
 """

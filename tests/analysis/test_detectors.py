@@ -127,6 +127,41 @@ class TestUnmatchedRecv:
         assert "rank 0 -> rank 0" in comm_cycle.message
 
 
+class TestUnmatchedSend:
+    def test_stuck_pipelined_send_names_its_command(self):
+        """A pipelined clMPI send nobody receives: its block sends are
+        posted by the transfer's wire process, and the witness still
+        walks from the blocked rank thread through the command that
+        issued them to the unmatched rendezvous send."""
+        nbytes = 16 << 20
+
+        def main(ctx):
+            q = ctx.queue()
+            buf = ctx.ocl.create_buffer(nbytes)
+            if ctx.rank == 0:
+                yield from clmpi.enqueue_send_buffer(
+                    q, buf, False, 0, nbytes, 1, 7, ctx.comm)
+                yield from q.finish()
+            else:
+                yield ctx.env.timeout(0)
+
+        app = ClusterApp(cichlid(), 2, force_mode="pipelined",
+                         force_block=nbytes // 2)
+        with Sanitizer(app) as san:
+            with pytest.raises(ReproError, match="deadlock"):
+                app.run(main)
+        findings = san.report.by_kind("unmatched-send")
+        assert len(findings) == 1, san.report.render()
+        witness = findings[0].witness
+        assert witness[0].startswith("process 'rank0.main'")
+        assert witness[1].startswith(
+            "command 'clmpi.send->r1 t7' (on queue 'queue1', "
+            "engine=pipelined) is executing a transfer that never "
+            "completed")
+        assert witness[2].startswith("mpi-send 'send r0->r1")
+        assert not san.report.by_kind("stalled-command")
+
+
 class TestDataRace:
     def _race_main(self, ordered):
         def main(ctx):

@@ -44,8 +44,8 @@ class TestExecutionGraph:
 
 
 class TestRecorderGraph:
-    def _run(self, main, nodes=2):
-        app = ClusterApp(cichlid(), nodes)
+    def _run(self, main, nodes=2, **app_kw):
+        app = ClusterApp(cichlid(), nodes, **app_kw)
         with Sanitizer(app) as san:
             results = app.run(main)
         return san, results
@@ -124,12 +124,17 @@ class TestRecorderGraph:
         parents = {rec.node(o.parent).label for o in ops}
         assert any(p.startswith("clmpi.") for p in parents)
 
-    @pytest.mark.parametrize("nbytes", [4096, 1 << 20])
-    def test_clmpi_send_keeps_its_command_as_parent(self, nbytes):
+    @pytest.mark.parametrize("nbytes, blocks", [
+        pytest.param(4096, None, id="4096"),
+        pytest.param(1 << 20, None, id="1048576"),
+        *(pytest.param(16 << 20, k, id=f"16777216-pipelined{k}")
+          for k in range(1, 5))])
+    def test_clmpi_send_keeps_its_command_as_parent(self, nbytes, blocks):
         """Every MPI operation a clMPI command posts is attributed to
         that very command — not to the command before it on the same
         in-order queue — and the engine choice is noted on it, for an
-        eager message and a rendezvous one."""
+        eager message, a rendezvous one, and a pipelined transfer of 1–4
+        blocks, whose sends the ``clmpi.pipe.wire`` process posts."""
         def main(ctx):
             q = ctx.queue()
             buf = ctx.ocl.create_buffer(nbytes)
@@ -143,13 +148,18 @@ class TestRecorderGraph:
                     q, buf, False, 0, nbytes, 0, 7, ctx.comm)
             yield from q.finish()
 
-        san, _ = self._run(main)
+        forced = ({} if blocks is None else
+                  {"force_mode": "pipelined",
+                   "force_block": -(-nbytes // blocks)})
+        san, _ = self._run(main, **forced)
         assert san.report.ok, san.report.render()
         rec = san.recorder
         ops = [n for n in rec.graph.nodes
                if n.kind in (G.MPI_SEND, G.MPI_RECV)]
         owners = {0: "clmpi.send->r1 t7", 1: "clmpi.recv<-r0 t7"}
         assert {o.extra["rank"] for o in ops} == {0, 1}
+        if blocks is not None:
+            assert len(ops) == 2 * blocks
         for op in ops:
             parent = rec.node(op.parent)
             assert parent.kind == G.COMMAND

@@ -249,6 +249,44 @@ def _poll_until(predicate, timeout_s: float) -> None:
         time.sleep(0.02)
 
 
+class TestWait:
+    def test_wait_returns_without_sleeping(self, tmp_path, monkeypatch):
+        """``wait`` blocks on the job's completion signal; it never
+        polls with ``time.sleep``."""
+        svc = SweepService(tmp_path / "svc", jobs=1)
+        svc.start()
+        try:
+            def no_sleep(seconds):
+                raise AssertionError(f"time.sleep({seconds}) in wait")
+
+            monkeypatch.setattr(time, "sleep", no_sleep)
+            job = svc.submit("slow", [{"i": i, "sleep_s": 0.05}
+                                      for i in range(3)],
+                             {"worker": "tests.harness.test_service:"
+                                        "slow_point"})
+            out = svc.wait(job["job"], timeout_s=60)
+            again = svc.wait(job["job"], timeout_s=60)  # already done
+        finally:
+            monkeypatch.undo()
+            svc.stop()
+        assert [r["value"] for r in out["results"]] == [0, 3, 6]
+        assert again == out
+
+    def test_wait_times_out_with_the_open_point_count(self, tmp_path):
+        svc = SweepService(tmp_path / "svc", jobs=0)
+        try:
+            job = svc.submit("slow", [{"i": 1}, {"i": 2}],
+                             {"worker": "tests.harness.test_service:"
+                                        "slow_point"})
+            with pytest.raises(TimeoutError) as info:
+                svc.wait(job["job"], timeout_s=0.1)
+        finally:
+            svc.stop()
+        assert str(info.value) == (f"{job['job']} still has 2 open "
+                                   "point(s) after 0.1s")
+        assert svc._watchers == []
+
+
 class TestDedupAndStore:
     def test_identical_inflight_points_compute_once(self, tmp_path,
                                                     service, client):

@@ -18,10 +18,11 @@ import os
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.apps.collective_load import collective_load
-from repro.apps.himeno import HimenoConfig, run_himeno
+from repro.apps.himeno import IMPLEMENTATIONS, HimenoConfig, run_himeno
+from repro.apps.himeno.vectorized import VECTORIZED_IMPLEMENTATIONS
 from repro.apps.pingpong import bandwidth_point, measure_bandwidth
 from repro.sim import EngineError
 from repro.systems import custom, get_system
@@ -111,11 +112,89 @@ def test_pingpong_rows_identical_on_generated_presets(data):
         mp.setitem(presets.SYSTEMS, preset.name, lambda **_: preset)
         a = bandwidth_point(dict(spec))
         try:
-            b = bandwidth_point(dict(spec, engine="vectorized",
-                                     strict_engine=True))
+            b = bandwidth_point(dict(spec, engine="vectorized"))
         except EngineError:
             return
     assert canon(a) == canon(b), spec
+
+
+def _auto_is_coroutine(row, refuses: bool) -> None:
+    """``row(engine)`` under ``auto`` is the coroutine row.  On an input
+    the replay refuses by rule, ``vectorized`` raises; on any other it
+    gives the same row or refuses a tie it cannot order."""
+    oracle = row("coroutine")
+    assert row("auto") == oracle
+    try:
+        replayed = row("vectorized")
+    except EngineError:
+        return
+    assert not refuses, "the replay accepted an input it must refuse"
+    assert replayed == oracle
+
+
+#: a third of the generated points are functional (payload-moving)
+_FUNCTIONAL = st.sampled_from([False, False, True])
+
+
+@seed(2013)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_auto_pingpong_rows_equal_coroutine_on_generated_presets(data):
+    """``auto`` gives the coroutine pingpong row in every mode; functional
+    and odd-rank points are refused by ``vectorized``."""
+    preset = data.draw(_generated_preset(), label="preset")
+    nbytes = data.draw(st.integers(1, 4 * preset.mpi_eager_threshold),
+                       label="nbytes")
+    mode = data.draw(st.sampled_from([None, "pinned", "mapped",
+                                      "pipelined"]), label="mode")
+    block = None
+    if mode == "pipelined":
+        block = data.draw(st.integers(-(-nbytes // 6), nbytes),
+                          label="block")
+    spec = {"system": preset.name, "nbytes": nbytes, "mode": mode,
+            "block": block, "repeats": 1,
+            "functional": data.draw(_FUNCTIONAL, label="functional"),
+            "ranks": data.draw(st.integers(2, 6), label="ranks")}
+
+    def row(engine):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(presets.SYSTEMS, preset.name, lambda **_: preset)
+            return canon(bandwidth_point(dict(spec, engine=engine)))
+
+    _auto_is_coroutine(row, spec["functional"] or spec["ranks"] % 2 == 1)
+
+
+@seed(2013)
+@settings(max_examples=100, deadline=None)
+@given(preset=_generated_preset(),
+       impl=st.sampled_from(sorted(IMPLEMENTATIONS)),
+       ranks=st.integers(1, 6),
+       force_mode=st.sampled_from([None, "pinned", "mapped", "pipelined"]),
+       plane=st.sampled_from([9, 33]), functional=_FUNCTIONAL)
+@example(preset=presets.cichlid(), impl="clmpi", ranks=3,
+         force_mode="mapped", plane=9, functional=False)
+@example(preset=presets.cichlid(), impl="clmpi", ranks=2,
+         force_mode=None, plane=9, functional=True)
+def test_auto_himeno_rows_equal_coroutine_on_generated_presets(
+        preset, impl, ranks, force_mode, plane, functional):
+    """``auto`` gives the coroutine Himeno row in all four
+    implementations.  ``vectorized`` refuses functional runs, the
+    implementations and the pipelined planes it has no model for, and
+    odd-rank mapped clmpi (the first example)."""
+    cfg = HimenoConfig(size="custom", dims=(2 * ranks + 2, plane, plane),
+                       iterations=2)
+
+    def row(engine):
+        res = run_himeno(preset, ranks, impl, cfg, functional=functional,
+                         force_mode=force_mode, engine=engine)
+        return canon([res.time, res.gflops, res.kernel_times,
+                      res.gosa_per_iter])
+
+    _auto_is_coroutine(row, functional
+                       or impl not in VECTORIZED_IMPLEMENTATIONS
+                       or force_mode == "pipelined"
+                       or (impl == "clmpi" and force_mode == "mapped"
+                           and ranks >= 3 and ranks % 2 == 1))
 
 
 # -- himeno -----------------------------------------------------------------
@@ -142,13 +221,14 @@ def test_himeno_rows_identical(system, impl, ranks):
 
 
 def test_himeno_odd_mapped_clmpi_falls_back():
-    """The one configuration the mesoscale model refuses (odd-rank
-    mapped-mode clmpi: the coroutine heap's exact-tie order is not
-    reproducible) falls back loudly and still returns oracle rows."""
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        b = _himeno_row("cichlid", 3, "clmpi", "vectorized")
+    """The configuration the mesoscale model refuses by its own rule
+    (odd-rank mapped-mode clmpi: the coroutine heap's exact-tie order is
+    not reproducible): ``vectorized`` raises naming it, and ``auto``
+    returns the coroutine row."""
+    with pytest.raises(EngineError, match="odd-rank mapped-mode clmpi"):
+        _himeno_row("cichlid", 3, "clmpi", "vectorized")
     a = _himeno_row("cichlid", 3, "clmpi", "coroutine")
-    assert canon(a) == canon(b)
+    assert canon(_himeno_row("cichlid", 3, "clmpi", "auto")) == canon(a)
 
 
 # -- collective-load scenario ----------------------------------------------
@@ -187,68 +267,97 @@ def test_unknown_engine_rejected():
                    functional=False, engine="warp")
 
 
-# -- fallback specificity + strict mode -------------------------------------
+# -- refusals: ``vectorized`` raises, ``auto`` runs the coroutine program --
 
-def test_pingpong_fallback_warning_names_the_feature():
-    """The RuntimeWarning must say *which* feature forced the coroutine
-    fallback, not a generic laundry list."""
-    with pytest.warns(RuntimeWarning, match="fault injection"):
-        measure_bandwidth(get_system("cichlid"), 1 << 16, "pinned",
-                          faults={"seed": 1, "events": []},
-                          engine="vectorized")
-    with pytest.warns(RuntimeWarning, match="observability hooks"):
-        measure_bandwidth(get_system("cichlid"), 1 << 16, "pinned",
-                          obs=True, engine="vectorized")
-    with pytest.warns(RuntimeWarning, match="ULFM recovery"):
-        measure_bandwidth(get_system("cichlid"), 1 << 16, "pinned",
-                          ft=True, engine="vectorized")
+def _pingpong_row(engine, **spec):
+    return bandwidth_point(dict({"system": "cichlid", "nbytes": 1 << 16,
+                                 "mode": "pinned"}, engine=engine, **spec))
+
+
+def test_pingpong_refusal_names_the_feature():
+    """The refusal says *which* requested feature the replay does not
+    model, not a generic laundry list."""
+    features = {"fault injection": {"faults": {"seed": 1, "events": []}},
+                "observability hooks": {"obs": True},
+                "ULFM recovery": {"ft": True}}
+    for feature, spec in features.items():
+        with pytest.raises(EngineError, match=feature) as info:
+            _pingpong_row("vectorized", **spec)
+        others = [f for f in features if f != feature]
+        assert not any(f in str(info.value) for f in others)
+        assert (canon(_pingpong_row("auto", **spec))
+                == canon(_pingpong_row("coroutine", **spec)))
 
 
 def test_pingpong_odd_ranks_fall_back_with_reason():
-    with pytest.warns(RuntimeWarning, match="even rank count"):
-        r = measure_bandwidth(get_system("cichlid", max_nodes=3),
-                              1 << 16, "pinned", ranks=3,
-                              engine="vectorized")
-    assert r.seconds > 0  # the coroutine fallback produced the row
-
-
-def test_pingpong_strict_engine_raises_instead_of_falling_back():
-    with pytest.raises(EngineError, match="strict_engine"):
-        measure_bandwidth(get_system("cichlid"), 1 << 16, "pinned",
-                          obs=True, engine="vectorized",
-                          strict_engine=True)
     with pytest.raises(EngineError, match="even rank count"):
-        measure_bandwidth(get_system("cichlid", max_nodes=3), 1 << 16,
-                          "pinned", ranks=3, engine="vectorized",
-                          strict_engine=True)
+        _pingpong_row("vectorized", ranks=3)
+    row = _pingpong_row("auto", ranks=3)
+    assert row["seconds"] > 0
+    assert canon(row) == canon(_pingpong_row("coroutine", ranks=3))
 
 
-def test_himeno_strict_engine_raises_instead_of_falling_back():
+def test_pingpong_refusal_names_every_requested_feature():
+    spec = {"obs": True, "faults": {"seed": 1, "events": []}}
+    with pytest.raises(EngineError,
+                       match="fault injection.*observability hooks"):
+        _pingpong_row("vectorized", **spec)
+    assert (canon(_pingpong_row("auto", **spec))
+            == canon(_pingpong_row("coroutine", **spec)))
+
+
+def test_himeno_refusal_names_the_feature():
+    system = get_system("cichlid")
     cfg = HimenoConfig(size="XXS", iterations=1)
-    with pytest.raises(EngineError, match="strict_engine"):
-        run_himeno(get_system("cichlid"), 2, "clmpi", cfg,
-                   functional=False, trace=True, engine="vectorized",
-                   strict_engine=True)
-    # odd-rank mapped clmpi: the model's own refusal propagates
-    with pytest.raises(EngineError):
-        run_himeno(_system("cichlid", 3), 3, "clmpi",
-                   HimenoConfig(size="custom", dims=(8, 33, 33),
-                                iterations=2),
-                   functional=False, engine="vectorized",
-                   strict_engine=True)
+    cases = {"trace": ("clmpi", {"trace": True}),
+             "metrics": ("clmpi", {"metrics": True}),
+             "faults": ("clmpi", {"faults": {"seed": 1, "events": []}}),
+             "implementation='hand-optimized'": ("hand-optimized", {}),
+             "implementation='gpu-aware-mpi'": ("gpu-aware-mpi", {}),
+             "force_mode='pipelined'": ("clmpi",
+                                        {"force_mode": "pipelined"})}
+
+    def row(engine, impl, kw):
+        res = run_himeno(system, 2, impl, cfg, functional=False,
+                         engine=engine, **kw)
+        return canon([res.time, res.kernel_times, res.gosa_per_iter])
+
+    for feature, (impl, kw) in cases.items():
+        with pytest.raises(EngineError) as info:
+            row("vectorized", impl, kw)
+        assert f"does not support {feature}" in str(info.value)
+        assert row("auto", impl, kw) == row("coroutine", impl, kw)
 
 
-def test_strict_engine_never_fires_on_supported_points():
-    """strict mode is free when the vectorized model covers the point."""
-    r = measure_bandwidth(get_system("cichlid"), 1 << 16, "pinned",
-                          engine="vectorized", strict_engine=True)
-    assert r.seconds > 0
+def test_vectorized_and_auto_replay_supported_points(monkeypatch):
+    """Where the replay models the point, ``auto`` is the replay: no
+    coroutine program runs, and the row is the coroutine row."""
+    from repro.apps import pingpong
+
+    oracle = _pingpong_row("coroutine")
+
+    def no_coroutines(*args, **kwargs):
+        raise AssertionError("the coroutine program ran")
+
+    monkeypatch.setattr(pingpong, "ClusterApp", no_coroutines)
+    assert canon(_pingpong_row("vectorized")) == canon(oracle)
+    assert canon(_pingpong_row("auto")) == canon(oracle)
 
 
-def test_bandwidth_point_threads_strict_engine():
-    from repro.apps.pingpong import bandwidth_point
+def test_bandwidth_point_threads_the_engine():
+    """The spec's ``engine`` reaches the point; a spec that still carries
+    the old ``strict_engine`` key is accepted, and the key changes
+    nothing."""
+    from repro.harness.fig9 import himeno_point
 
-    with pytest.raises(EngineError, match="strict_engine"):
-        bandwidth_point({"system": "cichlid", "nbytes": 1 << 16,
-                         "mode": "pinned", "obs": True,
-                         "engine": "vectorized", "strict_engine": True})
+    with pytest.raises(EngineError, match="observability hooks"):
+        _pingpong_row("vectorized", obs=True)
+    with pytest.raises(EngineError, match="observability hooks"):
+        _pingpong_row("vectorized", obs=True, strict_engine=True)
+    assert (canon(_pingpong_row("vectorized", strict_engine=True))
+            == canon(_pingpong_row("coroutine")))
+    spec = {"system": "cichlid", "nodes": 2, "impl": "clmpi",
+            "size": "XXS", "iterations": 1}
+    assert (canon(himeno_point(dict(spec, engine="vectorized",
+                                    strict_engine=True)))
+            == canon(himeno_point(spec)))
