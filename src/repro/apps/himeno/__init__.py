@@ -4,9 +4,11 @@ A 3-D pressure-Poisson Jacobi solver with 1-D domain decomposition, each
 local domain halved into an upper portion *A* and lower portion *B*
 (Fig 3) so halo exchange can overlap computation: while one half
 computes, the other half's halo is exchanged (Fig 2 / Fig 6).
-:meth:`Partition.phases` states that schedule once — which portion each
-rank computes first and with whom each phase exchanges — and every
-implementation runs the same loop body over its two phases.
+:meth:`Partition.schedule` states that schedule once — which rows each
+rank computes in each phase and with whom the phase exchanges — for one
+rank or an array of ranks.  Every implementation runs the same loop body
+over its two :meth:`Partition.phases`, and the vectorized replay reads
+all ranks' schedule from the same statement.
 
 Four implementations, the paper's three plus one comparator:
 

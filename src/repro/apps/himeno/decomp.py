@@ -5,9 +5,12 @@ each rank stores its slab plus two ghost planes (``local[0]`` and
 ``local[li+1]``).  Each slab is halved into portion **A** (lower half of
 local interior rows) and **B** (upper half).
 
-:meth:`Partition.phases` is the A/B schedule every implementation runs:
-while one portion computes, the other portion's boundary row is
-exchanged with the neighbour on its side.
+:meth:`Partition.schedule` states the A/B schedule every implementation
+runs, once, for one rank or an array of ranks: while one portion
+computes, the other portion's boundary row is exchanged with the
+neighbour on its side.  :meth:`Partition.phases` reads one rank's
+phases from it for the rank programs; the vectorized replay reads all
+ranks' at once.
 """
 
 from __future__ import annotations
@@ -63,10 +66,11 @@ class Partition:
     def interior_rows(self) -> int:
         return self.mi - 2
 
-    def local_rows(self, rank: int) -> int:
-        """Number of interior rows owned by ``rank``."""
+    def local_rows(self, rank):
+        """Number of interior rows owned by ``rank`` (an int, or an
+        integer array of ranks)."""
         base, extra = divmod(self.interior_rows, self.num_ranks)
-        return base + (1 if rank < extra else 0)
+        return base + (rank < extra)
 
     def row_start(self, rank: int) -> int:
         """Global i-index of ``rank``'s ghost row 0.
@@ -78,34 +82,50 @@ class Partition:
         owned_before = rank * base + min(rank, extra)
         return owned_before  # ghost row sits just before the owned rows
 
-    def ab_split(self, rank: int) -> tuple[int, int, int, int]:
-        """Local interior row ranges ``(a_lo, a_hi, b_lo, b_hi)``."""
-        li = self.local_rows(rank)
-        half = li // 2
-        return 1, half + 1, half + 1, li + 1
+    def schedule(self, rank):
+        """The A/B schedule: ``((lo, hi, partner), (lo, hi, partner))``,
+        one triple per phase in execution order.
 
-    def neighbors(self, rank: int) -> tuple[int | None, int | None]:
-        """(lower, upper) neighbour ranks, None at the boundary."""
-        lo = rank - 1 if rank > 0 else None
-        hi = rank + 1 if rank < self.num_ranks - 1 else None
-        return lo, hi
+        ``rank`` is an int or an integer array of ranks, and every entry
+        is of the same kind.  Each phase computes local rows ``[lo, hi)``
+        while exchanging with ``partner``; a partner outside ``[0,
+        num_ranks)`` means the phase has no exchange (a boundary rank).
+        A is rows ``[1, mid)`` and B rows ``[mid, li + 1)``.  Computing A
+        overlaps B's top row going to the upper neighbour; computing B
+        overlaps A's bottom row going to the lower one.  Even ranks run
+        A first and odd ranks B first, so every exchange pairs ranks that
+        reach it in the same phase: 2i with 2i+1 first, then 2i+1 with
+        2i+2.
+        """
+        end = self.local_rows(rank) + 1
+        mid = (end + 1) // 2
+        a = (1, mid, rank + 1)
+        b = (mid, end, rank - 1)
+        odd = rank % 2
+
+        def pick(x, y):             # x on even ranks, y on odd ones
+            return x + odd * (y - x)
+
+        return (tuple(pick(x, y) for x, y in zip(a, b)),
+                tuple(pick(y, x) for x, y in zip(a, b)))
 
     def phases(self, rank: int) -> tuple[Phase, Phase]:
-        """``rank``'s two phases in execution order.
-
-        Computing A overlaps B's top row going to the upper neighbour;
-        computing B overlaps A's bottom row going to the lower one.  Even
-        ranks run A first and odd ranks B first, so every exchange pairs
-        ranks that reach it in the same phase: 2i with 2i+1 first, then
-        2i+1 with 2i+2.
-        """
+        """``rank``'s two phases of :meth:`schedule`, in execution order,
+        with the rows and tags of each exchange."""
         li = self.local_rows(rank)
-        a_lo, a_hi, b_lo, b_hi = self.ab_split(rank)
-        lo_nbr, hi_nbr = self.neighbors(rank)
-        a = Phase("jacobi_A", a_lo, a_hi, hi_nbr, li, li + 1,
-                  TAG_UP, TAG_DOWN)
-        b = Phase("jacobi_B", b_lo, b_hi, lo_nbr, 1, 0, TAG_DOWN, TAG_UP)
-        return (a, b) if rank % 2 == 0 else (b, a)
+        # A sends B's top row up, B sends A's bottom row down
+        moves = {rank + 1: ("jacobi_A", li, li + 1, TAG_UP, TAG_DOWN),
+                 rank - 1: ("jacobi_B", 1, 0, TAG_DOWN, TAG_UP)}
+
+        def phase(lo, hi, partner):
+            label, own, ghost, send_tag, recv_tag = moves[partner]
+            if not 0 <= partner < self.num_ranks:
+                partner = None
+            return Phase(label, lo, hi, partner, own, ghost, send_tag,
+                         recv_tag)
+
+        first, second = self.schedule(rank)
+        return phase(*first), phase(*second)
 
     def plane_bytes(self) -> int:
         """Bytes of one halo plane (float32)."""

@@ -85,7 +85,7 @@ def run_himeno(system: SystemPreset, nodes: int, implementation: str,
     or raises :class:`~repro.sim.EngineError` naming the feature it
     does not model (functional runs, tracing, faults, metrics, the
     hand-optimized / gpu-aware implementations, pipelined planes,
-    odd-rank mapped layouts).  ``engine='auto'`` runs those points on
+    odd rank counts of 3 or more).  ``engine='auto'`` runs those points on
     the coroutine engine instead, with the same result.
     """
     try:

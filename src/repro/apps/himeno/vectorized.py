@@ -4,23 +4,22 @@ Every rank of :func:`~repro.apps.himeno.clmpi_impl.clmpi_main` and
 :func:`~repro.apps.himeno.serial.serial_main` executes the same command
 sequence per iteration — only the operand values (neighbour ranks, A/B
 row counts, kernel durations) differ per rank.  Those operands are the
-schedule :meth:`~repro.apps.himeno.decomp.Partition.phases` gives each
-rank; :class:`_Lanes` holds them as whole-array formulas (per-rank
-``phases()`` calls would cost milliseconds at 1k ranks), and a test pins
-the formulas to ``phases()``.  This module replays that
-sequence once, as float64 array lanes over all P ranks, through
+one schedule statement :meth:`~repro.apps.himeno.decomp.Partition.schedule`,
+read here for all ranks at once as integer arrays.  This module replays
+that sequence once, as float64 array lanes over all P ranks, through
 :class:`~repro.sim.vectorized.VectorEngine` — byte-identical to the
-coroutine engine at any rank count, in milliseconds at 1k+ ranks.
+coroutine engine, in milliseconds at 1k+ ranks.
 
 Supported: ``serial`` and ``clmpi`` implementations, pinned and mapped
-halo transfers, timing-only runs.  Refused with
-:class:`~repro.sim.EngineError`: functional runs, pipelined halo
-planes (per-block DMA interleaves with the other queues' DMA in ways
-that need genuine event interleaving), and odd-rank mapped-mode clmpi
-runs (the reduce tree's tied 8-byte messages are ordered by the
-coroutine heap's global event sequence there, which no static rule
-reproduces — see ``VectorEngine._drain_level``).  ``hand-optimized`` /
-``gpu-aware-mpi`` have no vectorized model and are refused the same way.
+halo transfers, timing-only runs, one rank or an even rank count.
+Refused with :class:`~repro.sim.EngineError`: functional runs,
+pipelined halo planes (per-block DMA interleaves with the other queues'
+DMA in ways that need genuine event interleaving), and odd rank counts
+of 3 or more.  At odd P, rank P-1 has no phase-1 partner and rank 0 no
+phase-2 partner, so both run ahead of the phase batches; the replay
+models only the even-P case, where rank P-1 alone runs ahead of phase 2
+(see :func:`_phase2_halo`).  ``hand-optimized`` / ``gpu-aware-mpi``
+have no vectorized model and are refused the same way.
 ``run_himeno(..., engine='auto')`` runs every refused point on the
 coroutine engine.
 
@@ -46,7 +45,6 @@ from repro.apps.himeno.config import FLOPS_PER_CELL, HimenoConfig
 from repro.apps.himeno.decomp import Partition
 from repro.apps.himeno.kernels import GOSA_BYTES
 from repro.clmpi.selector import TransferSelector
-from repro.mpi.matching import match_arrays
 from repro.sim import EngineError, Environment
 from repro.systems.presets import SystemPreset
 
@@ -69,14 +67,11 @@ class _Lanes:
         self.cfg = config
         ranks = np.arange(nodes)
         self.ranks = ranks
-        self.even = ranks % 2 == 0
-        ab = np.array([self.part.ab_split(r) for r in range(nodes)],
-                      dtype=np.float64)
-        rows_a = ab[:, 1] - ab[:, 0]
-        rows_b = ab[:, 3] - ab[:, 2]
-        # the order of Partition.phases: even ranks compute A first
-        self.rows_first = np.where(self.even, rows_a, rows_b)
-        self.rows_second = np.where(self.even, rows_b, rows_a)
+        #: per phase in execution order: rows computed, which ranks
+        #: exchange, and with whom — Partition.schedule over all ranks
+        self.phases = [(hi - lo, (partner >= 0) & (partner < nodes),
+                        partner)
+                       for lo, hi, partner in self.part.schedule(ranks)]
         self.plane = self.part.plane_bytes()
         self.env = Environment(engine="vectorized")
         self.v = self.env.vector.bind(system, nodes)
@@ -88,20 +83,6 @@ class _Lanes:
         flops = float(FLOPS_PER_CELL) * rows * (mj - 2) * (mk - 2)
         mem = 4.0 * rows * mj * mk * 4
         return self.t.kernel_duration(flops, mem)
-
-    def x1_masks(self):
-        """Phase-1 halo exchange: rank 2i ↔ 2i+1 (even's hi neighbour)."""
-        ranks, P = self.ranks, self.P
-        has = np.where(self.even, ranks + 1 < P, True)
-        partner = np.where(self.even, ranks + 1, ranks - 1)
-        return has, partner
-
-    def x2_masks(self):
-        """Phase-2 halo exchange: rank 2i+1 ↔ 2i+2 (even's lo neighbour)."""
-        ranks, P = self.ranks, self.P
-        has = np.where(self.even, ranks > 0, ranks + 1 < P)
-        partner = np.where(self.even, ranks - 1, ranks + 1)
-        return has, partner
 
     def rows_out(self, t0, t1, ktime) -> list[dict]:
         """Per-rank result dicts exactly as ``finalize`` shapes them."""
@@ -119,9 +100,8 @@ class _Lanes:
 def _gosa_and_allreduce(L: _Lanes, h, q_ready, raced=None):
     """End-of-iteration ``read_gosa``: blocking 8-byte read + allreduce.
 
-    ``raced`` is ``(rank, gosa_done, pre_tuple)`` for a rank whose gosa
-    read and reduce isend were already serviced (see :func:`_race_ahead`
-    — it skipped the final exchange phase and ran ahead of it).
+    ``raced`` is ``(gosa_done, pre)`` of rank P-1 when its gosa read and
+    reduce isend were already serviced (see :func:`_phase2_halo`).
     Returns ``(h, q_ready)`` after the collective.
     """
     t, v = L.t, L.v
@@ -131,60 +111,64 @@ def _gosa_and_allreduce(L: _Lanes, h, q_ready, raced=None):
         _, done = v.d2h.use(L.ranks, disp, t.pcie.dma_time(GOSA_BYTES))
         pre = None
     else:
-        r, done_r, pre_t = raced
-        sel = L.ranks[L.ranks != r]
+        done_r, pre_r = raced
         done = np.empty(L.P)
-        _, dsel = v.d2h.use(sel, disp[sel], t.pcie.dma_time(GOSA_BYTES))
-        done[sel] = dsel
-        done[r] = done_r
-        pre = {r: pre_t}
+        done[:-1] = v.d2h.use(L.ranks[:-1], disp[:-1],
+                              t.pcie.dma_time(GOSA_BYTES))[1]
+        done[-1] = done_r
+        pre = {L.P - 1: pre_r}
     h = done + t.so            # blocking enqueue: completion + wake-up
     return v.allreduce_small(h, float(GOSA_BYTES), pre=pre), done
 
 
-def _race_ahead(L: _Lanes, r: int, h_r: float, q_ready_r: float):
-    """Rank ``r``'s gosa read and reduce-isend post, computed *before*
-    the final exchange phase is serviced.
+def _phase2_halo(L: _Lanes, src, dst, ts1, tr1, h_r: float,
+                 q_ready_r: float, rate=None):
+    """The phase-2 halo ``transfer`` batch, with rank P-1 run ahead.
 
-    At even P, rank P-1 has no phase-2 exchange: its gosa read (own DMA
-    port — safe) and its 8-byte reduce message to parent P-2 genuinely
-    interleave with the phase-2 halo arriving at P-2's NIC receive
-    port.  Returns ``(gosa_done, ts1, t2)`` of the reduce isend.
+    Rank P-1 has no phase-2 exchange, so its gosa read and its 8-byte
+    reduce isend to parent P-2 happen during this phase: the read on its
+    own DMA port, the isend's wire service interleaved with the halo
+    from P-3 arriving at P-2's NIC receive port.  Both requests are tx
+    grants, predictable from current port state (the two messages use
+    different tx ports), so the one that comes first is served first.
+    An exact tie is a coroutine heap arbitration — refused.
+
+    ``src``/``dst``/``ts1``/``tr1`` are the halo batch, ``h_r`` and
+    ``q_ready_r`` rank P-1's host and queue-ready times at the gosa read.
+    Returns ``(send_c, recv_c, raced)``, ``raced`` being
+    ``(gosa_done, (ts1, arrival))`` for :func:`_gosa_and_allreduce`.
     """
     t, v = L.t, L.v
-    sub = h_r + t.co
-    disp = max(q_ready_r, sub)
-    _, d = v.d2h.use(np.array([r]), np.array([disp]),
+    R = L.P - 1
+    _, d = v.d2h.use(np.array([R]), np.array([max(q_ready_r, h_r + t.co)]),
                      t.pcie.dma_time(GOSA_BYTES))
     done = float(d[0])
-    entry = done + t.so
-    ts1 = entry + t.co
-    t2 = ts1 + t.cluster.eager_stage_time(float(GOSA_BYTES))
-    return done, ts1, t2
-
-
-def _reduce_isend_first(L: _Lanes, r: int, t2_r: float,
-                        halo_ts1: float, halo_tr1: float) -> bool:
-    """Does rank ``r``'s raced-ahead reduce isend hit port ``r-1``'s
-    NIC receive before the phase-2 halo from ``r-2`` does?
-
-    Both request times are tx-port grants, predictable from current
-    port state (the two messages use different tx ports).  An exact tie
-    is a coroutine heap arbitration — refused.
-    """
-    t, v = L.t, L.v
+    ts1_r = (done + t.so) + t.co
+    t2_r = ts1_r + t.cluster.eager_stage_time(float(GOSA_BYTES))
+    i = int(np.flatnonzero(src == R - 2)[0])
     if L.plane <= t.eager_threshold:
-        wreq = halo_ts1 + t.cluster.eager_stage_time(L.plane)
+        wreq = ts1[i] + t.cluster.eager_stage_time(L.plane)
     else:
-        wreq = max(halo_ts1, halo_tr1) + t.fabric.control_time()
-    halo_txg = max(wreq, float(v.tx.free[r - 2]))
-    my_txg = max(t2_r, float(v.tx.free[r]))
-    if my_txg == halo_txg:
+        wreq = max(ts1[i], tr1[i]) + t.fabric.control_time()
+    halo_txg = max(wreq, float(v.tx.free[R - 2]))
+    isend_txg = max(t2_r, float(v.tx.free[R]))
+    if isend_txg == halo_txg:
         raise EngineError(
             "raced-ahead reduce isend ties the phase-2 halo on the "
             "parent's receive port; the coroutine engine resolves this "
             "by heap sequence — refusing to guess")
-    return my_txg < halo_txg
+
+    def isend():
+        return ts1_r, float(v.wire([R], [R - 1], [t2_r],
+                                   float(GOSA_BYTES))[0])
+
+    if isend_txg < halo_txg:
+        pre = isend()
+    send_c, recv_c = v.transfer(src, dst, ts1, tr1, L.plane,
+                                send_rate=rate, recv_rate=rate)
+    if isend_txg > halo_txg:
+        pre = isend()
+    return send_c, recv_c, (done, pre)
 
 
 def _clmpi_rows(L: _Lanes, mode: str, block: Optional[int],
@@ -196,28 +180,13 @@ def _clmpi_rows(L: _Lanes, mode: str, block: Optional[int],
             "the vectorized himeno model does not support pipelined halo "
             "planes (per-block DMA interleaves across queues); use "
             "engine='coroutine' or a non-pipelined force_mode")
-    if mode == "mapped" and P >= 3 and P % 2 == 1:
-        # At odd P the phase-2 exchange leaves the reduce tree's children
-        # in perfect lockstep, so their 8-byte messages hit the root's rx
-        # port at bit-identical times.  The coroutine engine breaks that
-        # tie by global event sequence, which for the mapped-mode clMPI
-        # program differs from the calibrated descending-child order
-        # (empirically: cichlid/clmpi/P=3 serves the lower child first).
-        # No static rule reproduces it, so this cell is refused rather
-        # than silently diverging (``engine='auto'`` runs it on the
-        # coroutine engine).
-        raise EngineError(
-            "the vectorized himeno model cannot reproduce the coroutine "
-            "scheduler's exact-tie service order for odd-rank mapped-mode "
-            "clmpi runs; use engine='auto' or an even rank count")
-    has_x1, p1 = L.x1_masks()
-    has_x2, p2 = L.x2_masks()
+    (rows_f, has_x1, p1), (rows_s, has_x2, p2) = L.phases
     src1 = L.ranks[has_x1]
     dst1 = p1[has_x1]
     src2 = L.ranks[has_x2]
     dst2 = p2[has_x2]
-    dur_f = L.kdur(L.rows_first)
-    dur_s = L.kdur(L.rows_second)
+    dur_f = L.kdur(rows_f)
+    dur_s = L.kdur(rows_s)
     plane = L.plane
     pdur = t.pcie.dma_time(plane)
 
@@ -315,31 +284,18 @@ def _clmpi_rows(L: _Lanes, mode: str, block: Optional[int],
                 tr1_2 = ((x2r_run[dst2] + t.map_overhead)
                          + t.mapped_latency) + t.co
                 rate = t.mapped_bw
-            first = False
-            if P % 2 == 0 and P >= 4:
-                # rank P-1 skips this phase: replay its clFinishes, gosa
-                # read and reduce isend now, and order that isend's wire
-                # against the halo into its reduce parent's receive port
-                R = P - 1
-                hr = float(h[R])
-                d_s = float(done_s[R])
-                hr = d_s + t.so if d_s > hr else hr + t.co     # q0
-                tail = float(x1s_done[R])
-                hr = tail + t.so if tail > hr else hr + t.co   # qs
-                tail = float(x1r_done[R])
-                hr = tail + t.so if tail > hr else hr + t.co   # qr
-                done_r, ts1_r, t2_r = _race_ahead(L, R, hr, d_s)
-                i = int(np.nonzero(src2 == R - 2)[0][0])
-                first = _reduce_isend_first(L, R, t2_r, float(ts1_2[i]),
-                                            float(tr1_2[i]))
-                if first:
-                    pre_t = v.eager_wire_single(R, R - 1, ts1_r)
-            send_c, recv_c = v.transfer(src2, dst2, ts1_2, tr1_2, plane,
-                                        send_rate=rate, recv_rate=rate)
-            if P % 2 == 0 and P >= 4:
-                if not first:
-                    pre_t = v.eager_wire_single(R, R - 1, ts1_r)
-                raced = (R, done_r, pre_t)
+            # rank P-1 skips this phase: replay its clFinishes now, then
+            # its gosa read and reduce isend with the halo batch
+            R = P - 1
+            hr = float(h[R])
+            d_s = float(done_s[R])
+            hr = d_s + t.so if d_s > hr else hr + t.co     # q0
+            tail = float(x1s_done[R])
+            hr = tail + t.so if tail > hr else hr + t.co   # qs
+            tail = float(x1r_done[R])
+            hr = tail + t.so if tail > hr else hr + t.co   # qr
+            send_c, recv_c, raced = _phase2_halo(L, src2, dst2, ts1_2,
+                                                 tr1_2, hr, d_s, rate)
             if mode == "pinned":
                 x2s_done[src2] = send_c
                 _, drained = v.h2d.use(dst2, recv_c, pdur)
@@ -375,10 +331,9 @@ def _clmpi_rows(L: _Lanes, mode: str, block: Optional[int],
 def _serial_rows(L: _Lanes) -> list[dict]:
     """Replay of :func:`serial_main`: everything blocks the host."""
     t, v, P = L.t, L.v, L.P
-    has_x1, p1 = L.x1_masks()
-    has_x2, p2 = L.x2_masks()
-    dur_f = L.kdur(L.rows_first)
-    dur_s = L.kdur(L.rows_second)
+    (rows_f, has_x1, p1), (rows_s, has_x2, p2) = L.phases
+    dur_f = L.kdur(rows_f)
+    dur_s = L.kdur(rows_s)
     plane = L.plane
     pdur = t.pcie.dma_time(plane)
 
@@ -395,7 +350,9 @@ def _serial_rows(L: _Lanes) -> list[dict]:
         h = np.where(done > sub, done + t.so, sub + t.co)
         return h, done, ktime + (done - run)
 
-    def exchange_blocking(h, qr, has, partner, race=None):
+    def exchange_blocking(h, qr, has, partner, ahead=None):
+        """One phase's exchanges; ``ahead`` is rank P-1's host and queue
+        times when it skips the phase and runs ahead (phase 2)."""
         src = L.ranks[has]
         dst = partner[has]
         # blocking pinned read of the outgoing plane
@@ -409,22 +366,17 @@ def _serial_rows(L: _Lanes) -> list[dict]:
         # sendrecv: isend, then irecv, then wait both (+ wake-up)
         ts1 = h + t.co
         tr1 = ts1 + t.co
-        pre_t = None
-        if race is not None:
-            # order the raced rank's reduce isend against the halo into
-            # its parent's receive port (see _race_ahead)
-            R, ts1_r, t2_r = race
-            first = _reduce_isend_first(L, R, t2_r, float(ts1[R - 2]),
-                                        float(tr1[R - 1]))
-            if first:
-                pre_t = v.eager_wire_single(R, R - 1, ts1_r)
-        send_c, recv_c = v.transfer(src, dst, ts1[src], tr1[dst], plane)
-        if race is not None and pre_t is None:
-            pre_t = v.eager_wire_single(R, R - 1, ts1_r)
+        raced = None
+        if ahead is None:
+            send_c, recv_c = v.transfer(src, dst, ts1[src], tr1[dst], plane)
+        else:
+            send_c, recv_c, raced = _phase2_halo(L, src, dst, ts1[src],
+                                                 tr1[dst], *ahead)
+        # rank src[i] receives the message its partner dst[i] sent
+        pos = np.empty(P, dtype=np.intp)
+        pos[src] = np.arange(src.size)
         done = np.full(P, _NEG_INF)
-        # pair each rank's posted receive with the envelope headed its
-        # way: batch non-wildcard matching (recv i names source dst[i])
-        done[src] = np.maximum(recv_c[match_arrays(dst, 0, src, 0)], send_c)
+        done[src] = np.maximum(recv_c[pos[dst]], send_c)
         h = np.where(has, done + t.so, h)
         # blocking pinned write of the received plane
         sub2 = h + t.co
@@ -432,7 +384,7 @@ def _serial_rows(L: _Lanes) -> list[dict]:
         _, h2d_done = v.h2d.use(src, disp2[src], pdur)
         qr[src] = h2d_done
         h[src] = h2d_done + t.so
-        return h, qr, pre_t
+        return h, qr, raced
 
     for _ in range(L.cfg.iterations):
         hk, qrk, ktime = kernel_blocking(h, qr, ktime, dur_f)
@@ -445,17 +397,8 @@ def _serial_rows(L: _Lanes) -> list[dict]:
         h, qr = hk, qrk
         raced = None
         if has_x2.any():
-            race = None
-            if P % 2 == 0 and P >= 4:
-                # rank P-1 has no second exchange: its gosa read and
-                # reduce isend race ahead of this phase's wire traffic
-                R = P - 1
-                done_r, ts1_r, t2_r = _race_ahead(L, R, float(h[R]),
-                                                  float(qr[R]))
-                race = (R, ts1_r, t2_r)
-            hx, qx, pre_t = exchange_blocking(h, qr, has_x2, p2, race)
-            if race is not None:
-                raced = (R, done_r, pre_t)
+            hx, qx, raced = exchange_blocking(
+                h, qr, has_x2, p2, (float(h[-1]), float(qr[-1])))
             h = np.where(has_x2, hx, h)
             qr = np.where(has_x2, qx, qr)
         h, qr = _gosa_and_allreduce(L, h, qr, raced)
@@ -479,6 +422,13 @@ def vectorized_rows(system: SystemPreset, nodes: int, implementation: str,
         raise EngineError(
             f"no vectorized model for implementation {implementation!r}; "
             f"available: {VECTORIZED_IMPLEMENTATIONS}")
+    if nodes >= 3 and nodes % 2:
+        raise EngineError(
+            f"the vectorized himeno model refuses odd rank counts of 3 or "
+            f"more ({nodes} ranks): rank {nodes - 1} has no phase-1 partner "
+            "and rank 0 no phase-2 partner, so both run ahead of the phase "
+            "batches, which the replay does not model; use engine='auto' "
+            "or an even rank count")
     L = _Lanes(system, nodes, config)
     if implementation == "serial":
         rows = _serial_rows(L)

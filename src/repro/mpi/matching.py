@@ -33,55 +33,7 @@ import numpy as np
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
 from repro.sim import Event
 
-__all__ = ["Envelope", "PostedRecv", "Endpoint", "match_arrays"]
-
-
-def match_arrays(send_src: np.ndarray, send_tag: np.ndarray,
-                 recv_src: np.ndarray, recv_tag: np.ndarray) -> np.ndarray:
-    """Batch non-wildcard matching: position in the send batch of the
-    envelope each posted receive matches.
-
-    This is the array form of :meth:`Endpoint.post` for the regime the
-    mesoscale (vectorized) engine replays: every receive names a
-    concrete ``(source, tag)``, so matching degenerates to pairing
-    within per-``(src, tag)`` streams and is *schedule-independent* —
-    there is exactly one match no matter how the DES interleaves
-    registrations (the order-free case of the deferred-matching
-    verifier).  Wildcards would make the match depend on arrival order,
-    which batched lanes cannot represent; they raise ``ValueError``, as
-    do duplicate ``(src, tag)`` keys within one batch (stream position
-    would then depend on program order the arrays do not carry — batch
-    per round instead).
-
-    Returns an index array ``ix`` with ``len(recv_src)`` entries such
-    that receive ``i`` matches envelope ``ix[i]``.  Raises ``KeyError``
-    if some receive has no matching envelope in the batch.
-    """
-    send_src = np.asarray(send_src)
-    send_tag = np.broadcast_to(np.asarray(send_tag), send_src.shape)
-    recv_src = np.asarray(recv_src)
-    recv_tag = np.broadcast_to(np.asarray(recv_tag), recv_src.shape)
-    for name, arr in (("source", recv_src), ("tag", recv_tag)):
-        bad = ANY_SOURCE if name == "source" else ANY_TAG
-        if np.any(arr == bad):
-            raise ValueError(
-                f"match_arrays is non-wildcard only: ANY_{name.upper()} "
-                "matches depend on arrival order; use Endpoint matching")
-    # one sortable key per envelope/receive; tags are < 2**31
-    span = int(max(send_tag.max(initial=0), recv_tag.max(initial=0))) + 1
-    skey = send_src.astype(np.int64) * span + send_tag
-    rkey = recv_src.astype(np.int64) * span + recv_tag
-    order = np.argsort(skey, kind="stable")
-    sorted_keys = skey[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        raise ValueError(
-            "duplicate (src, tag) in one batch: stream position depends "
-            "on program order; match round-by-round instead")
-    pos = np.searchsorted(sorted_keys, rkey)
-    if np.any(pos >= sorted_keys.size) or np.any(
-            sorted_keys[np.minimum(pos, sorted_keys.size - 1)] != rkey):
-        raise KeyError("posted receive with no matching envelope in batch")
-    return order[pos]
+__all__ = ["Envelope", "PostedRecv", "Endpoint"]
 
 
 @dataclass(slots=True)

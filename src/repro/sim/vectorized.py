@@ -713,30 +713,6 @@ class VectorEngine:
         _spread(d, full, rows)
         return full[0]
 
-    def eager_wire_single(self, src: int, dst: int, ts1: float,
-                          nbytes: float = 8.0):
-        """Service one eager message's wire path immediately.
-
-        For out-of-phase traffic that must interleave with a *later*
-        batch on the same receive port (a rank that skipped a phase and
-        raced ahead — see the himeno model).  Returns ``(ts1, txg,
-        arr)`` suitable for :meth:`reduce_small`'s ``pre`` argument.
-        """
-        tt = self._need_bind()
-        t2 = ts1 + tt.cluster.eager_stage_time(nbytes)
-        txg = max(t2, float(self.tx.free[src]))
-        if t2 <= self.tx.last_req[src] or txg <= self.rx.last_req[dst]:
-            raise EngineError(
-                "vectorized eager wire service out of FIFO order: the "
-                "raced-ahead message does not postdate earlier traffic")
-        rxg = max(txg, float(self.rx.free[dst]))
-        arr = rxg + tt.fabric.wire_time(nbytes, tt.nic_bw)
-        self.tx.free[src] = max(float(self.tx.free[src]), arr)
-        self.rx.free[dst] = max(float(self.rx.free[dst]), arr)
-        self.tx.last_req[src] = max(float(self.tx.last_req[src]), t2)
-        self.rx.last_req[dst] = max(float(self.rx.last_req[dst]), txg)
-        return ts1, txg, arr
-
     def reduce_small(self, t, nbytes=8.0, pre=None):
         """Binomial-tree reduce to rank 0 of a sub-ring payload.
 
@@ -754,9 +730,9 @@ class VectorEngine:
         once before they post their own isends.
 
         ``pre`` maps sender ranks whose isend *and* wire service already
-        happened (via :meth:`eager_wire_single`, to interleave with
-        earlier phases) to their ``(ts1, txg, arr)`` — those senders'
-        ports are not touched again.  Returns per-rank exit times.
+        happened (a one-message :meth:`wire` batch, to interleave with
+        earlier phases) to their ``(ts1, arr)`` — those senders' ports
+        are not touched again.  Returns per-rank exit times.
         """
         tt = self._need_bind()
         t = np.array(t, dtype=np.float64, copy=True)
@@ -777,8 +753,8 @@ class VectorEngine:
         txg = np.zeros(P)                      # per-sender tx-port grant
         arr = np.zeros(P)                      # per-sender wire arrival
         live = np.ones(P, dtype=bool)          # senders not in ``pre``
-        for r, (p_ts1, p_txg, p_arr) in (pre or {}).items():
-            ts1[r], txg[r], arr[r] = p_ts1, p_txg, p_arr
+        for r, (p_ts1, p_arr) in (pre or {}).items():
+            ts1[r], arr[r] = p_ts1, p_arr
             live[r] = False
         tx = self.tx
         mask = 1

@@ -60,15 +60,16 @@ class TestPartition:
 
     def test_ab_split_covers_interior(self):
         part = Partition(2, 20, 8, 8)
-        a_lo, a_hi, b_lo, b_hi = part.ab_split(0)
+        (a_lo, a_hi, _), (b_lo, b_hi, _) = part.schedule(0)
         assert a_lo == 1 and a_hi == b_lo
         assert b_hi == part.local_rows(0) + 1
 
     def test_neighbors(self):
+        """Even ranks exchange with the upper neighbour first, odd ranks
+        with the lower one; a boundary phase has no partner."""
         part = Partition(3, 32, 8, 8)
-        assert part.neighbors(0) == (None, 1)
-        assert part.neighbors(1) == (0, 2)
-        assert part.neighbors(2) == (1, None)
+        assert [tuple(ph.partner for ph in part.phases(r))
+                for r in range(3)] == [(1, None), (0, 2), (None, 1)]
 
     def test_too_many_ranks_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -97,25 +98,14 @@ class TestPartition:
                     0, 1, part.local_rows(r), part.local_rows(r) + 1}
 
     @pytest.mark.parametrize("P", list(range(1, 10)) + [1024])
-    def test_replay_lanes_follow_phases(self, P, cichlid_preset):
-        """The vectorized replay's whole-array schedule equals what
-        ``Partition.phases`` gives every rank."""
-        from repro.apps.himeno.vectorized import _Lanes
+    def test_schedule_takes_a_rank_array(self, P):
+        """The schedule of an array of ranks is each rank's schedule."""
         # an uneven split, so A and B row counts differ across ranks
-        cfg = HimenoConfig(dims=(2 * P + 2 + P // 2 + 1, 4, 4),
-                           iterations=1)
-        L = _Lanes(cichlid_preset, P, cfg)
-        phases = [L.part.phases(r) for r in range(P)]
-        for lanes, k in (((L.rows_first, L.x1_masks()), 0),
-                         ((L.rows_second, L.x2_masks()), 1)):
-            rows, (has, partner) = lanes
-            want_rows = [ph[k].hi - ph[k].lo for ph in phases]
-            want_has = [ph[k].partner is not None for ph in phases]
-            want_partner = [ph[k].partner for ph in phases
-                            if ph[k].partner is not None]
-            assert rows.tolist() == want_rows
-            assert has.tolist() == want_has
-            assert partner[has].tolist() == want_partner
+        part = Partition(P, 2 * P + 2 + P // 2 + 1, 4, 4)
+        lanes = part.schedule(np.arange(P))
+        for r in range(P):
+            assert part.schedule(r) == tuple(
+                tuple(int(x[r]) for x in phase) for phase in lanes)
 
 
 class TestReferences:

@@ -170,19 +170,22 @@ def test_auto_pingpong_rows_equal_coroutine_on_generated_presets(data):
        impl=st.sampled_from(sorted(IMPLEMENTATIONS)),
        ranks=st.integers(1, 6),
        force_mode=st.sampled_from([None, "pinned", "mapped", "pipelined"]),
-       plane=st.sampled_from([9, 33]), functional=_FUNCTIONAL)
+       plane=st.sampled_from([9, 33]), functional=_FUNCTIONAL,
+       iterations=st.sampled_from([1, 2]))
 @example(preset=presets.cichlid(), impl="clmpi", ranks=3,
-         force_mode="mapped", plane=9, functional=False)
+         force_mode="mapped", plane=9, functional=False, iterations=2)
 @example(preset=presets.cichlid(), impl="clmpi", ranks=2,
-         force_mode=None, plane=9, functional=True)
+         force_mode=None, plane=9, functional=True, iterations=2)
+@example(preset=presets.cichlid(), impl="serial", ranks=3,
+         force_mode=None, plane=9, functional=False, iterations=1)
 def test_auto_himeno_rows_equal_coroutine_on_generated_presets(
-        preset, impl, ranks, force_mode, plane, functional):
+        preset, impl, ranks, force_mode, plane, functional, iterations):
     """``auto`` gives the coroutine Himeno row in all four
     implementations.  ``vectorized`` refuses functional runs, the
     implementations and the pipelined planes it has no model for, and
-    odd-rank mapped clmpi (the first example)."""
+    odd rank counts of 3 or more (the first and last examples)."""
     cfg = HimenoConfig(size="custom", dims=(2 * ranks + 2, plane, plane),
-                       iterations=2)
+                       iterations=iterations)
 
     def row(engine):
         res = run_himeno(preset, ranks, impl, cfg, functional=functional,
@@ -193,8 +196,7 @@ def test_auto_himeno_rows_equal_coroutine_on_generated_presets(
     _auto_is_coroutine(row, functional
                        or impl not in VECTORIZED_IMPLEMENTATIONS
                        or force_mode == "pipelined"
-                       or (impl == "clmpi" and force_mode == "mapped"
-                           and ranks >= 3 and ranks % 2 == 1))
+                       or (ranks >= 3 and ranks % 2 == 1))
 
 
 # -- himeno -----------------------------------------------------------------
@@ -220,15 +222,34 @@ def test_himeno_rows_identical(system, impl, ranks):
     assert canon(a) == canon(b), (system, impl, ranks)
 
 
-def test_himeno_odd_mapped_clmpi_falls_back():
-    """The configuration the mesoscale model refuses by its own rule
-    (odd-rank mapped-mode clmpi: the coroutine heap's exact-tie order is
-    not reproducible): ``vectorized`` raises naming it, and ``auto``
-    returns the coroutine row."""
-    with pytest.raises(EngineError, match="odd-rank mapped-mode clmpi"):
-        _himeno_row("cichlid", 3, "clmpi", "vectorized")
-    a = _himeno_row("cichlid", 3, "clmpi", "coroutine")
-    assert canon(_himeno_row("cichlid", 3, "clmpi", "auto")) == canon(a)
+@pytest.mark.parametrize("ranks", [3, 7])
+@pytest.mark.parametrize("impl", ["serial", "clmpi"])
+def test_himeno_odd_ranks_fall_back(impl, ranks):
+    """The replay refuses odd rank counts of 3 or more by one rule (rank
+    P-1 and rank 0 both run ahead of the phase batches there):
+    ``vectorized`` raises naming it, and ``auto`` returns the coroutine
+    row."""
+    with pytest.raises(EngineError, match="odd rank counts"):
+        _himeno_row("cichlid", ranks, impl, "vectorized")
+    a = _himeno_row("cichlid", ranks, impl, "coroutine")
+    assert canon(_himeno_row("cichlid", ranks, impl, "auto")) == canon(a)
+
+
+def test_himeno_odd_ranks_refused_not_silently_wrong():
+    """One iteration of serial Himeno on 3 ranks: the replay used to
+    return a row that differs from the coroutine one (a time of
+    1.47886e-3 s against 1.42679e-3 s), under ``auto`` as well."""
+    cfg = HimenoConfig(size="custom", dims=(8, 9, 9), iterations=1)
+
+    def row(engine):
+        res = run_himeno(get_system("cichlid"), 3, "serial", cfg,
+                         functional=False, engine=engine)
+        return canon([res.time, res.gflops, res.kernel_times,
+                      res.gosa_per_iter])
+
+    with pytest.raises(EngineError, match="odd rank counts"):
+        row("vectorized")
+    assert row("auto") == row("coroutine")
 
 
 # -- collective-load scenario ----------------------------------------------

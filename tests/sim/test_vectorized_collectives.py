@@ -86,8 +86,8 @@ def _ref_reduce(v, t, nbytes=8.0, pre=None):
     stage = nic.per_message_overhead + nb / tt.host.memcpy_bandwidth
     hold = (nic.latency + nb / tt.nic_bw) + tt.fabric.switch_latency
     ts1, txg, arr = np.zeros(P), np.zeros(P), np.zeros(P)
-    for r, (p_ts1, p_txg, p_arr) in pre.items():
-        ts1[r], txg[r], arr[r] = p_ts1, p_txg, p_arr
+    for r, (p_ts1, p_arr) in pre.items():
+        ts1[r], arr[r] = p_ts1, p_arr
     mask = 1
     while mask < P:
         senders = np.nonzero(((ranks & (mask - 1)) == 0)
@@ -198,16 +198,23 @@ def _outcome(run):
         return str(exc)
 
 
+def _early(v, src, dst, ts1, nbytes=8.0):
+    """One eager message posted at ``ts1``, served alone through
+    :meth:`wire` ahead of a collective; returns its ``(ts1, arrival)``,
+    a raced-ahead sender's ``pre`` entry."""
+    t2 = ts1 + v.t.cluster.eager_stage_time(nbytes)
+    return ts1, float(v.wire([src], [dst], [t2], nbytes)[0])
+
+
 def _raced_ahead(data, engines, t, nbytes):
     """``pre`` senders: ranks whose reduce message went over the wire
-    early, through :meth:`eager_wire_single`, on every engine alike."""
+    early, through :func:`_early`, on every engine alike."""
     pre = {}
     for r in sorted(data.draw(st.sets(st.integers(1, t.size - 1),
                                       max_size=3), label="raced")):
         ts1 = t[r] + data.draw(_GRID, label="raced_ts1")
         parent = r - (r & -r)
-        got = [_outcome(lambda v=v: v.eager_wire_single(r, parent, ts1,
-                                                        nbytes))
+        got = [_outcome(lambda v=v: _early(v, r, parent, ts1, nbytes))
                for v in engines]
         assert got[0] == got[1]
         if not isinstance(got[0], str):
@@ -228,8 +235,7 @@ def _tied(data, engines, t, first_hop, nbytes):
         src = data.draw(st.sampled_from(
             [s for s in range(P) if s not in (r, dst)]), label="tied_src")
         ts1 = t[r] + engines[0].t.co
-        got = [_outcome(lambda v=v: v.eager_wire_single(src, dst, ts1,
-                                                        nbytes))
+        got = [_outcome(lambda v=v: _early(v, src, dst, ts1, nbytes))
                for v in engines]
         assert got[0] == got[1]
 
@@ -294,8 +300,7 @@ def _tied_root(data, engines, t, nbytes):
             [r for r in range(1, P) if r != hop]), label="tied_node")
         src, dst = data.draw(st.sampled_from([(0, other), (other, hop)]),
                              label="tied_pair")
-        got = [_outcome(lambda v=v: v.eager_wire_single(src, dst, ts1,
-                                                        nbytes))
+        got = [_outcome(lambda v=v: _early(v, src, dst, ts1, nbytes))
                for v in engines]
         assert got[0] == got[1]
 
@@ -435,7 +440,7 @@ def test_reduce_tx_cross_phase_tie_is_refused():
     as an earlier message of its own to a node outside the reduce."""
     for reduce in (lambda v, t: v.reduce_small(t), _ref_reduce):
         v = _engine("ricc", 4)
-        v.eager_wire_single(1, 3, v.t.co)
+        _early(v, 1, 3, v.t.co)
         with pytest.raises(EngineError) as exc:
             reduce(v, np.zeros(2))
         assert str(exc.value) == REDUCE_TX
@@ -447,7 +452,7 @@ def test_reduce_rx_request_out_of_fifo_order_is_refused():
     reduce."""
     for reduce in (lambda v, t: v.reduce_small(t), _ref_reduce):
         v = _engine("ricc", 4)
-        v.eager_wire_single(3, 0, v.t.co)
+        _early(v, 3, 0, v.t.co)
         with pytest.raises(EngineError) as exc:
             reduce(v, np.zeros(2))
         assert str(exc.value) == REDUCE_RX
